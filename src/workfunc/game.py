@@ -295,29 +295,91 @@ class _Machine:
         self.alive = True
 
 
+def _half_tail_count(successes: int, trials: int) -> int:
+    """Exact count of outcomes with at least `successes` ones in `trials`
+    fair coin flips: sum of C(trials, i) for i >= successes.
+
+    Only the side with fewer terms is summed, each binomial coefficient
+    following from the last by C(n, i+1) = C(n, i) * (n - i) // (i + 1):
+    the upper side directly (as C(n, 0) + ... + C(n, n - successes), its
+    mirror image), the lower side as 2**n minus the terms below
+    `successes`.
+    """
+    upper = successes > trials // 2
+    terms = trials - successes + 1 if upper else successes
+    total = 0
+    term = 1
+    for i in range(terms):
+        total += term
+        term = term * (trials - i) // (i + 1)
+    return total if upper else (1 << trials) - total
+
+
+def _upper_tail(first: int, trials: int, chance: float) -> float:
+    """P(X >= first) for X ~ Binomial(trials, chance), for `first` above the
+    mean, where the terms only shrink from `first` on.
+
+    The terms are summed relative to the first one, whose logarithm comes
+    from the exact big-integer binomial coefficient, so neither the
+    coefficient nor the powers of `chance` ever leave float range. The
+    term ratios shrink too, so after a term t with ratio r to the one
+    before, the rest adds at most t * r / (1 - r); once that is below 1e-17
+    of the sum, the sum is final.
+    """
+    odds = chance / (1.0 - chance)
+    log_first = (
+        math.log(math.comb(trials, first))
+        + first * math.log(chance)
+        + (trials - first) * math.log1p(-chance)
+    )
+    total = term = 1.0
+    for i in range(first, trials):
+        ratio = (trials - i) / (i + 1) * odds
+        term *= ratio
+        total += term
+        if ratio < 1.0 and term * ratio / (1.0 - ratio) < total * 1e-17:
+            break
+    return math.exp(log_first) * total
+
+
 def binomial_tail_probability(successes: int, trials: int, chance: float = 0.5) -> float:
-    """One-sided tail P(X >= successes) for X ~ Binomial(trials, chance)."""
+    """One-sided tail P(X >= successes) for X ~ Binomial(trials, chance).
+
+    At chance 0.5 the result is the correctly rounded float of the exact
+    tail. At any other chance its relative error grows with `trials`, to
+    about 2e-11 at 100,000 trials.
+    """
     if not 0 <= successes <= trials:
         raise ValueError("successes must be within [0, trials]")
     if chance == 0.5:
-        num = sum(math.comb(trials, i) for i in range(successes, trials + 1))
-        return float(Fraction(num, 1 << trials))
-    return float(
-        sum(
-            math.comb(trials, i) * chance**i * (1 - chance) ** (trials - i)
-            for i in range(successes, trials + 1)
-        )
-    )
+        return float(Fraction(_half_tail_count(successes, trials), 1 << trials))
+    if successes > trials * chance:
+        return _upper_tail(successes, trials, chance)
+    if successes == 0:
+        return 1.0
+    # P(X < s) is the upper tail of the failure count, trials - X
+    return 1.0 - _upper_tail(trials - successes + 1, trials, 1.0 - chance)
+
+
+def _rejects_chance(p: float, successes: int, trials: int, alpha: float, chance: float) -> bool:
+    """Does the tail p = binomial_tail_probability(successes, trials, chance)
+    reject chance at level alpha, i.e. is the tail at most alpha?
+
+    At chance 0.5 p is the exact tail correctly rounded, and rounding is
+    monotone, so p < alpha and p > alpha already decide the exact
+    comparison; only p == alpha needs the exact tail itself.
+    """
+    if p != alpha or chance != 0.5:
+        return p <= alpha
+    return Fraction(_half_tail_count(successes, trials), 1 << trials) <= Fraction(alpha)
 
 
 def wins_challenge(successes: int, trials: int, alpha: float, chance: float = 0.5) -> bool:
     """Exact decision: does the success count reject chance at level alpha?"""
     if trials == 0:
         return False
-    if chance == 0.5:
-        num = sum(math.comb(trials, i) for i in range(successes, trials + 1))
-        return Fraction(num, 1 << trials) <= Fraction(alpha)
-    return binomial_tail_probability(successes, trials, chance) <= alpha
+    p = binomial_tail_probability(successes, trials, chance)
+    return _rejects_chance(p, successes, trials, alpha, chance)
 
 
 def budget_query_action() -> EmitMove:
@@ -367,10 +429,11 @@ def play(
     successes = 0
     trials = 0
     result: Optional[GameResult] = None
+    quota_reached = False
     rounds = 0
 
     def respond_via_environment(machine: _Machine, move: Move, charge_amount: float):
-        nonlocal successes, trials, result
+        nonlocal successes, trials, quota_reached
         transcript.append_move(machine.machine_id, move, charge_amount)
         machine.tape.append(move)
         reply = environment.respond(move)
@@ -385,7 +448,7 @@ def play(
             if reply.payload[:1] == b"\x01":
                 successes += 1
             if config.challenge_trials and trials >= config.challenge_trials:
-                result = _adjudicate()
+                quota_reached = True
 
     def respond_via_engine(machine: _Machine, move: Move, charge_amount: float, reply_payload: bytes):
         transcript.append_move(machine.machine_id, move, charge_amount)
@@ -394,23 +457,15 @@ def play(
         transcript.append_move(machine.machine_id, reply, 0.0)
         machine.tape.append(reply)
 
-    def _adjudicate() -> GameResult:
-        if trials and wins_challenge(
-            successes, trials, config.win_threshold, config.chance_success_rate
-        ):
-            return GameResult.WON
-        return GameResult.LOST_CHALLENGE_FAILED
-
-    while result is None:
+    while result is None and not quota_reached:
         live = [m for m in machines if m.alive]
         if not live:
-            result = _adjudicate()
             break
         if config.max_rounds is not None and rounds >= config.max_rounds:
             raise RuntimeError(f"round limit {config.max_rounds} reached")
         rounds += 1
         for machine in live:
-            if result is not None:
+            if quota_reached:
                 break
             if not machine.alive:
                 continue
@@ -480,8 +535,17 @@ def play(
                 continue
             raise ProtocolFault(f"strategy returned unknown action {action!r}", transcript)
 
+    # The tail is evaluated once per game, budget losses included, since
+    # the outcome reports its p-value either way.
+    p_value = None
+    if trials:
+        p_value = binomial_tail_probability(successes, trials, config.chance_success_rate)
+    if result is None:
+        won = p_value is not None and _rejects_chance(
+            p_value, successes, trials, config.win_threshold, config.chance_success_rate
+        )
+        result = GameResult.WON if won else GameResult.LOST_CHALLENGE_FAILED
     final_budget = Budget(config.budget.initial, remaining)
-    p_value = binomial_tail_probability(successes, trials, config.chance_success_rate) if trials else None
     return GameOutcome(
         result=result,
         transcript=transcript,

@@ -30,7 +30,9 @@ from .toycrypto import KeystreamGen
 
 
 def _xor(data: bytes, pad: bytes) -> bytes:
-    return bytes(a ^ b for a, b in zip(data, pad))
+    """Bytewise XOR, truncated to the shorter input as zip() would."""
+    n = min(len(data), len(pad))
+    return (int.from_bytes(data[:n], "big") ^ int.from_bytes(pad[:n], "big")).to_bytes(n, "big")
 
 
 class OtpEnvironment:

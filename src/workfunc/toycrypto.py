@@ -140,10 +140,8 @@ class KeystreamGen:
         """n bits packed big-endian into an int."""
         rnd = self._rng.random
         bias = self.bias
-        value = 0
-        for _ in range(n):
-            value = (value << 1) | (1 if rnd() < bias else 0)
-        return value
+        bits = "".join(["1" if rnd() < bias else "0" for _ in range(n)])
+        return int(bits, 2) if bits else 0
 
     def next_bytes(self, n: int) -> bytes:
         return self.next_bits(8 * n).to_bytes(n, "big")

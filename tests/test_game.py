@@ -1,3 +1,5 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -138,10 +140,51 @@ def test_binomial_tail_exact_values():
 
 def test_binomial_tail_against_scipy():
     stats = pytest.importorskip("scipy.stats")
-    for successes, trials, chance in [(117, 200, 0.5), (538, 1000, 0.5), (60, 100, 0.4)]:
+    cases = [(117, 200, 0.5), (538, 1000, 0.5), (60, 100, 0.4), (682, 1100, 0.6)]
+    for trials in (1, 10, 100, 1100, 5000):
+        for chance in (0.3, 0.4, 0.6, 0.9):
+            sd = math.sqrt(trials * chance * (1 - chance))
+            for z in (-8, -3, -1, -0.2, 0, 0.2, 1, 3, 8):
+                cases.append((min(max(round(trials * chance + z * sd), 0), trials), trials, chance))
+    sd = math.sqrt(1e5 * 0.6 * 0.4)
+    cases += [(round(6e4 + z * sd), 100_000, 0.6) for z in (-3, 0, 0.5, 3)]
+    for successes, trials, chance in cases:
         ours = binomial_tail_probability(successes, trials, chance)
         ref = float(stats.binom.sf(successes - 1, trials, chance))
-        assert ours == pytest.approx(ref, rel=1e-9)
+        assert ours == pytest.approx(ref, rel=1e-9), (successes, trials, chance)
+
+
+def test_half_chance_tail_and_verdict_exact_on_grid():
+    """Every (n <= 300, s) against Pascal's triangle: p is the exact tail
+    correctly rounded and the verdict is the exact comparison, also when
+    alpha is p itself, where the rounding direction decides."""
+    ties_won = ties_lost = 0
+    row = [1]
+    for n in range(301):
+        count = 0
+        for s in range(n, -1, -1):
+            count += row[s]
+            exact = Fraction(count, 1 << n)
+            p = binomial_tail_probability(s, n)
+            assert p == float(exact), (s, n)
+            if n == 0:
+                continue
+            for alpha in (0.01, 0.05, p):
+                assert wins_challenge(s, n, alpha) == (exact <= Fraction(alpha)), (s, n, alpha)
+            if exact <= Fraction(p):
+                ties_won += 1
+            else:
+                ties_lost += 1
+        row = [a + b for a, b in zip([0] + row, row + [0])]
+    assert ties_won and ties_lost
+
+
+def test_half_chance_tail_scales():
+    stats = pytest.importorskip("scipy.stats")
+    start = time.perf_counter()
+    p = binomial_tail_probability(10_000, 20_000)
+    assert time.perf_counter() - start < 1.0
+    assert p == pytest.approx(float(stats.binom.sf(9_999, 20_000, 0.5)), rel=1e-9)
 
 
 def test_config_validation():
@@ -286,6 +329,35 @@ def test_challenge_adjudication_stops_at_trial_quota():
     assert outcome.successes == 7
     assert outcome.p_value == float(Fraction(1, 128))
     assert outcome.transcript.steps_by_machine == {0: 7}
+
+
+@pytest.mark.parametrize(
+    "actions, budget, trials, evaluations",
+    [
+        ([EmitMove(MoveClass.CHALLENGE, b"g")] * 10, 1e6, 7, 1),  # trial quota reached
+        ([EmitMove(MoveClass.CHALLENGE, b"g")] * 10, 30.0, 3, 1),  # budget out
+        ([LocalStep()], 1e6, 0, 0),
+    ],
+)
+def test_tail_evaluated_once_per_game(monkeypatch, actions, budget, trials, evaluations):
+    import workfunc.game as game
+
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # both names the engine could reach the tail through
+    monkeypatch.setattr(game, "binomial_tail_probability", counted(binomial_tail_probability))
+    monkeypatch.setattr(game, "wins_challenge", counted(wins_challenge))
+    outcome = play(Script(actions), SuccessEnv(), config(budget, challenge_trials=7))
+    assert outcome.trials == trials
+    assert len(calls) == evaluations
+    assert (outcome.p_value is None) == (evaluations == 0)
 
 
 def test_denials_do_not_count_as_trials():

@@ -12,7 +12,13 @@ from workfunc.game import (
     frame,
     unframe,
 )
-from workfunc.otp import OtpDistinguisher, OtpEnvironment, monobit_deviation, run_otp_challenge
+from workfunc.otp import (
+    OtpDistinguisher,
+    OtpEnvironment,
+    _xor,
+    monobit_deviation,
+    run_otp_challenge,
+)
 from workfunc.toycrypto import KeystreamGen
 
 
@@ -25,6 +31,16 @@ def started_env(bias=0.0, seed=0):
 def encryption_request(*plaintexts):
     payload = b"".join(frame(p) for p in plaintexts)
     return Move(Actor.ATTACKER, MoveClass.ENCRYPTION_REQUEST, payload)
+
+
+def test_xor_matches_bytewise_zip():
+    rng = random.Random(7)
+    for _ in range(500):
+        data = rng.randbytes(rng.randrange(0, 70))
+        pad = rng.randbytes(rng.randrange(0, 70))
+        assert _xor(data, pad) == bytes(a ^ b for a, b in zip(data, pad))
+    assert _xor(b"", b"") == b""
+    assert _xor(b"\x00\xff", b"") == b""
 
 
 def test_monobit_deviation():

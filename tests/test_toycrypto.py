@@ -116,6 +116,17 @@ def test_keystream_bytes_match_bits():
     assert a.next_bytes(4) == b.next_bits(32).to_bytes(4, "big")
 
 
+def test_keystream_bits_match_bit_by_bit_reference():
+    fast = KeystreamGen(0.6, seed="ref")
+    slow = KeystreamGen(0.6, seed="ref")
+    for n in (0, 1, 7, 64, 1000, 0, 33):
+        expected = 0
+        for _ in range(n):
+            expected = (expected << 1) | slow.next_bit()
+        assert fast.next_bits(n) == expected
+        assert fast._rng.getstate() == slow._rng.getstate()
+
+
 def test_prng_golden_vector():
     prng = StandInPrng.from_seed(8, "vector")
     assert prng.state == (113, 143, 57, 33)
