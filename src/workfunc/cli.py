@@ -86,6 +86,16 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_FAILURE if bad else EXIT_OK
 
 
+def _computed_report(title: str, rows: list[tuple]) -> Report:
+    """An estimator's answer: one (quantity, value, note) row per figure."""
+    return Report(
+        title=title,
+        columns=("quantity", "value", "note"),
+        rows=tuple(rows),
+        provenance=tuple(("computed", "") for _ in rows),
+    )
+
+
 def _estimate_brute_force(scenario: Scenario) -> Report:
     catalog = default_catalog()
     key_bits = scenario_int(scenario, "key_bits", 1, 1024)
@@ -126,12 +136,7 @@ def _estimate_brute_force(scenario: Scenario) -> Report:
                     kwargs["annual_factor"] = scenario_float(scenario, "annual_factor")
                 years = progress_years(speedup, **kwargs)
                 rows.append(("progress_years", years, "hardware progress wait"))
-    return Report(
-        title=f"Exhaustive search, {key_bits}-bit key",
-        columns=("quantity", "value", "note"),
-        rows=tuple(rows),
-        provenance=tuple(("computed", "") for _ in rows),
-    )
+    return _computed_report(f"Exhaustive search, {key_bits}-bit key", rows)
 
 
 def _estimate_dictionary(scenario: Scenario) -> Report:
@@ -160,12 +165,7 @@ def _estimate_dictionary(scenario: Scenario) -> Report:
         ("per_key_cost_bytes", stats.per_key_cost, "2**epsilon lookups per key"),
         ("construction_cost_bytes", stats.construction_cost, "search bound, not tight"),
     ]
-    return Report(
-        title=f"Dictionary attack, {key_bits}-bit key, epsilon {epsilon}",
-        columns=("quantity", "value", "note"),
-        rows=tuple(rows),
-        provenance=tuple(("computed", "") for _ in rows),
-    )
+    return _computed_report(f"Dictionary attack, {key_bits}-bit key, epsilon {epsilon}", rows)
 
 
 def _estimate_tf1(scenario: Scenario) -> Report:
@@ -174,8 +174,6 @@ def _estimate_tf1(scenario: Scenario) -> Report:
     kwargs = {}
     if "bytes_per_strength_bit" in scenario.params:
         kwargs["bytes_per_strength_bit"] = scenario_float(scenario, "bytes_per_strength_bit")
-    if "checker_ops" in scenario.params:
-        kwargs["checker_ops"] = scenario_int(scenario, "checker_ops", 1, 4096)
     if "scan_words_per_second" in scenario.params:
         kwargs["scan_words_per_second"] = scenario_float(scenario, "scan_words_per_second")
     fleet = scenario_fleet(scenario, catalog)
@@ -193,23 +191,25 @@ def _estimate_tf1(scenario: Scenario) -> Report:
         ("expected_scan_words", est.expected_scan_words, "wait for a zero word"),
         ("scan_seconds", est.scan_seconds, format_duration(est.scan_seconds)),
     ]
-    return Report(
-        title=f"Stream generator state search, {word_bits}-bit words",
-        columns=("quantity", "value", "note"),
-        rows=tuple(rows),
-        provenance=tuple(("computed", "") for _ in rows),
-    )
+    return _computed_report(f"Stream generator state search, {word_bits}-bit words", rows)
+
+
+def _read_scenario(path: str) -> tuple[Optional[Scenario], int]:
+    """The scenario in `path`, or None and the exit code for why not."""
+    try:
+        return load_scenario(path), EXIT_OK
+    except OSError as exc:
+        print(f"cannot read scenario: {exc}", file=sys.stderr)
+        return None, EXIT_USAGE
+    except ScenarioError as exc:
+        print(f"bad scenario: {exc}", file=sys.stderr)
+        return None, EXIT_FAILURE
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except OSError as exc:
-        print(f"cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScenarioError as exc:
-        print(f"bad scenario: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    scenario, code = _read_scenario(args.scenario)
+    if scenario is None:
+        return code
     builders = {
         "brute_force": _estimate_brute_force,
         "dictionary": _estimate_dictionary,
@@ -233,14 +233,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_game(args: argparse.Namespace) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except OSError as exc:
-        print(f"cannot read scenario: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ScenarioError as exc:
-        print(f"bad scenario: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    scenario, code = _read_scenario(args.scenario)
+    if scenario is None:
+        return code
     if scenario.kind != "game_otp":
         print(
             f"scenario kind [{scenario.kind}] is not a game", file=sys.stderr

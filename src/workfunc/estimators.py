@@ -188,7 +188,6 @@ class Tf1Model:
 
     word_bits: int
     bytes_per_strength_bit: float = DEFAULT_BYTES_PER_KEY_BIT
-    checker_ops: int = 16
     scan_words_per_second: float = 1e9
 
     def __post_init__(self):
@@ -196,8 +195,6 @@ class Tf1Model:
             raise ValueError("word_bits must be at least 1")
         if self.bytes_per_strength_bit <= 0:
             raise ValueError("bytes_per_strength_bit must be positive")
-        if self.checker_ops < 1:
-            raise ValueError("checker_ops must be at least 1")
         if self.scan_words_per_second <= 0:
             raise ValueError("scan rate must be positive")
 

@@ -2,8 +2,9 @@
 
 Each experiment replays a cost-model claim against the toy systems and
 returns a pass/fail record.  The trial loops are vectorized with numpy
-for speed; the scalar library paths stay authoritative and the test suite
-pins the two routes together on shared inputs.
+for speed: the sweeps run the toy cipher's own key schedule and rounds,
+and the generator's own step, on arrays of keys or candidate states, so
+there is one implementation of each primitive.
 """
 
 from __future__ import annotations
@@ -16,46 +17,29 @@ from typing import Sequence
 import numpy as np
 
 from .toycrypto import (
-    KEY_MIX_MULTIPLIER,
-    ROUND_CONSTANTS,
+    CHECKER_OPS,
     KeystreamGen,
     ScanLimitError,
     StandInPrng,
     ToyCipher,
+    arx_step,
     brute_force_search,
     pack_state,
     reduction_unknown_bits,
     scan_for_zero,
     state_search,
+    unpack_state,
 )
-
-_M32 = 0xFFFFFFFF
-_M16 = 0xFFFF
 
 # fixed known plaintexts for key-search trials; two blocks pin the key
 TRIAL_PLAINTEXTS = (0x00000000, 0x00000001)
 
 
 def cipher_table(key_bits: int, block: int) -> np.ndarray:
-    """Ciphertext of `block` under every key, as one vectorized sweep.
-
-    Mirrors ToyCipher on 32-bit blocks; kept in lockstep by tests.
-    """
+    """Ciphertext of `block` under every key, as one vectorized sweep."""
+    cipher = ToyCipher(key_bits)
     keys = np.arange(1 << key_bits, dtype=np.uint64)
-    subkeys = []
-    for i, rc in enumerate(ROUND_CONSTANTS):
-        t = ((keys ^ rc) * KEY_MIX_MULTIPLIER) & _M32
-        t = t ^ (t >> np.uint64(16))
-        if i:
-            t = ((t << i) | (t >> (32 - i))) & _M32
-        subkeys.append(t & _M16)
-    left = np.full_like(keys, (block >> 16) & _M16)
-    right = np.full_like(keys, block & _M16)
-    for s in subkeys:
-        f = (right + s) & _M16
-        f = (((f << 5) | (f >> 11)) & _M16) ^ s
-        left, right = right, left ^ f
-    return (left << 16) | right
+    return cipher.encrypt_with_subkeys(cipher.schedule(keys), block)
 
 
 @dataclass(frozen=True)
@@ -115,26 +99,18 @@ def _prng_outputs(word_bits: int, packed_state: int, n: int) -> list[int]:
 
 
 def _vector_first_outputs(word_bits: int, high_bits: int) -> np.ndarray:
-    """First output word of every candidate state sharing the hinted bits."""
+    """First output word of every candidate state sharing the hinted bits.
+
+    The ceil(1.5w) unknown low bits cover d and the low part of c but
+    never reach a or b, since w <= ceil(1.5w) <= 2w; uint32 holds every
+    word sum because w <= MAX_WORD_BITS = 16.
+    """
     w = word_bits
-    mask = (1 << w) - 1
     unknown = reduction_unknown_bits(w)
-    lows = np.arange(1 << unknown, dtype=np.uint64)
-    packed = (np.uint64(high_bits) << np.uint64(unknown)) | lows
-    d = packed & mask
-    c = (packed >> np.uint64(w)) & mask
-    b = (packed >> np.uint64(2 * w)) & mask
-    a = (packed >> np.uint64(3 * w)) & mask
-
-    def rot(x, n):
-        n %= w
-        if n == 0:
-            return x
-        return ((x << np.uint64(n)) | (x >> np.uint64(w - n))) & mask
-
-    a2 = (a + rot(b, 1)) & mask
-    c2 = ((c + d) & mask) ^ 1
-    return (a2 + c2) & mask
+    a, b, c_high, _ = unpack_state(high_bits << unknown, w)
+    lows = np.arange(1 << unknown, dtype=np.uint32)
+    state = (a, b, c_high | (lows >> w), lows & ((1 << w) - 1))
+    return arx_step(state, w)[1]
 
 
 def state_search_candidates_tested(
@@ -175,13 +151,12 @@ def state_search_slope_experiment(
     word_bits_list: Sequence[int] = (8, 10, 12),
     trials_list: Sequence[int] = (300, 200, 120),
     seed: int = 0,
-    checker_ops: int = 16,
 ) -> tuple[ExperimentResult, dict[int, float]]:
     """Fit the cost-vs-word-size exponent; the reduction predicts 1.5."""
     means = {}
     for w, trials in zip(word_bits_list, trials_list):
         counts = state_search_candidates_tested(w, trials, seed + w)
-        means[w] = checker_ops * fmean(counts)
+        means[w] = CHECKER_OPS * fmean(counts)
     xs = list(word_bits_list)
     ys = [math.log2(means[w]) for w in xs]
     xbar = fmean(xs)
@@ -245,7 +220,7 @@ def meter_ledger_experiment(seed: int = 5) -> ExperimentResult:
     packed = prng.packed_state()
     observed = prng.next_words(16)
     res = state_search(8, observed, packed >> reduction_unknown_bits(8), rng_seed=seed)
-    search_gap = res.meter.accumulated_cost - 16.0 * res.candidates_tested
+    search_gap = res.meter.accumulated_cost - CHECKER_OPS * res.candidates_tested
 
     return ExperimentResult(
         name="meter ledger identities",

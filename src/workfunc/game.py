@@ -367,7 +367,10 @@ def _rejects_chance(p: float, successes: int, trials: int, alpha: float, chance:
 
     At chance 0.5 p is the exact tail correctly rounded, and rounding is
     monotone, so p < alpha and p > alpha already decide the exact
-    comparison; only p == alpha needs the exact tail itself.
+    comparison; only p == alpha needs the exact tail itself.  At any other
+    chance the verdict is p <= alpha on the float tail, whose relative
+    error is about 2e-11 at 100,000 trials, so a tail within that error of
+    alpha can be decided either way.  The CLI always plays at chance 0.5.
     """
     if p != alpha or chance != 0.5:
         return p <= alpha
@@ -375,7 +378,11 @@ def _rejects_chance(p: float, successes: int, trials: int, alpha: float, chance:
 
 
 def wins_challenge(successes: int, trials: int, alpha: float, chance: float = 0.5) -> bool:
-    """Exact decision: does the success count reject chance at level alpha?"""
+    """Does the success count reject chance at level alpha?
+
+    The decision is exact at chance 0.5; at any other chance it compares
+    a float tail with alpha (see `_rejects_chance`).
+    """
     if trials == 0:
         return False
     p = binomial_tail_probability(successes, trials, chance)

@@ -6,7 +6,8 @@ Example::
     key_bits = 84
     fleet = 65536 x ati-radeon-5870
 
-Randomized kinds must carry an explicit seed so every run is replayable.
+A `[game_otp]` scenario must carry an explicit seed so every game is
+replayable.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Mapping
 
 from .devices import DeviceSpec, Fleet, find_device
 
-KINDS = ("brute_force", "dictionary", "tf1", "game_otp", "desk_validation")
+KINDS = ("brute_force", "dictionary", "tf1", "game_otp")
 
 _ALLOWED_KEYS: dict[str, frozenset[str]] = {
     "brute_force": frozenset(
@@ -31,14 +32,13 @@ _ALLOWED_KEYS: dict[str, frozenset[str]] = {
          "comparison_bound", "fleet", "fleet_rate_bytes_per_s"}
     ),
     "tf1": frozenset(
-        {"word_bits", "bytes_per_strength_bit", "checker_ops",
-         "scan_words_per_second", "fleet", "fleet_rate_bytes_per_s"}
+        {"word_bits", "bytes_per_strength_bit", "scan_words_per_second",
+         "fleet", "fleet_rate_bytes_per_s"}
     ),
     "game_otp": frozenset(
         {"seed", "bias", "trials", "budget", "plaintext_bytes",
          "win_threshold", "per_step_information"}
     ),
-    "desk_validation": frozenset({"seed", "quick"}),
 }
 
 _REQUIRED_KEYS: dict[str, frozenset[str]] = {
@@ -46,11 +46,7 @@ _REQUIRED_KEYS: dict[str, frozenset[str]] = {
     "dictionary": frozenset({"key_bits", "epsilon"}),
     "tf1": frozenset({"word_bits"}),
     "game_otp": frozenset({"seed", "bias", "trials", "budget"}),
-    "desk_validation": frozenset({"seed"}),
 }
-
-# kinds whose runs consume randomness; these are the ones that need a seed
-RANDOMIZED_KINDS = frozenset({"game_otp", "desk_validation"})
 
 
 class ScenarioError(ValueError):
@@ -91,8 +87,6 @@ def parse_scenario(text: str) -> Scenario:
     for key in sorted(_REQUIRED_KEYS[kind]):
         if key not in params:
             raise ScenarioError(f"[{kind}] requires key {key!r}")
-    if kind in RANDOMIZED_KINDS and "seed" not in params:
-        raise ScenarioError(f"randomized scenario [{kind}] requires a seed")
     return Scenario(kind=kind, params=params)
 
 

@@ -26,7 +26,9 @@ ROUND_ROTATION = 5
 MASK32 = 0xFFFFFFFF
 
 
-def rotl(value: int, amount: int, width: int) -> int:
+def rotl(value, amount: int, width: int):
+    """Rotate left within `width` bits; `value` is an int or an unsigned
+    numpy array wide enough to hold `value << amount`."""
     amount %= width
     if amount == 0:
         return value
@@ -71,6 +73,14 @@ class ToyCipher:
 
     def subkeys(self, key: int) -> tuple[int, int, int, int]:
         self._check_key(key)
+        return self.schedule(key)
+
+    def schedule(self, key):
+        """The four round subkeys of `key`, without the range check.
+
+        `key` is an int, or a uint64 numpy array of keys to schedule at
+        once; the subkeys then are arrays of the same shape.
+        """
         out = []
         for i, rc in enumerate(ROUND_CONSTANTS):
             mixed = ((key ^ rc) * KEY_MIX_MULTIPLIER) & MASK32
@@ -78,7 +88,7 @@ class ToyCipher:
             out.append(rotl(mixed, i, 32) & self._half_mask)
         return tuple(out)
 
-    def _round(self, x: int, s: int) -> int:
+    def _round(self, x, s):
         return rotl((x + s) & self._half_mask, ROUND_ROTATION, self.half_bits) ^ s
 
     def encrypt_with_subkeys(self, subkeys: Sequence[int], block: int) -> int:
@@ -147,16 +157,29 @@ class KeystreamGen:
         return self.next_bits(8 * n).to_bytes(n, "big")
 
 
-class StandInPrng:
-    """Small ARX word generator with four w-bit state words.
+def arx_step(state, word_bits: int):
+    """One step of the ARX word generator: (next state, output word).
 
-    One step, all right-hand sides reading the previous state:
+    All right-hand sides read the previous state:
         a' = (a + rotl(b, 1)) mod 2**w
         b' = b XOR rotl(c, 2)
         c' = ((c + d) mod 2**w) XOR 1
         d' = rotl(d XOR a, 3)
-    and the output word is (a' + c') mod 2**w.
+    and the output word is (a' + c') mod 2**w.  Each word is an int or
+    an unsigned numpy array, so one call can step many candidate states.
     """
+    w = word_bits
+    mask = (1 << w) - 1
+    a, b, c, d = state
+    a2 = (a + rotl(b, 1, w)) & mask
+    b2 = b ^ rotl(c, 2, w)
+    c2 = ((c + d) & mask) ^ 1
+    d2 = rotl(d ^ a, 3, w)
+    return (a2, b2, c2, d2), (a2 + c2) & mask
+
+
+class StandInPrng:
+    """Small ARX word generator with four w-bit state words (`arx_step`)."""
 
     def __init__(self, word_bits: int, state: tuple[int, int, int, int]):
         if not 1 <= word_bits <= MAX_WORD_BITS:
@@ -165,7 +188,6 @@ class StandInPrng:
         mask = (1 << word_bits) - 1
         if len(state) != 4 or any(not 0 <= s <= mask for s in state):
             raise ValueError("state must be four words of word_bits each")
-        self._mask = mask
         self.state = tuple(state)
 
     @classmethod
@@ -184,15 +206,8 @@ class StandInPrng:
         return StandInPrng(self.word_bits, self.state)
 
     def next_word(self) -> int:
-        w = self.word_bits
-        mask = self._mask
-        a, b, c, d = self.state
-        a2 = (a + rotl(b, 1, w)) & mask
-        b2 = b ^ rotl(c, 2, w)
-        c2 = ((c + d) & mask) ^ 1
-        d2 = rotl(d ^ a, 3, w)
-        self.state = (a2, b2, c2, d2)
-        return (a2 + c2) & mask
+        self.state, word = arx_step(self.state, self.word_bits)
+        return word
 
     def next_words(self, n: int) -> list[int]:
         return [self.next_word() for _ in range(n)]
@@ -248,6 +263,10 @@ def reduction_hint(true_state_packed: int, word_bits: int) -> int:
     return true_state_packed >> unknown
 
 
+# flat op count of checking one candidate state against the window
+CHECKER_OPS = 16
+
+
 @dataclass(frozen=True)
 class StateSearchResult:
     state_packed: int
@@ -259,7 +278,7 @@ def state_search(
     word_bits: int,
     observed: Sequence[int],
     hint_high_bits: int,
-    checker_ops: int = 16,
+    checker_ops: int = CHECKER_OPS,
     per_op_information: float = 1.0,
     rng_seed: int | str = 0,
     meter: Optional[CostMeter] = None,

@@ -113,6 +113,17 @@ def test_estimate_rejects_bad_scenarios(tmp_path, capsys):
     )
     assert main(["estimate", bad_bound]) == 1
 
+    ignored_key = write(
+        tmp_path, "tf1.scenario", "[tf1]\nword_bits = 32\nchecker_ops = 4096\n"
+    )
+    capsys.readouterr()
+    assert main(["estimate", ignored_key]) == 1
+    assert "'checker_ops'" in capsys.readouterr().err
+
+    no_command = write(tmp_path, "desk.scenario", "[desk_validation]\nseed = 1\n")
+    assert main(["estimate", no_command]) == 1
+    assert "unknown scenario kind" in capsys.readouterr().err
+
     not_estimator = write(tmp_path, "g.scenario", GAME_WON)
     assert main(["estimate", not_estimator]) == 2
     assert "not an estimator" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 from workfunc.experiments import (
     TRIAL_PLAINTEXTS,
     ExperimentResult,
+    _vector_first_outputs,
     brute_force_keys_tested,
     brute_force_mean_experiment,
     cipher_table,
@@ -21,18 +22,35 @@ from workfunc.toycrypto import (
     ToyCipher,
     brute_force_search,
     reduction_hint,
+    reduction_unknown_bits,
     state_search,
 )
 
 
 def test_cipher_table_matches_scalar_cipher():
-    tc = ToyCipher(12)
-    rng = random.Random(1)
-    for block in TRIAL_PLAINTEXTS:
-        table = cipher_table(12, block)
-        for _ in range(100):
-            key = rng.randrange(1 << 12)
-            assert int(table[key]) == tc.encrypt(key, block)
+    for key_bits in (1, 8, 12):
+        tc = ToyCipher(key_bits)
+        keys = range(1 << key_bits)
+        schedule = tc.schedule(np.arange(1 << key_bits, dtype=np.uint64))
+        assert [tuple(int(s[key]) for s in schedule) for key in keys] == [
+            tc.subkeys(key) for key in keys
+        ]
+        for block in (*TRIAL_PLAINTEXTS, 0xFFFFFFFF):
+            table = cipher_table(key_bits, block)
+            assert table.tolist() == [tc.encrypt(key, block) for key in keys]
+
+
+def test_vector_first_outputs_match_scalar_generator():
+    rng = random.Random(2)
+    for w in (*range(1, 9), 12, 16):
+        unknown = reduction_unknown_bits(w)
+        # every candidate up to w = 8, a sample of 1000 above
+        lows = range(1 << unknown) if w <= 8 else rng.sample(range(1 << unknown), 1000)
+        for high in (0, 1, (1 << (4 * w - unknown)) - 1):
+            vector = _vector_first_outputs(w, high)
+            for low in lows:
+                packed = (high << unknown) | low
+                assert int(vector[low]) == StandInPrng.from_packed(w, packed).next_word()
 
 
 def test_experiment_result_pass_boundary():

@@ -24,7 +24,6 @@ def test_parse_minimal_scenarios():
         ("dictionary", "key_bits = 56\nepsilon = 6"),
         ("tf1", "word_bits = 32"),
         ("game_otp", "seed = 1\nbias = 0.6\ntrials = 200\nbudget = 1e9"),
-        ("desk_validation", "seed = 11"),
     ]:
         scenario = parse_scenario(f"[{kind}]\n{body}\n")
         assert scenario.kind == kind
@@ -78,14 +77,14 @@ def test_typed_getters():
 
 def test_bool_getter():
     def scen(value):
-        return parse_scenario(f"[desk_validation]\nseed = 1\nquick = {value}\n")
+        return parse_scenario(f"[brute_force]\nkey_bits = 56\ntriple = {value}\n")
 
     for raw in ("true", "Yes", "1", "on"):
-        assert scenario_bool(scen(raw), "quick") is True
+        assert scenario_bool(scen(raw), "triple") is True
     for raw in ("false", "No", "0", "off"):
-        assert scenario_bool(scen(raw), "quick") is False
+        assert scenario_bool(scen(raw), "triple") is False
     with pytest.raises(ScenarioError, match="boolean"):
-        scenario_bool(scen("maybe"), "quick")
+        scenario_bool(scen("maybe"), "triple")
 
 
 def test_fleet_spec_parsing():
