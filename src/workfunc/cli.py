@@ -9,6 +9,7 @@ failure, 2 usage error, 3 game lost, 4 protocol fault in a game.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from typing import Optional, Sequence
 
@@ -16,6 +17,8 @@ from . import refdata
 from .cost import Budget
 from .devices import CatalogError, Fleet, default_catalog, find_device, load_catalog, resource_rate
 from .estimators import (
+    DEFAULT_BYTES_PER_KEY_BIT,
+    TRIPLE_BYTES_PER_KEY_BIT,
     BruteForceModel,
     DictionaryModel,
     Tf1Model,
@@ -56,13 +59,17 @@ EXIT_GAME_LOST = 3
 EXIT_PROTOCOL_FAULT = 4
 
 
-def _emit(report: Report, as_csv: bool, output: Optional[str]) -> None:
-    text = render_csv(report) if as_csv else render_text(report)
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
+def _write(text: str, path: Optional[str]) -> None:
+    """Write `text` to the file at `path`, or to stdout when there is none."""
+    if path:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(report: Report, as_csv: bool, output: Optional[str]) -> None:
+    _write(render_csv(report) if as_csv else render_text(report), output)
 
 
 def _table_report(number: int) -> tuple[Report, list[str]]:
@@ -86,8 +93,15 @@ def cmd_table(args: argparse.Namespace) -> int:
     return EXIT_FAILURE if bad else EXIT_OK
 
 
-def _computed_report(title: str, rows: list[tuple]) -> Report:
-    """An estimator's answer: one (quantity, value, note) row per figure."""
+def _computed_report(title: str, rows: list[tuple], size: str) -> Report:
+    """An estimator's answer: one (quantity, value, note) row per figure.
+
+    A figure that overflows a float is no answer, so the scenario is
+    rejected instead, naming the inputs `size` that set the attack's scale.
+    """
+    for quantity, value, _ in rows:
+        if not math.isfinite(value):
+            raise ScenarioError(f"{quantity} overflows a float at {size}")
     return Report(
         title=title,
         columns=("quantity", "value", "note"),
@@ -106,7 +120,7 @@ def _estimate_brute_force(scenario: Scenario) -> Report:
     )
     triple = scenario_bool(scenario, "triple") if "triple" in scenario.params else False
     if per_bit is None:
-        per_bit = 360.0 if triple else 120.0
+        per_bit = TRIPLE_BYTES_PER_KEY_BIT if triple else DEFAULT_BYTES_PER_KEY_BIT
     elif triple:
         raise ScenarioError("give bytes_per_key_bit or triple, not both")
     model = BruteForceModel(key_bits, per_bit)
@@ -136,7 +150,9 @@ def _estimate_brute_force(scenario: Scenario) -> Report:
                     kwargs["annual_factor"] = scenario_float(scenario, "annual_factor")
                 years = progress_years(speedup, **kwargs)
                 rows.append(("progress_years", years, "hardware progress wait"))
-    return _computed_report(f"Exhaustive search, {key_bits}-bit key", rows)
+    return _computed_report(
+        f"Exhaustive search, {key_bits}-bit key", rows, f"key_bits = {key_bits}"
+    )
 
 
 def _estimate_dictionary(scenario: Scenario) -> Report:
@@ -154,7 +170,11 @@ def _estimate_dictionary(scenario: Scenario) -> Report:
                 f"comparison_bound must be conservative or upper, got {bound!r}"
             )
         kwargs["upper_bound"] = bound == "upper"
-    stats = dictionary_stats(DictionaryModel(key_bits, epsilon, **kwargs))
+    size = f"key_bits = {key_bits}, epsilon = {epsilon}"
+    try:
+        stats = dictionary_stats(DictionaryModel(key_bits, epsilon, **kwargs))
+    except OverflowError:  # raised by the 2**(key_bits - epsilon) entry count
+        raise ScenarioError(f"entries overflows a float at {size}") from None
     rows = [
         ("entries", stats.entries, "2**(key_bits - epsilon)"),
         ("entry_bits", float(stats.entry_bits), ""),
@@ -165,7 +185,7 @@ def _estimate_dictionary(scenario: Scenario) -> Report:
         ("per_key_cost_bytes", stats.per_key_cost, "2**epsilon lookups per key"),
         ("construction_cost_bytes", stats.construction_cost, "search bound, not tight"),
     ]
-    return _computed_report(f"Dictionary attack, {key_bits}-bit key, epsilon {epsilon}", rows)
+    return _computed_report(f"Dictionary attack, {key_bits}-bit key, epsilon {epsilon}", rows, size)
 
 
 def _estimate_tf1(scenario: Scenario) -> Report:
@@ -191,7 +211,9 @@ def _estimate_tf1(scenario: Scenario) -> Report:
         ("expected_scan_words", est.expected_scan_words, "wait for a zero word"),
         ("scan_seconds", est.scan_seconds, format_duration(est.scan_seconds)),
     ]
-    return _computed_report(f"Stream generator state search, {word_bits}-bit words", rows)
+    return _computed_report(
+        f"Stream generator state search, {word_bits}-bit words", rows, f"word_bits = {word_bits}"
+    )
 
 
 def _read_scenario(path: str) -> tuple[Optional[Scenario], int]:
@@ -276,11 +298,9 @@ def cmd_game(args: argparse.Namespace) -> int:
         if fault.transcript is not None:
             lines = transcript_lines(fault.transcript)
             lines.append("result ProtocolFault")
-            with open(args.transcript, "w", encoding="utf-8") as handle:
-                handle.write("\n".join(lines) + "\n")
+            _write("\n".join(lines) + "\n", args.transcript)
         return EXIT_PROTOCOL_FAULT
-    with open(args.transcript, "w", encoding="utf-8") as handle:
-        handle.write(export_transcript(outcome))
+    _write(export_transcript(outcome), args.transcript)
     print(f"result {outcome.result.value}")
     print(f"challenges {outcome.successes}/{outcome.trials}")
     print(f"total_cost {outcome.total_cost!r}")
@@ -312,12 +332,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             f"{status} {result.name}: {result.statistic:.6g} "
             f"(expected {result.expected:.6g} within {result.tolerance:.3g})"
         )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.output)
     return EXIT_FAILURE if failures else EXIT_OK
 
 

@@ -217,17 +217,16 @@ def tf1_estimate(model: Tf1Model, fleet: FleetLike) -> Tf1Estimate:
     w = model.word_bits
     strength = 1.5 * w
     cost = model.bytes_per_strength_bit * strength * 2.0 ** (strength - 1)
-    rate = _rate_of(fleet)
-    expected = cost / rate
+    timing = break_time(cost, fleet)
     scan_words = 2.0 ** (w - 1)
     return Tf1Estimate(
         word_bits=w,
         intended_strength_bits=2 * w,
         effective_strength_bits=strength,
         state_search_cost=cost,
-        fleet_rate=rate,
-        expected_seconds=expected,
-        worst_case_seconds=2.0 * expected,
+        fleet_rate=timing.fleet_rate,
+        expected_seconds=timing.expected_seconds,
+        worst_case_seconds=timing.worst_case_seconds,
         expected_scan_words=scan_words,
         scan_seconds=scan_words / model.scan_words_per_second,
     )

@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
-from .cost import Budget
+from .cost import Budget, Depleted, charge
 
 BUDGET_QUERY = b"budget?"
 HALT_PAYLOAD = b"halt"
@@ -284,14 +284,18 @@ class MachineContext:
 
 
 class _Machine:
-    __slots__ = ("machine_id", "spec", "strategy", "tape", "ctx", "alive")
+    """A strategy with its spec, context and liveness; only its own Halt
+    clears `alive`."""
 
-    def __init__(self, machine_id: int, spec: MachineSpec, strategy, valuation: bytes, shared):
-        self.machine_id = machine_id
+    __slots__ = ("spec", "strategy", "ctx", "alive")
+
+    def __init__(self, machine_id: int, spec: MachineSpec, strategy, valuation: bytes, regions):
+        shared = None
+        if spec.overlap_region is not None:
+            shared = regions.setdefault(spec.overlap_region, bytearray())
         self.spec = spec
         self.strategy = strategy
-        self.tape = RunTape()
-        self.ctx = MachineContext(machine_id, self.tape, valuation, shared)
+        self.ctx = MachineContext(machine_id, RunTape(), valuation, shared)
         self.alive = True
 
 
@@ -377,16 +381,24 @@ def _rejects_chance(p: float, successes: int, trials: int, alpha: float, chance:
     return Fraction(_half_tail_count(successes, trials), 1 << trials) <= Fraction(alpha)
 
 
+def _adjudicate(
+    successes: int, trials: int, alpha: float, chance: float
+) -> tuple[Optional[float], bool]:
+    """The tail p-value of the success count (None without trials) and
+    whether it rejects chance at level alpha."""
+    if trials == 0:
+        return None, False
+    p = binomial_tail_probability(successes, trials, chance)
+    return p, _rejects_chance(p, successes, trials, alpha, chance)
+
+
 def wins_challenge(successes: int, trials: int, alpha: float, chance: float = 0.5) -> bool:
     """Does the success count reject chance at level alpha?
 
     The decision is exact at chance 0.5; at any other chance it compares
     a float tail with alpha (see `_rejects_chance`).
     """
-    if trials == 0:
-        return False
-    p = binomial_tail_probability(successes, trials, chance)
-    return _rejects_chance(p, successes, trials, alpha, chance)
+    return _adjudicate(successes, trials, alpha, chance)[1]
 
 
 def budget_query_action() -> EmitMove:
@@ -398,168 +410,133 @@ def parse_budget_reply(move: Move) -> float:
     return float(move.payload.decode("ascii"))
 
 
+def _schedule(machines: list[_Machine], max_rounds: Optional[int]) -> Iterator[_Machine]:
+    """Round-robin turns: each round visits, in spawn order, the machines
+    alive at its start; the game ends when none is left."""
+    rounds = 0
+    while True:
+        live = [m for m in machines if m.alive]
+        if not live:
+            return
+        if max_rounds is not None and rounds >= max_rounds:
+            raise RuntimeError(f"round limit {max_rounds} reached")
+        rounds += 1
+        yield from live
+
+
 def play(
     strategy,
     environment,
     config: GameConfig,
     root_spec: Optional[MachineSpec] = None,
 ) -> GameOutcome:
-    """Run one game to completion.
+    """Run one game to completion, one machine turn at a time.
 
-    Determinism: with a fixed (strategy, environment, config) the move
-    sequence and outcome are bit-identical; all randomness flows from
-    config.rng_seed through the environment's seeded generator.
+    A turn prices the step, charges it through `cost.charge` before it
+    takes effect, then acts: the move and its one reply, from the engine
+    or the environment, go to the machine's tape and the transcript.
+    Turns come from `_schedule`, so a machine spawned mid-round first
+    acts in the next round.  Determinism: with a fixed (strategy,
+    environment, config) the move sequence and outcome are bit-identical;
+    all randomness flows from config.rng_seed through the environment's
+    seeded generator.
     """
     transcript = GameTranscript()
-    env_rng = random.Random(f"{config.rng_seed}:environment")
     if hasattr(environment, "start"):
-        environment.start(env_rng)
+        environment.start(random.Random(f"{config.rng_seed}:environment"))
     valuation = bytes(environment.valuation_tape()) if hasattr(environment, "valuation_tape") else b""
 
     regions: dict[str, bytearray] = {}
-
-    def shared_for(spec: MachineSpec):
-        if spec.overlap_region is None:
-            return None
-        return regions.setdefault(spec.overlap_region, bytearray())
-
     if root_spec is None:
         root_spec = getattr(strategy, "spec", None) or MachineSpec(b"attacker")
-    machines: list[_Machine] = [_Machine(0, root_spec, strategy, valuation, shared_for(root_spec))]
-    next_id = 1
-
-    # The budget is tracked as a bare float in the loop; Budget/charge
-    # semantics are preserved (charge-before-effect, exact exhaustion
-    # stays solvent) and the Budget object is rebuilt for the outcome.
-    initial = config.budget.remaining
-    remaining = initial
+    machines = [_Machine(0, root_spec, strategy, valuation, regions)]
+    budget = config.budget
     successes = 0
     trials = 0
     result: Optional[GameResult] = None
-    quota_reached = False
-    rounds = 0
 
-    def respond_via_environment(machine: _Machine, move: Move, charge_amount: float):
-        nonlocal successes, trials, quota_reached
-        transcript.append_move(machine.machine_id, move, charge_amount)
-        machine.tape.append(move)
-        reply = environment.respond(move)
-        if not isinstance(reply, Move):
-            raise ProtocolFault("environment must answer with exactly one move", transcript)
-        if reply.actor is not Actor.ENVIRONMENT or reply.kind not in ENVIRONMENT_CLASSES:
-            raise ProtocolFault("environment answered with a non-response move", transcript)
-        transcript.append_move(machine.machine_id, reply, 0.0)
-        machine.tape.append(reply)
+    for machine in _schedule(machines, config.max_rounds):
+        ctx = machine.ctx
+        work_len = len(ctx.work_tape)
+        action = machine.strategy.step(ctx)
+        if isinstance(action, Spawn):
+            action = SpawnBatch(action.spec, [action.strategy])
+
+        if isinstance(action, SpawnBatch):
+            if not action.strategies:
+                raise ProtocolFault("spawn batch must recruit at least one machine", transcript)
+            step_cost = float(len(action.strategies) * action.spec.description_bytes)
+        elif config.per_step_information is not None:
+            step_cost = config.per_step_information
+        else:
+            step_cost = float(machine.spec.description_bytes + work_len)
+
+        charged = charge(budget, step_cost)
+        if isinstance(charged, Depleted):
+            transcript.record_charge(ctx.machine_id, budget.remaining)
+            budget = charged.budget
+            result = GameResult.LOST_BUDGET_DEPLETED
+            break
+        budget = charged
+        transcript.record_charge(ctx.machine_id, step_cost)
+
+        if isinstance(action, LocalStep):
+            continue
+        if isinstance(action, Halt):
+            machine.alive = False
+            action = EmitMove(MoveClass.STRUCTURAL_REQUEST, HALT_PAYLOAD)
+        if isinstance(action, SpawnBatch):
+            count = len(action.strategies)
+            payload = frame(action.spec.description) + frame(count.to_bytes(4, "big"))
+            move = Move(Actor.ATTACKER, MoveClass.STRUCTURAL_REQUEST, payload)
+            engine_reply = f"{len(machines)}:{count}".encode()
+            for child in action.strategies:
+                machines.append(_Machine(len(machines), action.spec, child, valuation, regions))
+        elif isinstance(action, EmitMove):
+            if action.kind not in ATTACKER_CLASSES:
+                raise ProtocolFault(
+                    f"strategy emitted environment move class {action.kind.value}", transcript
+                )
+            move = Move(Actor.ATTACKER, action.kind, action.payload)
+            engine_reply = None  # the environment answers
+            if action.kind is MoveClass.INFO_REQUEST and action.payload == BUDGET_QUERY:
+                engine_reply = repr(budget.remaining).encode()
+            elif action.kind is MoveClass.STRUCTURAL_REQUEST:
+                engine_reply = b"ok"
+        else:
+            raise ProtocolFault(f"strategy returned unknown action {action!r}", transcript)
+
+        transcript.append_move(ctx.machine_id, move, step_cost)
+        ctx.tape.append(move)
+        if engine_reply is not None:
+            reply = Move(Actor.ENVIRONMENT, MoveClass.RESPONSE, engine_reply)
+        else:
+            reply = environment.respond(move)
+            if not isinstance(reply, Move):
+                raise ProtocolFault("environment must answer with exactly one move", transcript)
+            if reply.actor is not Actor.ENVIRONMENT or reply.kind not in ENVIRONMENT_CLASSES:
+                raise ProtocolFault("environment answered with a non-response move", transcript)
+        transcript.append_move(ctx.machine_id, reply, 0.0)
+        ctx.tape.append(reply)
+
         if move.kind is MoveClass.CHALLENGE and reply.kind is MoveClass.RESPONSE:
             trials += 1
             if reply.payload[:1] == b"\x01":
                 successes += 1
-            if config.challenge_trials and trials >= config.challenge_trials:
-                quota_reached = True
-
-    def respond_via_engine(machine: _Machine, move: Move, charge_amount: float, reply_payload: bytes):
-        transcript.append_move(machine.machine_id, move, charge_amount)
-        machine.tape.append(move)
-        reply = Move(Actor.ENVIRONMENT, MoveClass.RESPONSE, reply_payload)
-        transcript.append_move(machine.machine_id, reply, 0.0)
-        machine.tape.append(reply)
-
-    while result is None and not quota_reached:
-        live = [m for m in machines if m.alive]
-        if not live:
-            break
-        if config.max_rounds is not None and rounds >= config.max_rounds:
-            raise RuntimeError(f"round limit {config.max_rounds} reached")
-        rounds += 1
-        for machine in live:
-            if quota_reached:
+            if trials == config.challenge_trials:
                 break
-            if not machine.alive:
-                continue
-            work_len = len(machine.ctx.work_tape)
-            action = machine.strategy.step(machine.ctx)
 
-            if isinstance(action, (Spawn, SpawnBatch)):
-                count = 1 if isinstance(action, Spawn) else len(action.strategies)
-                if count < 1:
-                    raise ProtocolFault("spawn batch must recruit at least one machine", transcript)
-                step_cost = float(count * action.spec.description_bytes)
-            elif config.per_step_information is not None:
-                step_cost = config.per_step_information
-            else:
-                step_cost = float(machine.spec.description_bytes + work_len)
-
-            # charge before the step takes effect
-            if step_cost > remaining:
-                transcript.record_charge(machine.machine_id, remaining)
-                remaining = 0.0
-                result = GameResult.LOST_BUDGET_DEPLETED
-                break
-            remaining -= step_cost
-            transcript.record_charge(machine.machine_id, step_cost)
-
-            if isinstance(action, LocalStep):
-                continue
-            if isinstance(action, Halt):
-                machine.alive = False
-                move = Move(Actor.ATTACKER, MoveClass.STRUCTURAL_REQUEST, HALT_PAYLOAD)
-                respond_via_engine(machine, move, step_cost, b"ok")
-                continue
-            if isinstance(action, (Spawn, SpawnBatch)):
-                strategies = [action.strategy] if isinstance(action, Spawn) else list(action.strategies)
-                payload = frame(action.spec.description) + frame(
-                    len(strategies).to_bytes(4, "big")
-                )
-                move = Move(Actor.ATTACKER, MoveClass.STRUCTURAL_REQUEST, payload)
-                first_id = next_id
-                for child_strategy in strategies:
-                    machines.append(
-                        _Machine(
-                            next_id,
-                            action.spec,
-                            child_strategy,
-                            valuation,
-                            shared_for(action.spec),
-                        )
-                    )
-                    next_id += 1
-                respond_via_engine(
-                    machine, move, step_cost, f"{first_id}:{len(strategies)}".encode()
-                )
-                continue
-            if isinstance(action, EmitMove):
-                if action.kind not in ATTACKER_CLASSES:
-                    raise ProtocolFault(
-                        f"strategy emitted environment move class {action.kind.value}", transcript
-                    )
-                move = Move(Actor.ATTACKER, action.kind, action.payload)
-                if action.kind is MoveClass.INFO_REQUEST and action.payload == BUDGET_QUERY:
-                    respond_via_engine(machine, move, step_cost, repr(remaining).encode())
-                elif action.kind is MoveClass.STRUCTURAL_REQUEST:
-                    respond_via_engine(machine, move, step_cost, b"ok")
-                else:
-                    respond_via_environment(machine, move, step_cost)
-                continue
-            raise ProtocolFault(f"strategy returned unknown action {action!r}", transcript)
-
-    # The tail is evaluated once per game, budget losses included, since
-    # the outcome reports its p-value either way.
-    p_value = None
-    if trials:
-        p_value = binomial_tail_probability(successes, trials, config.chance_success_rate)
+    # one tail evaluation per game: a budget loss still reports its p-value
+    p_value, won = _adjudicate(successes, trials, config.win_threshold, config.chance_success_rate)
     if result is None:
-        won = p_value is not None and _rejects_chance(
-            p_value, successes, trials, config.win_threshold, config.chance_success_rate
-        )
         result = GameResult.WON if won else GameResult.LOST_CHALLENGE_FAILED
-    final_budget = Budget(config.budget.initial, remaining)
     return GameOutcome(
         result=result,
         transcript=transcript,
-        total_cost=initial - remaining,
+        total_cost=config.budget.remaining - budget.remaining,
         successes=successes,
         trials=trials,
-        final_budget=final_budget,
+        final_budget=budget,
         p_value=p_value,
     )
 

@@ -131,6 +131,21 @@ def test_estimate_rejects_bad_scenarios(tmp_path, capsys):
     assert main(["estimate", str(tmp_path / "absent.scenario")]) == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[dictionary]\nkey_bits = 1024\nepsilon = 0\n",  # 2**1024 entries
+        "[brute_force]\nkey_bits = 1024\n",  # the cost rounds to inf
+    ],
+)
+def test_estimate_rejects_keyspaces_that_overflow(tmp_path, capsys, text):
+    assert main(["estimate", write(tmp_path, "huge.scenario", text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bad scenario:")
+    assert "key_bits = 1024" in captured.err
+    assert "inf" not in captured.out
+
+
 def test_game_win_writes_transcript(tmp_path, capsys):
     scenario = write(tmp_path, "won.scenario", GAME_WON)
     transcript = tmp_path / "won.transcript"

@@ -6,6 +6,7 @@ import pytest
 from workfunc.experiments import (
     TRIAL_PLAINTEXTS,
     ExperimentResult,
+    _scan_position,
     _vector_first_outputs,
     brute_force_keys_tested,
     brute_force_mean_experiment,
@@ -51,6 +52,16 @@ def test_vector_first_outputs_match_scalar_generator():
             for low in lows:
                 packed = (high << unknown) | low
                 assert int(vector[low]) == StandInPrng.from_packed(w, packed).next_word()
+
+
+def test_scan_position_is_the_first_target_in_scan_order():
+    rng = np.random.default_rng(3)
+    for size in (1, 7, 4096):
+        perm = rng.permutation(size)
+        position_of = np.argsort(perm)
+        for count in (1, 2, 5):
+            targets = rng.choice(size, size=min(count, size), replace=False)
+            assert _scan_position(perm, targets) == int(position_of[targets].min()) + 1
 
 
 def test_experiment_result_pass_boundary():

@@ -237,6 +237,13 @@ def test_budget_depletion_charges_remainder():
     assert outcome.final_budget.remaining == 0.0
 
 
+def test_partly_spent_budget_keeps_its_initial():
+    outcome = play(Script([LocalStep()]), SuccessEnv(), GameConfig(budget=Budget(100.0, 60.0)))
+    assert outcome.total_cost == 16.0  # spent from the 60 remaining
+    assert outcome.final_budget == Budget(100.0, 44.0)
+    assert outcome.transcript.charges_total == 16.0
+
+
 def test_exact_exhaustion_is_not_depletion():
     outcome = play(Script([LocalStep()]), SuccessEnv(), config(16.0))
     assert outcome.result is GameResult.LOST_CHALLENGE_FAILED
@@ -266,6 +273,16 @@ def test_spawn_reply_and_child_scheduling():
     # spawn is priced at count * description bytes, not the root's step price
     assert outcome.transcript.cost_by_machine[0] == 8.0 + 8.0  # spawn + halt
     assert outcome.transcript.cost_by_machine[1] == 8.0  # child halt
+
+
+def test_spawn_is_a_one_machine_spawn_batch():
+    def run(action):
+        outcome = play(Script([action, LocalStep()]), SuccessEnv(), config(100.0))
+        t = outcome.transcript
+        return transcript_lines(t), t.steps_by_machine, t.cost_by_machine
+
+    spec = MachineSpec(b"worker!!", overlap_region="pool")
+    assert run(Spawn(spec, Script([LocalStep()]))) == run(SpawnBatch(spec, [Script([LocalStep()])]))
 
 
 def test_spawn_batch_shares_one_region():
@@ -303,6 +320,23 @@ def test_environment_must_answer_with_one_response_move():
     probe = Script([EmitMove(MoveClass.ENCRYPTION_REQUEST, b"block")])
     with pytest.raises(ProtocolFault):
         play(probe, WrongActorEnv(), config(100.0))
+
+
+def test_protocol_fault_transcript_ends_with_the_rejected_move():
+    class RawEnv:
+        def respond(self, move):
+            return b"raw bytes"
+
+    probe = Script([budget_query_action(), EmitMove(MoveClass.ENCRYPTION_REQUEST, b"block")])
+    with pytest.raises(ProtocolFault) as info:
+        play(probe, RawEnv(), config(100.0))
+    entries = info.value.transcript.entries
+    assert [e.move.kind for e in entries] == [
+        MoveClass.INFO_REQUEST,
+        MoveClass.RESPONSE,
+        MoveClass.ENCRYPTION_REQUEST,
+    ]
+    assert entries[-1].move == Move(Actor.ATTACKER, MoveClass.ENCRYPTION_REQUEST, b"block")
 
 
 def test_strategy_side_faults():
