@@ -60,17 +60,3 @@ def charge(budget: Budget, cost: float) -> Budget | Depleted:
         return Depleted(Budget(budget.initial, 0.0))
     return Budget(budget.initial, budget.remaining - cost)
 
-
-def keyspace_budget(cost_per_key: float, key_bits: int) -> float:
-    """Worst-case budget to try every key: cost_per_key * 2**key_bits."""
-    if key_bits < 0:
-        raise ValueError("key_bits must be non-negative")
-    if cost_per_key < 0:
-        raise ValueError("cost_per_key must be non-negative")
-    try:
-        total = cost_per_key * 2.0**key_bits
-    except OverflowError:
-        raise OverflowError(f"keyspace budget overflows a float at k={key_bits}") from None
-    if total == float("inf"):
-        raise OverflowError(f"keyspace budget overflows a float at k={key_bits}")
-    return total

@@ -62,11 +62,6 @@ def brute_force_cost(model: BruteForceModel) -> float:
     return model.bytes_per_key_bit * model.key_bits * 2.0 ** (model.key_bits - 1)
 
 
-def triple_des_cost(key_bits: int) -> float:
-    """Average cost with a tripled per-bit check (360 bytes per key bit)."""
-    return brute_force_cost(BruteForceModel(key_bits, TRIPLE_BYTES_PER_KEY_BIT))
-
-
 @dataclass(frozen=True)
 class AttackEstimate:
     total_cost: float

@@ -6,6 +6,11 @@ Example::
     key_bits = 84
     fleet = 65536 x ati-radeon-5870
 
+`SCHEMA` is the input contract: each kind's keys, with each key's type,
+bounds and whether it is required. `parse_scenario` checks a scenario
+against it once, so a `Scenario` holds typed, in-range, finite values.
+An absent optional key takes the default of the model it configures.
+
 A `[game_otp]` scenario must carry an explicit seed so every game is
 replayable.
 """
@@ -13,53 +18,125 @@ replayable.
 from __future__ import annotations
 
 import configparser
-import io
+import math
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .devices import DeviceSpec, Fleet, find_device
 
-KINDS = ("brute_force", "dictionary", "tf1", "game_otp")
-
-_ALLOWED_KEYS: dict[str, frozenset[str]] = {
-    "brute_force": frozenset(
-        {"key_bits", "bytes_per_key_bit", "triple", "fleet",
-         "fleet_rate_bytes_per_s", "target_years", "annual_factor"}
-    ),
-    "dictionary": frozenset(
-        {"key_bits", "epsilon", "plaintext_blocks", "steps_per_comparison",
-         "comparison_bound", "fleet", "fleet_rate_bytes_per_s"}
-    ),
-    "tf1": frozenset(
-        {"word_bits", "bytes_per_strength_bit", "scan_words_per_second",
-         "fleet", "fleet_rate_bytes_per_s"}
-    ),
-    "game_otp": frozenset(
-        {"seed", "bias", "trials", "budget", "plaintext_bytes",
-         "win_threshold", "per_step_information"}
-    ),
-}
-
-_REQUIRED_KEYS: dict[str, frozenset[str]] = {
-    "brute_force": frozenset({"key_bits"}),
-    "dictionary": frozenset({"key_bits", "epsilon"}),
-    "tf1": frozenset({"word_bits"}),
-    "game_otp": frozenset({"seed", "bias", "trials", "budget"}),
-}
-
 
 class ScenarioError(ValueError):
     """Malformed scenario content; message names the offending key."""
 
 
+def scenario_int(key: str, raw: str) -> int:
+    try:
+        return int(raw, 0)
+    except ValueError as exc:
+        raise ScenarioError(f"{key} must be an integer, got {raw!r}") from exc
+
+
+def scenario_float(key: str, raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError as exc:
+        raise ScenarioError(f"{key} must be a number, got {raw!r}") from exc
+    if not math.isfinite(value):
+        raise ScenarioError(f"{key} must be a finite number, got {raw!r}")
+    return value
+
+
+def scenario_bool(key: str, raw: str) -> bool:
+    raw = raw.strip().lower()
+    if raw in ("true", "yes", "1", "on"):
+        return True
+    if raw in ("false", "no", "0", "off"):
+        return False
+    raise ScenarioError(f"{key} must be a boolean, got {raw!r}")
+
+
+_PARSERS = {int: scenario_int, float: scenario_float, bool: scenario_bool}
+
+
+@dataclass(frozen=True)
+class Key:
+    """One scenario key: its type, its bounds and whether it is required.
+
+    A number lies between `lo` and `hi`; `ends` marks each end closed with
+    a bracket or open with a parenthesis, as in "[0, 1)". A string key
+    with `choices` takes one of them, in any letter case.
+    """
+
+    type: type
+    lo: float = -math.inf
+    hi: float = math.inf
+    ends: str = "[]"
+    required: bool = False
+    choices: tuple[str, ...] = ()
+
+    def check(self, key: str, raw: str) -> object:
+        """The typed value of `raw`, or a ScenarioError naming `key`."""
+        value = raw if self.type is str else _PARSERS[self.type](key, raw)
+        if self.choices:
+            value = value.lower()
+            if value not in self.choices:
+                raise ScenarioError(f"{key} must be {' or '.join(self.choices)}, got {value!r}")
+        elif self.type in (int, float):
+            above_lo = self.lo < value if self.ends[0] == "(" else self.lo <= value
+            below_hi = value < self.hi if self.ends[1] == ")" else value <= self.hi
+            if not (above_lo and below_hi):
+                interval = f"{self.ends[0]}{self.lo}, {self.hi}{self.ends[1]}"
+                raise ScenarioError(f"{key} must be in {interval}, got {value}")
+        return value
+
+
+_POSITIVE = Key(float, 0, math.inf, "()")
+_FLEET = Key(str)  # `N x device-name` terms, resolved by scenario_fleet
+
+SCHEMA: dict[str, dict[str, Key]] = {
+    "brute_force": {
+        "key_bits": Key(int, 1, 1024, required=True),
+        "bytes_per_key_bit": _POSITIVE,
+        "triple": Key(bool),
+        "fleet": _FLEET,
+        "fleet_rate_bytes_per_s": _POSITIVE,
+        "target_years": _POSITIVE,
+        "annual_factor": Key(float, 1, math.inf, "()"),
+    },
+    "dictionary": {
+        "key_bits": Key(int, 1, 1024, required=True),
+        "epsilon": Key(int, 0, 1023, required=True),
+        "plaintext_blocks": Key(int, 1, 64),
+        "steps_per_comparison": Key(int, 1, 64),
+        "comparison_bound": Key(str, choices=("conservative", "upper")),
+    },
+    "tf1": {
+        "word_bits": Key(int, 1, 256, required=True),
+        "bytes_per_strength_bit": _POSITIVE,
+        "scan_words_per_second": _POSITIVE,
+        "fleet": _FLEET,
+        "fleet_rate_bytes_per_s": _POSITIVE,
+    },
+    "game_otp": {
+        "seed": Key(int, -(2**63), 2**63 - 1, required=True),
+        "bias": Key(float, 0, 1, required=True),
+        "trials": Key(int, 1, 1_000_000, required=True),
+        # zero is a legal budget: the game then opens already depleted
+        "budget": Key(float, 0, math.inf, "[)", required=True),
+        "plaintext_bytes": Key(int, 1, 65536),
+        "win_threshold": Key(float, 0, 1, "()"),
+        "per_step_information": _POSITIVE,
+    },
+}
+
+KINDS = tuple(SCHEMA)
+
+
 @dataclass(frozen=True)
 class Scenario:
     kind: str
-    params: Mapping[str, str]
-
-    def get(self, key: str, default: str | None = None) -> str | None:
-        return self.params.get(key, default)
+    params: Mapping[str, object]
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -79,53 +156,31 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError(
             f"unknown scenario kind [{kind}]; expected one of {', '.join(KINDS)}"
         )
-    params = dict(parser[kind])
-    allowed = _ALLOWED_KEYS[kind]
-    for key in params:
-        if key not in allowed:
+    raw = dict(parser[kind])
+    schema = SCHEMA[kind]
+    for key in raw:
+        if key not in schema:
             raise ScenarioError(f"unknown key {key!r} for [{kind}]")
-    for key in sorted(_REQUIRED_KEYS[kind]):
-        if key not in params:
+    for key, spec in schema.items():
+        if spec.required and key not in raw:
             raise ScenarioError(f"[{kind}] requires key {key!r}")
+    params = {key: schema[key].check(key, text) for key, text in raw.items()}
+    # the rules that involve two keys
+    if "fleet" in params and "fleet_rate_bytes_per_s" in params:
+        raise ScenarioError("give fleet or fleet_rate_bytes_per_s, not both")
+    if "bytes_per_key_bit" in params and params.get("triple"):
+        raise ScenarioError("give bytes_per_key_bit or triple, not both")
+    if "epsilon" in params and params["epsilon"] >= params["key_bits"]:
+        raise ScenarioError(
+            f"epsilon must be less than key_bits = {params['key_bits']}, "
+            f"got {params['epsilon']}"
+        )
     return Scenario(kind=kind, params=params)
 
 
 def load_scenario(path: str) -> Scenario:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_scenario(handle.read())
-
-
-def scenario_int(scenario: Scenario, key: str, lo: int, hi: int) -> int:
-    raw = scenario.params[key]
-    try:
-        value = int(raw, 0)
-    except ValueError as exc:
-        raise ScenarioError(f"{key} must be an integer, got {raw!r}") from exc
-    if not lo <= value <= hi:
-        raise ScenarioError(f"{key} must be in [{lo}, {hi}], got {value}")
-    return value
-
-
-def scenario_float(
-    scenario: Scenario, key: str, lo: float = 0.0, allow_equal: bool = False
-) -> float:
-    raw = scenario.params[key]
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ScenarioError(f"{key} must be a number, got {raw!r}") from exc
-    if value < lo or (value == lo and not allow_equal):
-        raise ScenarioError(f"{key} must be greater than {lo}, got {value}")
-    return value
-
-
-def scenario_bool(scenario: Scenario, key: str) -> bool:
-    raw = scenario.params[key].strip().lower()
-    if raw in ("true", "yes", "1", "on"):
-        return True
-    if raw in ("false", "no", "0", "off"):
-        return False
-    raise ScenarioError(f"{key} must be a boolean, got {raw!r}")
 
 
 _FLEET_TERM = re.compile(r"(\d+)\s*x\s*([A-Za-z0-9.-]+)\Z")
@@ -159,19 +214,6 @@ def scenario_fleet(
     scenario: Scenario, catalog: Iterable[DeviceSpec]
 ) -> list[Fleet] | float | None:
     """Fleet from either syntax, or None when the scenario names no fleet."""
-    if "fleet" in scenario.params and "fleet_rate_bytes_per_s" in scenario.params:
-        raise ScenarioError("give fleet or fleet_rate_bytes_per_s, not both")
     if "fleet" in scenario.params:
         return parse_fleet_spec(scenario.params["fleet"], catalog)
-    if "fleet_rate_bytes_per_s" in scenario.params:
-        return scenario_float(scenario, "fleet_rate_bytes_per_s")
-    return None
-
-
-def dump_scenario(scenario: Scenario) -> str:
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    parser[scenario.kind] = dict(scenario.params)
-    out = io.StringIO()
-    parser.write(out)
-    return out.getvalue()
+    return scenario.params.get("fleet_rate_bytes_per_s")

@@ -136,14 +136,48 @@ def test_estimate_rejects_bad_scenarios(tmp_path, capsys):
     [
         "[dictionary]\nkey_bits = 1024\nepsilon = 0\n",  # 2**1024 entries
         "[brute_force]\nkey_bits = 1024\n",  # the cost rounds to inf
+        # a tiny target, not the keyspace, overflows the required speedup
+        "[brute_force]\nkey_bits = 56\nfleet = 1 x ati-radeon-5870\ntarget_years = 1e-320\n",
     ],
 )
 def test_estimate_rejects_keyspaces_that_overflow(tmp_path, capsys, text):
     assert main(["estimate", write(tmp_path, "huge.scenario", text)]) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith("bad scenario:")
-    assert "key_bits = 1024" in captured.err
+    numbers = [line for line in text.splitlines()[1:] if not line.startswith("fleet")]
+    assert ", ".join(numbers) in captured.err  # every number the scenario gives
     assert "inf" not in captured.out
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("[game_otp]\nseed = 1\nbias = 0.5\ntrials = 10\nbudget = nan\n", "budget"),
+        ("[game_otp]\nseed = 1\nbias = 0.5\ntrials = 10\nbudget = inf\n", "budget"),
+        ("[game_otp]\nseed = 1\nbias = nan\ntrials = 10\nbudget = 1\n", "bias"),
+        ("[game_otp]\nseed = 1\nbias = 0.5\ntrials = 10\nbudget = 1\n"
+         "per_step_information = nan\n", "per_step_information"),
+        ("[brute_force]\nkey_bits = 96\nfleet = 65536 x ati-radeon-5870\ntarget_years = 2\n"
+         "annual_factor = 1\n", "annual_factor"),
+        ("[brute_force]\nkey_bits = 90\nannual_factor = 0.5\n", "annual_factor"),
+        ("[brute_force]\nkey_bits = 90\nannual_factor = nan\n", "annual_factor"),
+        ("[tf1]\nword_bits = 32\nfleet_rate_bytes_per_s = inf\n", "fleet_rate_bytes_per_s"),
+        ("[tf1]\nword_bits = 32\nscan_words_per_second = inf\n", "scan_words_per_second"),
+        ("[dictionary]\nkey_bits = 56\nepsilon = 6\nfleet = 1 x ati-radeon-5870\n", "'fleet'"),
+        ("[dictionary]\nkey_bits = 56\nepsilon = 6\nfleet_rate_bytes_per_s = 1e9\n",
+         "'fleet_rate_bytes_per_s'"),
+    ],
+)
+def test_out_of_contract_scenarios_exit_one_naming_the_key(tmp_path, capsys, text, key):
+    scenario = write(tmp_path, "bad.scenario", text)
+    if text.startswith("[game_otp]"):
+        assert main(["game", scenario, "--transcript", str(tmp_path / "t")]) == 1
+    else:
+        assert main(["estimate", scenario]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("bad scenario:")
+    assert key in captured.err
+    assert captured.out == ""
 
 
 def test_game_win_writes_transcript(tmp_path, capsys):

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from workfunc.cost import Budget, CostMeter, Depleted, charge, keyspace_budget, record_step
+from workfunc.cost import Budget, CostMeter, Depleted, charge, record_step
 
 
 def test_meter_accumulates():
@@ -63,17 +63,6 @@ def test_zero_budget_is_legal_and_free_charges_pass():
     b = Budget.fresh(0.0)
     assert isinstance(charge(b, 0.0), Budget)
     assert isinstance(charge(b, 1.0), Depleted)
-
-
-def test_keyspace_budget():
-    assert keyspace_budget(6720.0, 56) == 6720.0 * 2.0**56
-    assert keyspace_budget(0.0, 10) == 0.0
-    with pytest.raises(OverflowError):
-        keyspace_budget(120.0, 1030)
-    with pytest.raises(ValueError):
-        keyspace_budget(-1.0, 8)
-    with pytest.raises(ValueError):
-        keyspace_budget(1.0, -1)
 
 
 # integral charges add exactly in floats, so the ledger identity is exact

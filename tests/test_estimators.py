@@ -20,7 +20,6 @@ from workfunc.estimators import (
     dictionary_stats,
     progress_years,
     tf1_estimate,
-    triple_des_cost,
 )
 from workfunc import refdata
 
@@ -32,7 +31,6 @@ def one_gpu():
 def test_brute_force_cost_closed_form():
     assert brute_force_cost(BruteForceModel(56)) == 120.0 * 56 * 2.0**55
     assert brute_force_cost(BruteForceModel(1)) == 120.0
-    assert triple_des_cost(56) == 3.0 * brute_force_cost(BruteForceModel(56))
     assert TRIPLE_BYTES_PER_KEY_BIT == 3 * DEFAULT_BYTES_PER_KEY_BIT
 
 
