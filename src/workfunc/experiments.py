@@ -1,10 +1,17 @@
 """Desk-scale validation experiments.
 
 Each experiment replays a cost-model claim against the toy systems and
-returns a pass/fail record.  The trial loops are vectorized with numpy
-for speed: the sweeps run the toy cipher's own key schedule and rounds,
-and the generator's own step, on arrays of keys or candidate states, so
-there is one implementation of each primitive.
+returns a pass/fail record.  The sweeps are vectorized with numpy: they
+run the toy cipher's own key schedule and rounds, and the generator's own
+step, on arrays of keys or candidate states, so there is one
+implementation of each primitive.
+
+A scalar search scans its candidates in a uniformly random order and
+stops at the first target.  The targets' positions in such an order are
+a uniformly random subset of the ranks, so a trial draws that subset
+(`_first_rank`) instead of shuffling the whole candidate space: the
+count has exactly the scalar search's distribution, at a cost per trial
+that does not grow with the space.
 """
 
 from __future__ import annotations
@@ -55,31 +62,46 @@ class ExperimentResult:
         return abs(self.statistic - self.expected) <= self.tolerance
 
 
-def _scan_position(perm: np.ndarray, targets) -> int:
-    """Candidates a search tests when it scans in `perm` order and stops at
-    the first of `targets`: that candidate's index in `perm`, plus one."""
-    # kind="sort": for a few targets numpy compares perm with each; the
-    # default table method was 3-5x slower here (a table over their range)
-    return int(np.flatnonzero(np.isin(perm, targets, kind="sort"))[0]) + 1
+def _first_rank(rng: np.random.Generator, size: int, m: int) -> int:
+    """Candidates a search tests when it scans [0, size) in a uniformly
+    random order and stops at the first of m targets.
+
+    In a uniformly random scan order the targets' positions are a
+    uniformly random m-subset of [0, size), so the count is that subset's
+    smallest member plus one.  numpy draws a small subset of a large range
+    without touching the rest of it.
+    """
+    return int(rng.choice(size, size=m, replace=False).min()) + 1
+
+
+def _packed_pairs(key_bits: int) -> np.ndarray:
+    """Each key's ciphertexts of the two trial plaintexts, packed into one
+    uint64 as `t1 << 32 | t2`: keys with equal entries are the keys that
+    no known pair tells apart."""
+    t1 = cipher_table(key_bits, TRIAL_PLAINTEXTS[0])
+    t2 = cipher_table(key_bits, TRIAL_PLAINTEXTS[1])
+    return t1 << np.uint64(32) | t2
 
 
 def brute_force_keys_tested(key_bits: int, trials: int, seed: int) -> list[int]:
-    """keys_tested per trial for random secrets under seeded scan orders.
+    """keys_tested per trial for random secrets under random scan orders.
 
-    Consistency with both known pairs is precomputed for the full
-    keyspace, so each trial reduces to locating the first consistent key
-    in its scan permutation; this is the scalar search's count, computed
-    in bulk.
+    The packed ciphertext pairs of the whole keyspace are sorted once, so
+    a trial counts the m keys consistent with its secret's pairs by
+    binary search, then draws where the first of them falls in a uniform
+    scan order (`_first_rank`): the scalar search's count, in
+    distribution.
     """
-    t1 = cipher_table(key_bits, TRIAL_PLAINTEXTS[0])
-    t2 = cipher_table(key_bits, TRIAL_PLAINTEXTS[1])
+    pairs = _packed_pairs(key_bits)
+    table = np.sort(pairs)
     rng = np.random.default_rng(seed)
     size = 1 << key_bits
     counts = []
     for _ in range(trials):
         secret = int(rng.integers(size))
-        consistent = np.flatnonzero((t1 == t1[secret]) & (t2 == t2[secret]))
-        counts.append(_scan_position(rng.permutation(size), consistent))
+        target = pairs[secret]
+        m = int(np.searchsorted(table, target, "right") - np.searchsorted(table, target, "left"))
+        counts.append(_first_rank(rng, size, m))
     return counts
 
 
@@ -91,27 +113,43 @@ def brute_force_mean_experiment(key_bits: int, trials: int, seed: int) -> Experi
         statistic=fmean(counts),
         expected=expected,
         tolerance=0.05 * expected,
-        detail=f"{trials} random secrets, seeded scan orders",
+        detail=f"{trials} random secrets, drawn scan ranks",
     )
 
 
-def _prng_outputs(word_bits: int, packed_state: int, n: int) -> list[int]:
-    return StandInPrng.from_packed(word_bits, packed_state).next_words(n)
-
-
-def _vector_first_outputs(word_bits: int, high_bits: int) -> np.ndarray:
-    """First output word of every candidate state sharing the hinted bits.
+def _candidate_states(word_bits: int, high_bits: int, lows: np.ndarray) -> tuple:
+    """The generator states with the hinted high bits and the given low bits.
 
     The ceil(1.5w) unknown low bits cover d and the low part of c but
     never reach a or b, since w <= ceil(1.5w) <= 2w; uint32 holds every
     word sum because w <= MAX_WORD_BITS = 16.
     """
     w = word_bits
-    unknown = reduction_unknown_bits(w)
-    a, b, c_high, _ = unpack_state(high_bits << unknown, w)
-    lows = np.arange(1 << unknown, dtype=np.uint32)
-    state = (a, b, c_high | (lows >> w), lows & ((1 << w) - 1))
-    return arx_step(state, w)[1]
+    a, b, c_high, _ = unpack_state(high_bits << reduction_unknown_bits(w), w)
+    return (a, b, c_high | (lows >> w), lows & ((1 << w) - 1))
+
+
+def _vector_first_outputs(word_bits: int, high_bits: int) -> np.ndarray:
+    """First output word of every candidate state sharing the hinted bits."""
+    lows = np.arange(1 << reduction_unknown_bits(word_bits), dtype=np.uint32)
+    return arx_step(_candidate_states(word_bits, high_bits, lows), word_bits)[1]
+
+
+def _confirm_window(
+    word_bits: int, high_bits: int, lows: np.ndarray, observed: Sequence[int]
+) -> np.ndarray:
+    """The `lows` whose candidate states emit the whole observed window.
+
+    All candidates step in lockstep, one `arx_step` on uint32 arrays per
+    observed word.
+    """
+    lows = np.asarray(lows, dtype=np.uint32)
+    state = _candidate_states(word_bits, high_bits, lows)
+    keep = np.ones(len(lows), dtype=bool)
+    for word in observed:
+        state, output = arx_step(state, word_bits)
+        keep &= output == word
+    return lows[keep]
 
 
 def state_search_candidates_tested(
@@ -119,9 +157,12 @@ def state_search_candidates_tested(
 ) -> list[int]:
     """candidates_tested per trial of the reduced state search.
 
-    Every candidate's first output is evaluated vectorized; the observed
-    window is confirmed to pin the state uniquely; the seeded scan
-    position of the true candidate is then the scalar search's count.
+    Every candidate's first output is evaluated vectorized, and the few
+    that match the first observed word are stepped in lockstep through
+    the rest of the window (`_confirm_window`), which must pin the state
+    uniquely.  The count is then where the one true candidate falls in a
+    uniform scan order (`_first_rank`): the scalar search's count, in
+    distribution.
     """
     rng = np.random.default_rng(seed)
     unknown = reduction_unknown_bits(word_bits)
@@ -131,18 +172,14 @@ def state_search_candidates_tested(
         truth = tuple(int(rng.integers(1 << word_bits)) for _ in range(4))
         packed = pack_state(truth, word_bits)
         high = packed >> unknown
-        observed = _prng_outputs(word_bits, packed, window)
+        observed = StandInPrng.from_packed(word_bits, packed).next_words(window)
         survivors = np.flatnonzero(
             _vector_first_outputs(word_bits, high) == observed[0]
         )
-        full = [
-            low
-            for low in survivors.tolist()
-            if _prng_outputs(word_bits, (high << unknown) | low, window) == observed
-        ]
+        full = _confirm_window(word_bits, high, survivors, observed).tolist()
         if full != [packed & (size - 1)]:
             raise AssertionError(f"window does not pin the state uniquely: {full}")
-        counts.append(_scan_position(rng.permutation(size), full))
+        counts.append(_first_rank(rng, size, 1))
     return counts
 
 

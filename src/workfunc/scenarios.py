@@ -170,6 +170,11 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioError("give fleet or fleet_rate_bytes_per_s, not both")
     if "bytes_per_key_bit" in params and params.get("triple"):
         raise ScenarioError("give bytes_per_key_bit or triple, not both")
+    # a target is priced against a fleet, and a progress rate against a target
+    if "target_years" in params and not ("fleet" in params or "fleet_rate_bytes_per_s" in params):
+        raise ScenarioError("target_years needs fleet or fleet_rate_bytes_per_s")
+    if "annual_factor" in params and "target_years" not in params:
+        raise ScenarioError("annual_factor needs target_years")
     if "epsilon" in params and params["epsilon"] >= params["key_bits"]:
         raise ScenarioError(
             f"epsilon must be less than key_bits = {params['key_bits']}, "

@@ -161,6 +161,10 @@ def test_estimate_rejects_keyspaces_that_overflow(tmp_path, capsys, text):
          "annual_factor = 1\n", "annual_factor"),
         ("[brute_force]\nkey_bits = 90\nannual_factor = 0.5\n", "annual_factor"),
         ("[brute_force]\nkey_bits = 90\nannual_factor = nan\n", "annual_factor"),
+        # accepted and then ignored before these two-key rules
+        ("[brute_force]\nkey_bits = 56\ntarget_years = 2\nannual_factor = 3\n", "target_years"),
+        ("[brute_force]\nkey_bits = 56\nfleet = 1 x ati-radeon-5870\nannual_factor = 3\n",
+         "annual_factor"),
         ("[tf1]\nword_bits = 32\nfleet_rate_bytes_per_s = inf\n", "fleet_rate_bytes_per_s"),
         ("[tf1]\nword_bits = 32\nscan_words_per_second = inf\n", "scan_words_per_second"),
         ("[dictionary]\nkey_bits = 56\nepsilon = 6\nfleet = 1 x ati-radeon-5870\n", "'fleet'"),

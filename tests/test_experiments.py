@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -6,7 +7,9 @@ import pytest
 from workfunc.experiments import (
     TRIAL_PLAINTEXTS,
     ExperimentResult,
-    _scan_position,
+    _confirm_window,
+    _first_rank,
+    _packed_pairs,
     _vector_first_outputs,
     brute_force_keys_tested,
     brute_force_mean_experiment,
@@ -54,14 +57,39 @@ def test_vector_first_outputs_match_scalar_generator():
                 assert int(vector[low]) == StandInPrng.from_packed(w, packed).next_word()
 
 
-def test_scan_position_is_the_first_target_in_scan_order():
+def test_first_rank_has_the_exact_first_target_distribution():
+    # the first of m targets in a uniform scan order of `size` candidates
+    # lies beyond rank t with probability C(size - t, m) / C(size, m); with
+    # 10000 draws each empirical tail has a standard error of at most
+    # 0.005, and the bound 0.02 is four of them
+    draws, tolerance = 10_000, 0.02
     rng = np.random.default_rng(3)
-    for size in (1, 7, 4096):
-        perm = rng.permutation(size)
-        position_of = np.argsort(perm)
-        for count in (1, 2, 5):
-            targets = rng.choice(size, size=min(count, size), replace=False)
-            assert _scan_position(perm, targets) == int(position_of[targets].min()) + 1
+    for size in (7, 16):
+        for m in (1, 2, 5):
+            counts = np.array([_first_rank(rng, size, m) for _ in range(draws)])
+            assert counts.min() >= 1 and counts.max() <= size - m + 1
+            for t in range(size + 1):
+                exact = math.comb(size - t, m) / math.comb(size, m)
+                assert abs(np.mean(counts > t) - exact) <= tolerance, (size, m, t)
+
+
+def test_lockstep_window_keeps_the_scalar_window_survivors():
+    rng = random.Random(5)
+    for w in (6, 8):
+        unknown = reduction_unknown_bits(w)
+        lows = np.arange(1 << unknown)
+        for high in (0, rng.randrange(1 << (4 * w - unknown)), (1 << (4 * w - unknown)) - 1):
+            truth = (high << unknown) | rng.randrange(1 << unknown)
+            # a short window keeps many candidates, a long one only the truth
+            for window in (1, 2, 8):
+                observed = StandInPrng.from_packed(w, truth).next_words(window)
+                scalar = [
+                    low
+                    for low in lows.tolist()
+                    if StandInPrng.from_packed(w, (high << unknown) | low).next_words(window)
+                    == observed
+                ]
+                assert _confirm_window(w, high, lows, observed).tolist() == scalar
 
 
 def test_experiment_result_pass_boundary():
@@ -70,17 +98,30 @@ def test_experiment_result_pass_boundary():
 
 
 def test_vector_key_count_matches_scalar_search():
-    # replay trial 0 of the vectorized experiment through the scalar path
+    # replay trial 0 of the vectorized experiment through the scalar path:
+    # re-draw its secret and its consistent keys' ranks, and scan a full
+    # order that puts those keys at those ranks
     key_bits, seed = 10, 42
     counts = brute_force_keys_tested(key_bits, 1, seed)
     size = 1 << key_bits
     rng = np.random.default_rng(seed)
     secret = int(rng.integers(size))
-    order = rng.permutation(size).tolist()
+    table = _packed_pairs(key_bits)
+    consistent = np.flatnonzero(table == table[secret]).tolist()
+    ranks = rng.choice(size, size=len(consistent), replace=False).tolist()
+    order = [key for key in range(size) if key not in consistent]
+    for rank, key in sorted(zip(ranks, consistent)):
+        order.insert(rank, key)
+    assert sorted(order) == list(range(size))
+    assert [order[rank] for rank in ranks] == consistent
     tc = ToyCipher(key_bits)
     pairs = [(p, tc.encrypt(secret, p)) for p in TRIAL_PLAINTEXTS]
     scalar = brute_force_search(tc, pairs, per_key_cost=1.0, order=order)
     assert counts == [scalar.keys_tested]
+    # the scalar cipher finds the same consistent keys as the packed table
+    assert [
+        key for key in range(size) if all(tc.encrypt(key, p) == c for p, c in pairs)
+    ] == consistent
 
 
 def test_brute_force_mean_experiment_passes():
