@@ -12,6 +12,14 @@ a uniformly random subset of the ranks, so a trial draws that subset
 (`_first_rank`) instead of shuffling the whole candidate space: the
 count has exactly the scalar search's distribution, at a cost per trial
 that does not grow with the space.
+
+The state search sweeps no candidate space either.  The generator's
+first output word is (a' + c') mod 2**w, and the hint fixes a', so for
+each value of c's unknown low bits exactly one d meets the observed first
+word: the 2**(ceil(1.5w) - w) candidates that survive the first word are
+listed directly.  The survivors of every trial then step through the
+whole observed window in one lockstep `arx_step` pass, which checks that
+the window pins each trial's state uniquely.
 """
 
 from __future__ import annotations
@@ -26,14 +34,14 @@ import numpy as np
 from .toycrypto import (
     CHECKER_OPS,
     KeystreamGen,
-    ScanLimitError,
+    SCAN_CAP_MARGIN_BITS,
     StandInPrng,
     ToyCipher,
     arx_step,
     brute_force_search,
     pack_state,
     reduction_unknown_bits,
-    scan_for_zero,
+    rotl,
     state_search,
     unpack_state,
 )
@@ -117,39 +125,59 @@ def brute_force_mean_experiment(key_bits: int, trials: int, seed: int) -> Experi
     )
 
 
-def _candidate_states(word_bits: int, high_bits: int, lows: np.ndarray) -> tuple:
-    """The generator states with the hinted high bits and the given low bits.
+def _hint_words(word_bits: int, high_bits) -> tuple:
+    """The words a and b and the high part of c that a hint pins, as uint32.
 
-    The ceil(1.5w) unknown low bits cover d and the low part of c but
-    never reach a or b, since w <= ceil(1.5w) <= 2w; uint32 holds every
-    word sum because w <= MAX_WORD_BITS = 16.
+    `high_bits` is one hint or a 1-D sequence of hints; each word comes
+    back with a trailing axis, so one hint broadcasts against a row of
+    low bits and a sequence of hints against one row per hint.  The
+    ceil(1.5w) unknown low bits cover d and the low part of c but never
+    reach a or b, since w <= ceil(1.5w) <= 2w; uint32 holds every word
+    sum because w <= MAX_WORD_BITS = 16.
+    """
+    high = np.asarray(high_bits, dtype=np.uint64)
+    packed = high << np.uint64(reduction_unknown_bits(word_bits))
+    a, b, c_high, _ = unpack_state(packed, word_bits)
+    return tuple(word.astype(np.uint32)[..., None] for word in (a, b, c_high))
+
+
+def _first_word_survivors(word_bits: int, high_bits, first_words) -> np.ndarray:
+    """The low bits, ascending, of the candidates whose first output is
+    the given word: one row per hint and first word.
+
+    `arx_step` outputs (a' + c') mod 2**w with a' = (a + rotl(b, 1)) mod
+    2**w fixed by the hint and c' = ((c + d) mod 2**w) XOR 1.  So each
+    value j of c's unknown low bits meets the word with exactly one d,
+    d = (t - (c_high | j)) mod 2**w where t = ((word - a') mod 2**w) XOR 1,
+    and the survivors are the 2**(ceil(1.5w) - w) lows j << w | d.
     """
     w = word_bits
-    a, b, c_high, _ = unpack_state(high_bits << reduction_unknown_bits(w), w)
-    return (a, b, c_high | (lows >> w), lows & ((1 << w) - 1))
+    mask = (1 << w) - 1
+    a, b, c_high = _hint_words(w, high_bits)
+    words = np.asarray(first_words, dtype=np.uint32)[..., None]
+    t = ((words - ((a + rotl(b, 1, w)) & mask)) & mask) ^ 1
+    j = np.arange(1 << (reduction_unknown_bits(w) - w), dtype=np.uint32)
+    return j << w | ((t - (c_high | j)) & mask)
 
 
-def _vector_first_outputs(word_bits: int, high_bits: int) -> np.ndarray:
-    """First output word of every candidate state sharing the hinted bits."""
-    lows = np.arange(1 << reduction_unknown_bits(word_bits), dtype=np.uint32)
-    return arx_step(_candidate_states(word_bits, high_bits, lows), word_bits)[1]
+def _confirm_window(word_bits: int, high_bits, lows: np.ndarray, observed) -> np.ndarray:
+    """True where a candidate state emits the whole observed window.
 
-
-def _confirm_window(
-    word_bits: int, high_bits: int, lows: np.ndarray, observed: Sequence[int]
-) -> np.ndarray:
-    """The `lows` whose candidate states emit the whole observed window.
-
-    All candidates step in lockstep, one `arx_step` on uint32 arrays per
-    observed word.
+    Takes one hint, a row of lows and one window, or one hint, one row of
+    lows and one window per trial (`high_bits` 1-D, `lows` and `observed`
+    2-D).  All candidates step in lockstep, one `arx_step` on uint32
+    arrays per observed word.
     """
+    w = word_bits
     lows = np.asarray(lows, dtype=np.uint32)
-    state = _candidate_states(word_bits, high_bits, lows)
-    keep = np.ones(len(lows), dtype=bool)
-    for word in observed:
-        state, output = arx_step(state, word_bits)
-        keep &= output == word
-    return lows[keep]
+    observed = np.asarray(observed, dtype=np.uint32)
+    a, b, c_high = _hint_words(w, high_bits)
+    state = (a, b, c_high | (lows >> w), lows & ((1 << w) - 1))
+    keep = np.ones(lows.shape, dtype=bool)
+    for i in range(observed.shape[-1]):
+        state, output = arx_step(state, w)
+        keep &= output == observed[..., i, None]
+    return keep
 
 
 def state_search_candidates_tested(
@@ -157,29 +185,32 @@ def state_search_candidates_tested(
 ) -> list[int]:
     """candidates_tested per trial of the reduced state search.
 
-    Every candidate's first output is evaluated vectorized, and the few
-    that match the first observed word are stepped in lockstep through
-    the rest of the window (`_confirm_window`), which must pin the state
-    uniquely.  The count is then where the one true candidate falls in a
-    uniform scan order (`_first_rank`): the scalar search's count, in
-    distribution.
+    No candidate space is swept: the 2**(ceil(1.5w) - w) candidates whose
+    first output equals the first observed word are listed directly
+    (`_first_word_survivors`), and those of every trial are stepped in
+    one lockstep pass through the whole window (`_confirm_window`), which
+    must pin each trial's state uniquely.  The count is where the one
+    true candidate falls in a uniform scan order (`_first_rank`): the
+    scalar search's count, in distribution.
     """
     rng = np.random.default_rng(seed)
     unknown = reduction_unknown_bits(word_bits)
     size = 1 << unknown
-    counts = []
+    counts, truths, observed = [], [], []
     for _ in range(trials):
         truth = tuple(int(rng.integers(1 << word_bits)) for _ in range(4))
         packed = pack_state(truth, word_bits)
-        high = packed >> unknown
-        observed = StandInPrng.from_packed(word_bits, packed).next_words(window)
-        survivors = np.flatnonzero(
-            _vector_first_outputs(word_bits, high) == observed[0]
-        )
-        full = _confirm_window(word_bits, high, survivors, observed).tolist()
+        counts.append(_first_rank(rng, size, 1))
+        truths.append(packed)
+        observed.append(StandInPrng.from_packed(word_bits, packed).next_words(window))
+    highs = [packed >> unknown for packed in truths]
+    observed = np.array(observed, dtype=np.uint32).reshape(trials, window)
+    lows = _first_word_survivors(word_bits, highs, observed[:, 0])
+    confirmed = _confirm_window(word_bits, highs, lows, observed)
+    for packed, row, keep in zip(truths, lows, confirmed):
+        full = row[keep].tolist()
         if full != [packed & (size - 1)]:
             raise AssertionError(f"window does not pin the state uniquely: {full}")
-        counts.append(_first_rank(rng, size, 1))
     return counts
 
 
@@ -228,18 +259,24 @@ def scan_mean_words(
 ) -> tuple[float, int]:
     """Mean words to the first zero output over random starts.
 
-    Starts that hit the scan cap (orbits trapped in zero-free cycles) are
-    excluded and counted separately; they are rare.
+    All starts step in lockstep, one `arx_step` on uint32 arrays per word,
+    and a start leaves the arrays at its first zero word.  Starts with no
+    zero word within the scan cap of `scan_for_zero` (orbits trapped in
+    zero-free cycles) are excluded and counted separately; they are rare.
     """
+    w = word_bits
+    seeded = [StandInPrng.from_seed(w, f"{seed}:{i}").state for i in range(starts)]
+    state = tuple(np.array(seeded, dtype=np.uint32).reshape(starts, 4).T)
     found = []
-    capped = 0
-    for i in range(starts):
-        prng = StandInPrng.from_seed(word_bits, f"{seed}:{i}")
-        try:
-            found.append(scan_for_zero(prng))
-        except ScanLimitError:
-            capped += 1
-    return fmean(found), capped
+    for count in range(1, (1 << (w + SCAN_CAP_MARGIN_BITS)) + 1):
+        if not state[0].size:
+            break
+        state, output = arx_step(state, w)
+        hit = output == 0
+        if hit.any():
+            found += [count] * int(np.count_nonzero(hit))
+            state = tuple(word[~hit] for word in state)
+    return fmean(found), int(state[0].size)
 
 
 def meter_ledger_experiment(seed: int = 5) -> ExperimentResult:

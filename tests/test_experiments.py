@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from workfunc.experiments import (
     ExperimentResult,
     _confirm_window,
     _first_rank,
+    _first_word_survivors,
     _packed_pairs,
-    _vector_first_outputs,
     brute_force_keys_tested,
     brute_force_mean_experiment,
     cipher_table,
@@ -22,11 +23,13 @@ from workfunc.experiments import (
     state_search_slope_experiment,
 )
 from workfunc.toycrypto import (
+    ScanLimitError,
     StandInPrng,
     ToyCipher,
     brute_force_search,
     reduction_hint,
     reduction_unknown_bits,
+    scan_for_zero,
     state_search,
 )
 
@@ -44,17 +47,41 @@ def test_cipher_table_matches_scalar_cipher():
             assert table.tolist() == [tc.encrypt(key, block) for key in keys]
 
 
-def test_vector_first_outputs_match_scalar_generator():
+def test_first_word_survivors_match_scalar_generator():
     rng = random.Random(2)
-    for w in (*range(1, 9), 12, 16):
+    for w in range(1, 9):
+        # every candidate and every output word: the listed lows are
+        # exactly the candidates whose scalar first output is the word
         unknown = reduction_unknown_bits(w)
-        # every candidate up to w = 8, a sample of 1000 above
-        lows = range(1 << unknown) if w <= 8 else rng.sample(range(1 << unknown), 1000)
-        for high in (0, 1, (1 << (4 * w - unknown)) - 1):
-            vector = _vector_first_outputs(w, high)
-            for low in lows:
-                packed = (high << unknown) | low
-                assert int(vector[low]) == StandInPrng.from_packed(w, packed).next_word()
+        top = (1 << (4 * w - unknown)) - 1
+        for high in (0, 1, top, rng.randrange(top + 1)):
+            firsts = [
+                StandInPrng.from_packed(w, (high << unknown) | low).next_word()
+                for low in range(1 << unknown)
+            ]
+            words = range(1 << w)
+            listed = _first_word_survivors(w, [high] * len(words), words)
+            for word, row in zip(words, listed.tolist()):
+                assert row == [low for low, first in enumerate(firsts) if first == word]
+    for w in (12, 16):
+        # sampled hints and words: each listed low emits the word, and a
+        # sampled candidate is listed under the word it emits
+        unknown = reduction_unknown_bits(w)
+        top = (1 << (4 * w - unknown)) - 1
+        for high in (0, 1, top, *(rng.randrange(top + 1) for _ in range(5))):
+            lows = [rng.randrange(1 << unknown) for _ in range(40)]
+            firsts = [
+                StandInPrng.from_packed(w, (high << unknown) | low).next_word() for low in lows
+            ]
+            words = [*firsts, rng.randrange(1 << w)]
+            listed = _first_word_survivors(w, [high] * len(words), words).tolist()
+            for low, word, row in zip(lows, firsts, listed):
+                assert low in row
+            for word, row in zip(words, listed):
+                assert len(row) == 1 << (unknown - w) and row == sorted(set(row))
+                for low in row:
+                    packed = (high << unknown) | low
+                    assert StandInPrng.from_packed(w, packed).next_word() == word
 
 
 def test_first_rank_has_the_exact_first_target_distribution():
@@ -73,23 +100,46 @@ def test_first_rank_has_the_exact_first_target_distribution():
                 assert abs(np.mean(counts > t) - exact) <= tolerance, (size, m, t)
 
 
+def _scalar_window_survivors(w, high, lows, observed):
+    unknown = reduction_unknown_bits(w)
+    return [
+        low
+        for low in lows
+        if StandInPrng.from_packed(w, (high << unknown) | low).next_words(len(observed))
+        == observed
+    ]
+
+
 def test_lockstep_window_keeps_the_scalar_window_survivors():
     rng = random.Random(5)
     for w in (6, 8):
         unknown = reduction_unknown_bits(w)
         lows = np.arange(1 << unknown)
-        for high in (0, rng.randrange(1 << (4 * w - unknown)), (1 << (4 * w - unknown)) - 1):
-            truth = (high << unknown) | rng.randrange(1 << unknown)
-            # a short window keeps many candidates, a long one only the truth
-            for window in (1, 2, 8):
-                observed = StandInPrng.from_packed(w, truth).next_words(window)
-                scalar = [
-                    low
-                    for low in lows.tolist()
-                    if StandInPrng.from_packed(w, (high << unknown) | low).next_words(window)
-                    == observed
-                ]
-                assert _confirm_window(w, high, lows, observed).tolist() == scalar
+        top = (1 << (4 * w - unknown)) - 1
+        highs = [0, rng.randrange(top + 1), top, rng.randrange(top + 1)]
+        truths = [(high << unknown) | rng.randrange(1 << unknown) for high in highs]
+        # a short window keeps many candidates, a long one only the truth
+        for window in (1, 2, 8):
+            windows = [StandInPrng.from_packed(w, truth).next_words(window) for truth in truths]
+            scalar = [
+                _scalar_window_survivors(w, high, lows.tolist(), observed)
+                for high, observed in zip(highs, windows)
+            ]
+            for high, observed, expected in zip(highs, windows, scalar):
+                assert lows[_confirm_window(w, high, lows, observed)].tolist() == expected
+            # every trial in one call: one hint, row of lows and window each
+            rows = np.tile(lows, (len(highs), 1))
+            kept = _confirm_window(w, highs, rows, windows)
+            assert [row[keep].tolist() for row, keep in zip(rows, kept)] == scalar
+
+
+def test_state_search_uniqueness_check_stays_live():
+    # a one-word window leaves 2**(ceil(1.5w) - w) candidates per trial
+    with pytest.raises(AssertionError, match="does not pin the state uniquely"):
+        state_search_candidates_tested(8, 3, seed=0, window=1)
+    # at w = 3 the default window cannot tell two states apart
+    with pytest.raises(AssertionError, match=r"uniquely: \[0, 22\]$"):
+        state_search_candidates_tested(3, 50, seed=1)
 
 
 def test_experiment_result_pass_boundary():
@@ -172,11 +222,32 @@ def test_scan_mean_words_frozen_points():
     assert mean12 == pytest.approx(2.0**12, rel=0.10)
 
 
+def test_scan_mean_words_matches_the_scalar_scan_with_capped_starts():
+    # the lockstep scan against scan_for_zero start by start, at points
+    # where some starts hit the cap
+    for w, starts, seed in ((2, 30, 4), (8, 300, 2)):
+        found, capped = [], 0
+        for i in range(starts):
+            try:
+                found.append(scan_for_zero(StandInPrng.from_seed(w, f"{seed}:{i}")))
+            except ScanLimitError:
+                capped += 1
+        assert capped > 0
+        assert scan_mean_words(w, starts, seed) == (statistics.fmean(found), capped)
+
+
 def test_meter_ledger_identities_exact():
     result = meter_ledger_experiment()
     assert result.statistic == 0.0
     assert result.tolerance == 0.0
     assert result.passed
+
+
+def test_validation_slope_is_frozen_at_seed_11():
+    # the printed figure (.6g) at the default seed, in both modes
+    for quick, printed in ((True, "1.43166"), (False, "1.43307")):
+        slope = next(r for r in run_validation(quick=quick, seed=11) if "exponent" in r.name)
+        assert f"{slope.statistic:.6g}" == printed
 
 
 def test_quick_validation_is_all_green():
