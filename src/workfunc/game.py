@@ -34,6 +34,9 @@ HALT_PAYLOAD = b"halt"
 class Actor(Enum):
     ATTACKER = "Attacker"
     ENVIRONMENT = "Environment"
+    # hash by identity, as members compare: the set and dict lookups of the
+    # move loop and the export then stay in C (Enum's own __hash__ is Python)
+    __hash__ = object.__hash__
 
 
 class MoveClass(Enum):
@@ -43,6 +46,7 @@ class MoveClass(Enum):
     CHALLENGE = "Challenge"
     RESPONSE = "Response"
     DENIAL = "Denial"
+    __hash__ = object.__hash__  # as for Actor
 
 
 ATTACKER_CLASSES = frozenset(
@@ -54,6 +58,8 @@ ATTACKER_CLASSES = frozenset(
     }
 )
 ENVIRONMENT_CLASSES = frozenset({MoveClass.RESPONSE, MoveClass.DENIAL})
+# the transcript name of each actor and move class
+_NAMES = {member: member.value for members in (Actor, MoveClass) for member in members}
 
 
 class ProtocolFault(RuntimeError):
@@ -545,7 +551,8 @@ def transcript_lines(transcript: GameTranscript) -> list[str]:
     """Move lines only: `<index> <actor> <class> <hex payload>` with the
     hex covering the length-prefixed payload."""
     return [
-        f"{e.index} {e.move.actor.value} {e.move.kind.value} {e.move.framed_payload.hex()}"
+        f"{e.index} {_NAMES[e.move.actor]} {_NAMES[e.move.kind]} "
+        f"{len(e.move.payload):08x}{e.move.payload.hex()}"
         for e in transcript.entries
     ]
 

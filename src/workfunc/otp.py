@@ -28,6 +28,8 @@ from .game import (
 )
 from .toycrypto import KeystreamGen
 
+DEFAULT_PLAINTEXT_BYTES = 32
+
 
 def _xor(data: bytes, pad: bytes) -> bytes:
     """Bytewise XOR, truncated to the shorter input as zip() would."""
@@ -63,14 +65,14 @@ class OtpEnvironment:
             return Move(Actor.ENVIRONMENT, MoveClass.DENIAL, b"malformed framing")
         if len(plaintexts) != 2:
             return Move(Actor.ENVIRONMENT, MoveClass.DENIAL, b"need exactly two plaintexts")
-        if any(len(p) == 0 for p in plaintexts):
+        if not plaintexts[0] or not plaintexts[1]:
             return Move(Actor.ENVIRONMENT, MoveClass.DENIAL, b"empty plaintext")
-        length = max(len(p) for p in plaintexts)
-        padded = [p.ljust(length, b"\x00") for p in plaintexts]
+        length = max(len(plaintexts[0]), len(plaintexts[1]))
         pick = self._rng.getrandbits(1)
         pad = self.keystream.next_bytes(length)
         self._last_pick = pick
-        return Move(Actor.ENVIRONMENT, MoveClass.RESPONSE, frame(_xor(padded[pick], pad)))
+        plaintext = plaintexts[pick].ljust(length, b"\x00")
+        return Move(Actor.ENVIRONMENT, MoveClass.RESPONSE, frame(_xor(plaintext, pad)))
 
     def _judge(self, move: Move) -> Move:
         if self._last_pick is None:
@@ -101,11 +103,12 @@ class OtpDistinguisher:
     monobit deviation is named (ties go to candidate 0).
     """
 
-    def __init__(self, trials: int, plaintext_bytes: int = 32):
+    def __init__(self, trials: int, plaintext_bytes: int = DEFAULT_PLAINTEXT_BYTES):
         if plaintext_bytes < 1:
             raise ValueError("plaintext_bytes must be at least 1")
         self.trials_wanted = trials
         self.plaintexts = (b"\x00" * plaintext_bytes, b"\xaa" * plaintext_bytes)
+        self._request = frame(self.plaintexts[0]) + frame(self.plaintexts[1])
         self.spec = MachineSpec(b"monobit-distinguisher:" + str(plaintext_bytes).encode())
         self._sent = 0
         self._awaiting_ciphertext = False
@@ -129,8 +132,7 @@ class OtpDistinguisher:
             return Halt()
         self._sent += 1
         self._awaiting_ciphertext = True
-        payload = frame(self.plaintexts[0]) + frame(self.plaintexts[1])
-        return EmitMove(MoveClass.ENCRYPTION_REQUEST, payload)
+        return EmitMove(MoveClass.ENCRYPTION_REQUEST, self._request)
 
     def _guess(self, ciphertext: bytes) -> int:
         devs = [
@@ -144,7 +146,7 @@ def run_otp_challenge(
     keystream: KeystreamGen,
     trials: int,
     rng_seed: int = 0,
-    plaintext_bytes: int = 32,
+    plaintext_bytes: int = DEFAULT_PLAINTEXT_BYTES,
     budget: Optional[Budget] = None,
     win_threshold: float = 0.01,
     per_step_information: Optional[float] = None,

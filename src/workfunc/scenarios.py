@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .devices import DeviceSpec, Fleet, find_device
+from .otp import DEFAULT_PLAINTEXT_BYTES
 
 
 class ScenarioError(ValueError):
@@ -90,6 +91,11 @@ class Key:
                 raise ScenarioError(f"{key} must be in {interval}, got {value}")
         return value
 
+
+# A game's plaintext bytes over all its trials: the default plaintext at the
+# trial cap. Each one is encrypted and written to the transcript, so this
+# bounds a game's run time and transcript size.
+MAX_GAME_PLAINTEXT_BYTES = 32_000_000
 
 _POSITIVE = Key(float, 0, math.inf, "()")
 _FLEET = Key(str)  # `N x device-name` terms, resolved by scenario_fleet
@@ -180,6 +186,13 @@ def parse_scenario(text: str) -> Scenario:
             f"epsilon must be less than key_bits = {params['key_bits']}, "
             f"got {params['epsilon']}"
         )
+    if "trials" in params:
+        plaintext_bytes = params.get("plaintext_bytes", DEFAULT_PLAINTEXT_BYTES)
+        if params["trials"] * plaintext_bytes > MAX_GAME_PLAINTEXT_BYTES:
+            raise ScenarioError(
+                f"trials * plaintext_bytes must be at most {MAX_GAME_PLAINTEXT_BYTES}, "
+                f"got {params['trials']} * {plaintext_bytes}"
+            )
     return Scenario(kind=kind, params=params)
 
 

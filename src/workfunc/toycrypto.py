@@ -9,6 +9,7 @@ bits and word sizes at 16 bits; nothing here is fit for real use.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -135,23 +136,49 @@ def parse_kat_lines(text: str) -> list[tuple[int, int, int, int]]:
 
 
 class KeystreamGen:
-    """Seeded Bernoulli bit source: each bit is 1 with probability `bias`."""
+    """Seeded Bernoulli bit source: each bit is 1 with probability `bias`.
+
+    Bit i of the stream is 1 iff the i-th `random()` draw of
+    `random.Random(seed)` is below `bias`.  The bits are drawn in bulk,
+    which relies on CPython's `random()` construction: each draw is
+    `k / 2**53` with `k = (w0 >> 5) << 26 | (w1 >> 6)` from two
+    consecutive 32-bit Mersenne Twister words, and `getrandbits(64 * n)`
+    consumes the same 2n words in the same order, least significant
+    first.  A draw is below `bias` exactly when `k < ceil(bias * 2**53)`
+    (scaling by a power of two is exact), and the top byte of `w0`, which
+    is the top byte of `k`, decides that for all but one byte value.
+    The generator ends in the state n `random()` calls leave; the test
+    suite pins both against a `random()` oracle.
+    """
 
     def __init__(self, bias: float = 0.5, seed: int | str = 0):
         if not 0.0 <= bias <= 1.0:
             raise ValueError("bias must be in [0, 1]")
         self.bias = bias
         self._rng = random.Random(seed)
-
-    def next_bit(self) -> int:
-        return 1 if self._rng.random() < self.bias else 0
+        self._threshold = math.ceil(bias * 2**53)
+        # top byte of k -> "1" (k is below the threshold), "0" (it is not)
+        # or "?" (the threshold falls inside this byte: k itself decides)
+        edge, low = divmod(self._threshold, 1 << 45)
+        self._top_byte_bits = bytes(
+            ord("1") if byte < edge else ord("?") if byte == edge and low else ord("0")
+            for byte in range(256)
+        )
 
     def next_bits(self, n: int) -> int:
         """n bits packed big-endian into an int."""
-        rnd = self._rng.random
-        bias = self.bias
-        bits = "".join(["1" if rnd() < bias else "0" for _ in range(n)])
-        return int(bits, 2) if bits else 0
+        if n <= 0:
+            return 0
+        data = self._rng.getrandbits(64 * n).to_bytes(8 * n, "little")
+        bits = bytearray(data[3::8].translate(self._top_byte_bits))
+        tie = bits.find(b"?")
+        while tie >= 0:
+            w0 = int.from_bytes(data[8 * tie : 8 * tie + 4], "little")
+            w1 = int.from_bytes(data[8 * tie + 4 : 8 * tie + 8], "little")
+            k = (w0 >> 5) << 26 | (w1 >> 6)
+            bits[tie] = ord("1") if k < self._threshold else ord("0")
+            tie = bits.find(b"?", tie + 1)
+        return int(bits, 2)
 
     def next_bytes(self, n: int) -> bytes:
         return self.next_bits(8 * n).to_bytes(n, "big")

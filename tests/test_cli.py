@@ -170,6 +170,9 @@ def test_estimate_rejects_keyspaces_that_overflow(tmp_path, capsys, text):
         ("[dictionary]\nkey_bits = 56\nepsilon = 6\nfleet = 1 x ati-radeon-5870\n", "'fleet'"),
         ("[dictionary]\nkey_bits = 56\nepsilon = 6\nfleet_rate_bytes_per_s = 1e9\n",
          "'fleet_rate_bytes_per_s'"),
+        # every plaintext byte of every trial is encrypted and exported
+        ("[game_otp]\nseed = 1\nbias = 0.5\ntrials = 489\nbudget = 1\nplaintext_bytes = 65536\n",
+         "trials * plaintext_bytes"),
     ],
 )
 def test_out_of_contract_scenarios_exit_one_naming_the_key(tmp_path, capsys, text, key):

@@ -1,9 +1,15 @@
+import hashlib
 import math
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import workfunc
 from workfunc.cost import Budget
 from workfunc.game import (
     Actor,
@@ -30,6 +36,8 @@ from workfunc.game import (
     unframe,
     wins_challenge,
 )
+from workfunc.otp import run_otp_challenge
+from workfunc.toycrypto import KeystreamGen
 
 
 class Script:
@@ -436,6 +444,39 @@ def test_transcript_export_parse_roundtrip():
     parsed = parse_transcript_moves(text)
     assert [m for _, m in parsed] == [e.move for e in outcome.transcript.entries]
     assert [i for i, _ in parsed] == [e.index for e in outcome.transcript.entries]
+
+
+@pytest.mark.parametrize(
+    "bias, plaintext_bytes, digest",
+    [
+        (0.5, 32, "05d19ae610e12d82cb3f9680b1376993cf4f0a6486ab70438192f5db3ba62525"),
+        (0.6, 5, "77b5bf5d5310ed8844b5785065a811a2fd76bc7ddfd4581f7bedd9c94d1d9c31"),
+    ],
+)
+def test_otp_transcript_bytes_are_pinned(bias, plaintext_bytes, digest):
+    """SHA-256 of two exported OTP games (seed 3, 500 trials), set up as
+    `workfunc game` does; a change to the keystream, the move loop or the
+    export that alters one transcript byte shows here."""
+    outcome = run_otp_challenge(
+        KeystreamGen(bias, "3:keystream"), 500, rng_seed=3, plaintext_bytes=plaintext_bytes
+    )
+    assert hashlib.sha256(export_transcript(outcome).encode()).hexdigest() == digest
+
+
+def test_game_command_does_not_import_numpy(tmp_path):
+    scenario = tmp_path / "null.scenario"
+    scenario.write_text("[game_otp]\nseed = 1\nbias = 0.5\ntrials = 20\nbudget = 1e6\n")
+    script = (
+        "import sys\n"
+        "from workfunc import cli\n"
+        f"code = cli.main(['game', {str(scenario)!r}, '--transcript', {str(tmp_path / 't')!r}])\n"
+        "assert code in (0, 3), code\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
+    src = str(Path(workfunc.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
 
 
 class SliceScanner:

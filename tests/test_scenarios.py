@@ -125,6 +125,26 @@ def test_rules_that_involve_two_keys():
     assert relaxed.params == {"key_bits": 56, "bytes_per_key_bit": 9.0, "triple": False}
 
 
+@pytest.mark.parametrize(
+    "trials, plaintext, accepted",
+    [
+        (1_000_000, "", True),  # the default 32 bytes at the trial cap
+        (1_000_000, "plaintext_bytes = 32\n", True),
+        (1_000_000, "plaintext_bytes = 33\n", False),
+        (488, "plaintext_bytes = 65536\n", True),
+        (489, "plaintext_bytes = 65536\n", False),
+    ],
+)
+def test_game_plaintext_over_all_trials_is_bounded(trials, plaintext, accepted):
+    text = f"[game_otp]\nseed = 1\nbias = 0.5\ntrials = {trials}\nbudget = 1\n{plaintext}"
+    if accepted:
+        assert parse_scenario(text).params["trials"] == trials
+    else:
+        message = r"^trials \* plaintext_bytes must be at most 32000000, got "
+        with pytest.raises(ScenarioError, match=message + f"{trials} \\* "):
+            parse_scenario(text)
+
+
 def test_schema_declares_every_kind():
     assert KINDS == tuple(SCHEMA) == ("brute_force", "dictionary", "tf1", "game_otp")
     assert "fleet" not in SCHEMA["dictionary"]

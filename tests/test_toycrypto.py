@@ -1,3 +1,5 @@
+import math
+import random
 from pathlib import Path
 
 import pytest
@@ -116,15 +118,34 @@ def test_keystream_bytes_match_bits():
     assert a.next_bytes(4) == b.next_bits(32).to_bytes(4, "big")
 
 
-def test_keystream_bits_match_bit_by_bit_reference():
-    fast = KeystreamGen(0.6, seed="ref")
-    slow = KeystreamGen(0.6, seed="ref")
-    for n in (0, 1, 7, 64, 1000, 0, 33):
-        expected = 0
-        for _ in range(n):
-            expected = (expected << 1) | slow.next_bit()
-        assert fast.next_bits(n) == expected
-        assert fast._rng.getstate() == slow._rng.getstate()
+def test_keystream_bits_match_random_oracle():
+    """Bit i is 1 iff the i-th random() draw is below the bias, and the
+    generator ends where those draws leave it."""
+    biases = (0.0, 2**-60, 1 / 3, 0.5, 0.5 + 2**-53, 0.6, 1 - 2**-53, 1.0)
+    for seed in (0, "oracle"):
+        for bias in biases:
+            gen = KeystreamGen(bias, seed)
+            oracle = random.Random(seed)
+            for n in (0, 1, 7, 64, 256, 1000, 4096):
+                expected = 0
+                for _ in range(n):
+                    expected = expected << 1 | (oracle.random() < bias)
+                assert gen.next_bits(n) == expected, (seed, bias, n)
+                assert gen._rng.getstate() == oracle.getstate(), (seed, bias, n)
+
+
+def test_keystream_oracle_reaches_the_undecided_top_byte():
+    """At bias 0.6 the threshold ceil(bias * 2**53) has nonzero low 45 bits,
+    so draws whose top byte equals its top byte are settled on the full
+    53-bit draw; the oracle comparison must cover such draws."""
+    bias = 0.6
+    threshold = math.ceil(bias * 2**53)
+    assert threshold % 2**45 != 0
+    oracle = random.Random("tie")
+    draws = [oracle.random() for _ in range(100_000)]
+    assert any(int(d * 2**53) >> 45 == threshold >> 45 for d in draws)
+    expected = int("".join("1" if d < bias else "0" for d in draws), 2)
+    assert KeystreamGen(bias, "tie").next_bits(100_000) == expected
 
 
 def test_prng_golden_vector():
