@@ -217,10 +217,6 @@ def default_catalog() -> list[DeviceSpec]:
     return load_catalog(DEFAULT_CATALOG_CSV)
 
 
-def catalog_index(specs: Iterable[DeviceSpec]) -> dict[str, DeviceSpec]:
-    return {spec.name: spec for spec in specs}
-
-
 def find_device(name: str, specs: Iterable[DeviceSpec]) -> DeviceSpec:
     wanted = normalize_name(name)
     for spec in specs:

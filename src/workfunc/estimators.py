@@ -25,11 +25,6 @@ SECONDS_PER_DAY = 86400.0
 SECONDS_PER_MONTH = 30.5 * SECONDS_PER_DAY
 SECONDS_PER_YEAR = 365.0 * SECONDS_PER_DAY
 
-# Quoted rental market figures (2007 dollars), reported as-is: a botnet of
-# around 3 million machines at about $15 per machine.
-BOTNET_MACHINES = 3_000_000
-BOTNET_DOLLARS_PER_MACHINE = 15.0
-
 FleetLike = Union[Fleet, Iterable[Fleet], float]
 
 

@@ -5,7 +5,7 @@ step is charged to a shared budget before it takes effect; machines act
 by writing moves to their own append-only run tape and the environment
 answers every attacker move with exactly one response group.  Challenge
 moves are adjudicated at the end with a one-sided exact binomial test
-against chance.
+against chance 1/2.
 
 Engine-side conventions, fixed for transcript stability:
   * payloads travel length-prefixed (4-byte big-endian length),
@@ -18,7 +18,6 @@ Engine-side conventions, fixed for transcript stability:
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -129,10 +128,6 @@ class RunTape:
     def moves(self) -> tuple[Move, ...]:
         return tuple(self._moves)
 
-    @property
-    def attacker_read_cursor(self) -> int:
-        return self._cursor
-
     def append(self, move: Move):
         expecting_attacker = len(self._moves) % 2 == 0
         if expecting_attacker and move.actor is not Actor.ATTACKER:
@@ -211,7 +206,6 @@ class GameConfig:
     challenge_trials: int = 0
     win_threshold: float = 0.01
     per_step_information: Optional[float] = None
-    chance_success_rate: float = 0.5
     max_rounds: Optional[int] = None
 
     def __post_init__(self):
@@ -221,8 +215,6 @@ class GameConfig:
             raise ValueError("win_threshold must be in (0, 1)")
         if self.per_step_information is not None and self.per_step_information < 0:
             raise ValueError("per_step_information must be non-negative")
-        if not 0 < self.chance_success_rate < 1:
-            raise ValueError("chance_success_rate must be in (0, 1)")
 
 
 class GameResult(Enum):
@@ -325,86 +317,35 @@ def _half_tail_count(successes: int, trials: int) -> int:
     return total if upper else (1 << trials) - total
 
 
-def _upper_tail(first: int, trials: int, chance: float) -> float:
-    """P(X >= first) for X ~ Binomial(trials, chance), for `first` above the
-    mean, where the terms only shrink from `first` on.
-
-    The terms are summed relative to the first one, whose logarithm comes
-    from the exact big-integer binomial coefficient, so neither the
-    coefficient nor the powers of `chance` ever leave float range. The
-    term ratios shrink too, so after a term t with ratio r to the one
-    before, the rest adds at most t * r / (1 - r); once that is below 1e-17
-    of the sum, the sum is final.
-    """
-    odds = chance / (1.0 - chance)
-    log_first = (
-        math.log(math.comb(trials, first))
-        + first * math.log(chance)
-        + (trials - first) * math.log1p(-chance)
-    )
-    total = term = 1.0
-    for i in range(first, trials):
-        ratio = (trials - i) / (i + 1) * odds
-        term *= ratio
-        total += term
-        if ratio < 1.0 and term * ratio / (1.0 - ratio) < total * 1e-17:
-            break
-    return math.exp(log_first) * total
-
-
-def binomial_tail_probability(successes: int, trials: int, chance: float = 0.5) -> float:
-    """One-sided tail P(X >= successes) for X ~ Binomial(trials, chance).
-
-    At chance 0.5 the result is the correctly rounded float of the exact
-    tail. At any other chance its relative error grows with `trials`, to
-    about 2e-11 at 100,000 trials.
-    """
+def binomial_tail_probability(successes: int, trials: int) -> float:
+    """One-sided tail P(X >= successes) for X ~ Binomial(trials, 1/2): the
+    exact tail, correctly rounded to a float."""
     if not 0 <= successes <= trials:
         raise ValueError("successes must be within [0, trials]")
-    if chance == 0.5:
-        return float(Fraction(_half_tail_count(successes, trials), 1 << trials))
-    if successes > trials * chance:
-        return _upper_tail(successes, trials, chance)
-    if successes == 0:
-        return 1.0
-    # P(X < s) is the upper tail of the failure count, trials - X
-    return 1.0 - _upper_tail(trials - successes + 1, trials, 1.0 - chance)
+    return float(Fraction(_half_tail_count(successes, trials), 1 << trials))
 
 
-def _rejects_chance(p: float, successes: int, trials: int, alpha: float, chance: float) -> bool:
-    """Does the tail p = binomial_tail_probability(successes, trials, chance)
-    reject chance at level alpha, i.e. is the tail at most alpha?
-
-    At chance 0.5 p is the exact tail correctly rounded, and rounding is
-    monotone, so p < alpha and p > alpha already decide the exact
-    comparison; only p == alpha needs the exact tail itself.  At any other
-    chance the verdict is p <= alpha on the float tail, whose relative
-    error is about 2e-11 at 100,000 trials, so a tail within that error of
-    alpha can be decided either way.  The CLI always plays at chance 0.5.
-    """
-    if p != alpha or chance != 0.5:
-        return p <= alpha
-    return Fraction(_half_tail_count(successes, trials), 1 << trials) <= Fraction(alpha)
-
-
-def _adjudicate(
-    successes: int, trials: int, alpha: float, chance: float
-) -> tuple[Optional[float], bool]:
+def _adjudicate(successes: int, trials: int, alpha: float) -> tuple[Optional[float], bool]:
     """The tail p-value of the success count (None without trials) and
-    whether it rejects chance at level alpha."""
+    whether it rejects chance at level alpha, i.e. whether the exact tail
+    is at most alpha.
+
+    p is the exact tail correctly rounded, and rounding is monotone, so
+    p < alpha and p > alpha already decide the exact comparison; only
+    p == alpha needs the exact tail itself.
+    """
     if trials == 0:
         return None, False
-    p = binomial_tail_probability(successes, trials, chance)
-    return p, _rejects_chance(p, successes, trials, alpha, chance)
+    p = binomial_tail_probability(successes, trials)
+    if p != alpha:
+        return p, p < alpha
+    return p, Fraction(_half_tail_count(successes, trials), 1 << trials) <= Fraction(alpha)
 
 
-def wins_challenge(successes: int, trials: int, alpha: float, chance: float = 0.5) -> bool:
-    """Does the success count reject chance at level alpha?
-
-    The decision is exact at chance 0.5; at any other chance it compares
-    a float tail with alpha (see `_rejects_chance`).
-    """
-    return _adjudicate(successes, trials, alpha, chance)[1]
+def wins_challenge(successes: int, trials: int, alpha: float) -> bool:
+    """Does the success count reject chance 1/2 at level alpha?  The
+    decision is the exact one (see `_adjudicate`)."""
+    return _adjudicate(successes, trials, alpha)[1]
 
 
 def budget_query_action() -> EmitMove:
@@ -533,7 +474,7 @@ def play(
                 break
 
     # one tail evaluation per game: a budget loss still reports its p-value
-    p_value, won = _adjudicate(successes, trials, config.win_threshold, config.chance_success_rate)
+    p_value, won = _adjudicate(successes, trials, config.win_threshold)
     if result is None:
         result = GameResult.WON if won else GameResult.LOST_CHALLENGE_FAILED
     return GameOutcome(

@@ -125,7 +125,6 @@ SCAN_WAIT_TOLERANCE = 0.05
 
 # --- dictionary attack figures (storage-for-work trade) ----------------------
 
-DICTIONARY_LOCATION = "3.2"
 DICTIONARY_PRINTED = {
     "dictionary_bytes": 3.1e16,
     "expected_comparisons": 50,

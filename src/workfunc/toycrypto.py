@@ -305,8 +305,6 @@ def state_search(
     word_bits: int,
     observed: Sequence[int],
     hint_high_bits: int,
-    checker_ops: int = CHECKER_OPS,
-    per_op_information: float = 1.0,
     rng_seed: int | str = 0,
     meter: Optional[CostMeter] = None,
 ) -> StateSearchResult:
@@ -314,9 +312,8 @@ def state_search(
 
     Candidates share the hinted high bits and enumerate the low
     ceil(1.5w) bits in a seeded random order.  Every candidate charges
-    checker_ops * per_op_information to the meter (the checker is modeled
-    at a flat op count).  Returns the first candidate that reproduces the
-    whole observed window.
+    CHECKER_OPS to the meter (the checker is modeled at a flat op count).
+    Returns the first candidate that reproduces the whole observed window.
     """
     if not observed:
         raise ValueError("observed outputs must be non-empty")
@@ -325,11 +322,10 @@ def state_search(
     unknown = reduction_unknown_bits(word_bits)
     order = list(range(1 << unknown))
     random.Random(rng_seed).shuffle(order)
-    step_cost = checker_ops * per_op_information
     tested = 0
     for low in order:
         tested += 1
-        meter = record_step(meter, step_cost)
+        meter = record_step(meter, CHECKER_OPS)
         candidate = (hint_high_bits << unknown) | low
         prng = StandInPrng.from_packed(word_bits, candidate)
         if all(prng.next_word() == word for word in observed):

@@ -9,7 +9,6 @@ from workfunc.devices import (
     DeviceSpec,
     Fleet,
     ThroughputRecord,
-    catalog_index,
     cost_per_bit,
     default_catalog,
     find_device,
@@ -102,11 +101,6 @@ def test_find_device_normalizes_and_raises():
     assert find_device("ATI Radeon 5870", catalog).name == "ati-radeon-5870"
     with pytest.raises(KeyError):
         find_device("my-quantum-box", catalog)
-
-
-def test_catalog_index():
-    idx = catalog_index(default_catalog())
-    assert set(idx) == set(EXPECTED_RATES)
 
 
 def test_load_catalog_accepts_comments_and_defaults():

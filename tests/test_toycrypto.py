@@ -231,16 +231,6 @@ def test_state_search_recovers_truth():
     assert result.meter.accumulated_cost == 16.0 * result.candidates_tested
 
 
-def test_state_search_cost_scales_with_checker_ops():
-    truth = StandInPrng.from_seed(8, 9)
-    observed = truth.clone().next_words(16)
-    hint = reduction_hint(truth.packed_state(), 8)
-    base = state_search(8, observed, hint, rng_seed=4)
-    priced = state_search(8, observed, hint, checker_ops=32, rng_seed=4)
-    assert priced.candidates_tested == base.candidates_tested
-    assert priced.meter.accumulated_cost == 2.0 * base.meter.accumulated_cost
-
-
 def test_state_search_wrong_hint_fails():
     truth = StandInPrng.from_seed(8, "vector")
     observed = truth.clone().next_words(16)
