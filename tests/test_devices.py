@@ -103,6 +103,14 @@ def test_find_device_normalizes_and_raises():
         find_device("my-quantum-box", catalog)
 
 
+def test_catalog_index():
+    catalog = default_catalog()
+    idx = {spec.name: spec for spec in catalog}
+    assert set(idx) == set(EXPECTED_RATES)
+    for name, spec in idx.items():
+        assert find_device(name, catalog) is spec
+
+
 def test_load_catalog_accepts_comments_and_defaults():
     text = (
         CATALOG_HEADER

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from workfunc import toycrypto
 from workfunc.cost import CostMeter
 from workfunc.toycrypto import (
     MAX_KEY_BITS,
@@ -229,6 +230,17 @@ def test_state_search_recovers_truth():
     assert 1 <= result.candidates_tested <= 1 << 12
     assert result.meter.step_count == result.candidates_tested
     assert result.meter.accumulated_cost == 16.0 * result.candidates_tested
+
+
+def test_state_search_cost_scales_with_checker_ops(monkeypatch):
+    truth = StandInPrng.from_seed(8, 9)
+    observed = truth.clone().next_words(16)
+    hint = reduction_hint(truth.packed_state(), 8)
+    base = state_search(8, observed, hint, rng_seed=4)
+    monkeypatch.setattr(toycrypto, "CHECKER_OPS", 32)
+    priced = state_search(8, observed, hint, rng_seed=4)
+    assert priced.candidates_tested == base.candidates_tested
+    assert priced.meter.accumulated_cost == 2.0 * base.meter.accumulated_cost
 
 
 def test_state_search_wrong_hint_fails():
