@@ -1,11 +1,16 @@
 """Turn-based attacker-vs-environment game with budget charging.
 
-The attacker is one or more machines scheduled round-robin.  Each machine
-step is charged to a shared budget before it takes effect; machines act
-by writing moves to their own append-only run tape and the environment
-answers every attacker move with exactly one response group.  Challenge
-moves are adjudicated at the end with a one-sided exact binomial test
-against chance 1/2.
+The attacker is one or more machines scheduled round-robin.  A machine
+is a strategy whose `step(ctx)` returns one action per turn: `EmitMove`,
+`SpawnBatch`, `LocalStep` or `Halt`.  `ctx` offers `reply`, the answer to
+that machine's own last move (None before its first move), `work_tape`,
+private scratch space whose length is priced into every step, and
+`shared`, the scratch space of the machine's overlap region (None
+outside one).  Each step is charged to a shared budget before it takes
+effect, and every attacker move gets exactly one reply, from the engine
+or the environment.  The transcript is the one record of the moves, in
+order.  Challenge moves are adjudicated at the end with a one-sided
+exact binomial test against chance 1/2.
 
 Engine-side conventions, fixed for transcript stability:
   * payloads travel length-prefixed (4-byte big-endian length),
@@ -105,51 +110,12 @@ class Move:
         if self.kind in ENVIRONMENT_CLASSES and self.actor is not Actor.ENVIRONMENT:
             raise ValueError(f"{self.kind.value} is an environment move")
 
-    @property
-    def framed_payload(self) -> bytes:
-        return frame(self.payload)
-
     @classmethod
     def from_framed(cls, actor: Actor, kind: MoveClass, framed_bytes: bytes) -> "Move":
         parts = unframe(framed_bytes)
         if len(parts) != 1:
             raise ValueError("framed move payload must hold exactly one string")
         return cls(actor, kind, parts[0])
-
-
-class RunTape:
-    """Per-machine move tape: append-only, alternating, read-once forward."""
-
-    def __init__(self):
-        self._moves: list[Move] = []
-        self._cursor = 0
-
-    @property
-    def moves(self) -> tuple[Move, ...]:
-        return tuple(self._moves)
-
-    def append(self, move: Move):
-        expecting_attacker = len(self._moves) % 2 == 0
-        if expecting_attacker and move.actor is not Actor.ATTACKER:
-            raise ProtocolFault("environment move without a pending attacker move")
-        if not expecting_attacker and move.actor is not Actor.ENVIRONMENT:
-            raise ProtocolFault("attacker move while a response is pending")
-        self._moves.append(move)
-
-    def read_next(self) -> Optional[Move]:
-        if self._cursor >= len(self._moves):
-            return None
-        move = self._moves[self._cursor]
-        self._cursor += 1
-        return move
-
-    def read_at(self, index: int) -> Move:
-        if index < self._cursor:
-            raise ProtocolFault(f"tape index {index} was already consumed")
-        if index >= len(self._moves):
-            raise IndexError(index)
-        self._cursor = index + 1
-        return self._moves[index]
 
 
 @dataclass(frozen=True)
@@ -173,12 +139,6 @@ class MachineSpec:
 class EmitMove:
     kind: MoveClass
     payload: bytes = b""
-
-
-@dataclass(frozen=True)
-class Spawn:
-    spec: MachineSpec
-    strategy: object
 
 
 @dataclass(frozen=True)
@@ -206,7 +166,6 @@ class GameConfig:
     challenge_trials: int = 0
     win_threshold: float = 0.01
     per_step_information: Optional[float] = None
-    max_rounds: Optional[int] = None
 
     def __post_init__(self):
         if self.challenge_trials < 0:
@@ -223,24 +182,17 @@ class GameResult(Enum):
     LOST_CHALLENGE_FAILED = "LostChallengeFailed"
 
 
-@dataclass(frozen=True)
-class TranscriptEntry:
-    index: int
-    machine_id: int
-    move: Move
-    charge: float  # cost of the attacker step that produced the move; 0 for responses
-
-
 class GameTranscript:
     """Global move log plus the complete charge ledger.
 
-    Local (non-move) steps appear in the per-machine aggregates only;
-    charges_total covers every deduction, so
-    budget.initial - budget.remaining == charges_total exactly.
+    `entries` holds every move in play order, so a move's transcript
+    index is its list position.  Local (non-move) steps appear in the
+    per-machine aggregates only; charges_total covers every deduction,
+    so budget.initial - budget.remaining == charges_total exactly.
     """
 
     def __init__(self):
-        self.entries: list[TranscriptEntry] = []
+        self.entries: list[Move] = []
         self.steps_by_machine: dict[int, int] = {}
         self.cost_by_machine: dict[int, float] = {}
         self.charges_total = 0.0
@@ -249,11 +201,6 @@ class GameTranscript:
         self.steps_by_machine[machine_id] = self.steps_by_machine.get(machine_id, 0) + 1
         self.cost_by_machine[machine_id] = self.cost_by_machine.get(machine_id, 0.0) + amount
         self.charges_total += amount
-
-    def append_move(self, machine_id: int, move: Move, charge: float) -> TranscriptEntry:
-        entry = TranscriptEntry(len(self.entries), machine_id, move, charge)
-        self.entries.append(entry)
-        return entry
 
 
 @dataclass(frozen=True)
@@ -268,17 +215,14 @@ class GameOutcome:
 
 
 class MachineContext:
-    """What a strategy sees: its own tape, scratch space, shared data."""
+    """What a strategy sees: the reply to its own last move, its scratch
+    space and its overlap region's shared data."""
 
-    def __init__(self, machine_id: int, tape: RunTape, valuation: bytes, shared):
+    def __init__(self, machine_id: int, shared):
         self.machine_id = machine_id
-        self.tape = tape
-        self.valuation = valuation
+        self.reply: Optional[Move] = None
         self.work_tape = bytearray()
         self.shared = shared
-
-    def read_next(self) -> Optional[Move]:
-        return self.tape.read_next()
 
 
 class _Machine:
@@ -287,13 +231,13 @@ class _Machine:
 
     __slots__ = ("spec", "strategy", "ctx", "alive")
 
-    def __init__(self, machine_id: int, spec: MachineSpec, strategy, valuation: bytes, regions):
+    def __init__(self, machine_id: int, spec: MachineSpec, strategy, regions):
         shared = None
         if spec.overlap_region is not None:
             shared = regions.setdefault(spec.overlap_region, bytearray())
         self.spec = spec
         self.strategy = strategy
-        self.ctx = MachineContext(machine_id, RunTape(), valuation, shared)
+        self.ctx = MachineContext(machine_id, shared)
         self.alive = True
 
 
@@ -357,57 +301,47 @@ def parse_budget_reply(move: Move) -> float:
     return float(move.payload.decode("ascii"))
 
 
-def _schedule(machines: list[_Machine], max_rounds: Optional[int]) -> Iterator[_Machine]:
+def _schedule(machines: list[_Machine]) -> Iterator[_Machine]:
     """Round-robin turns: each round visits, in spawn order, the machines
     alive at its start; the game ends when none is left."""
-    rounds = 0
     while True:
         live = [m for m in machines if m.alive]
         if not live:
             return
-        if max_rounds is not None and rounds >= max_rounds:
-            raise RuntimeError(f"round limit {max_rounds} reached")
-        rounds += 1
         yield from live
 
 
-def play(
-    strategy,
-    environment,
-    config: GameConfig,
-    root_spec: Optional[MachineSpec] = None,
-) -> GameOutcome:
+def play(strategy, environment, config: GameConfig) -> GameOutcome:
     """Run one game to completion, one machine turn at a time.
 
-    A turn prices the step, charges it through `cost.charge` before it
-    takes effect, then acts: the move and its one reply, from the engine
-    or the environment, go to the machine's tape and the transcript.
-    Turns come from `_schedule`, so a machine spawned mid-round first
-    acts in the next round.  Determinism: with a fixed (strategy,
-    environment, config) the move sequence and outcome are bit-identical;
-    all randomness flows from config.rng_seed through the environment's
+    The root machine runs `strategy` under its `.spec` (8-byte
+    b"attacker" when it has none).  A turn prices the step, charges it
+    through `cost.charge` before it takes effect, then acts: the move and
+    its one reply, from the engine or the environment, go to the
+    transcript, and the reply becomes the machine's `ctx.reply`.  Turns
+    come from `_schedule`, so a machine spawned mid-round first acts in
+    the next round.  Determinism: with a fixed (strategy, environment,
+    config) the move sequence and outcome are bit-identical; all
+    randomness flows from config.rng_seed through the environment's
     seeded generator.
     """
     transcript = GameTranscript()
+    moves = transcript.entries
     if hasattr(environment, "start"):
         environment.start(random.Random(f"{config.rng_seed}:environment"))
-    valuation = bytes(environment.valuation_tape()) if hasattr(environment, "valuation_tape") else b""
 
     regions: dict[str, bytearray] = {}
-    if root_spec is None:
-        root_spec = getattr(strategy, "spec", None) or MachineSpec(b"attacker")
-    machines = [_Machine(0, root_spec, strategy, valuation, regions)]
+    root_spec = getattr(strategy, "spec", None) or MachineSpec(b"attacker")
+    machines = [_Machine(0, root_spec, strategy, regions)]
     budget = config.budget
     successes = 0
     trials = 0
     result: Optional[GameResult] = None
 
-    for machine in _schedule(machines, config.max_rounds):
+    for machine in _schedule(machines):
         ctx = machine.ctx
         work_len = len(ctx.work_tape)
         action = machine.strategy.step(ctx)
-        if isinstance(action, Spawn):
-            action = SpawnBatch(action.spec, [action.strategy])
 
         if isinstance(action, SpawnBatch):
             if not action.strategies:
@@ -438,7 +372,7 @@ def play(
             move = Move(Actor.ATTACKER, MoveClass.STRUCTURAL_REQUEST, payload)
             engine_reply = f"{len(machines)}:{count}".encode()
             for child in action.strategies:
-                machines.append(_Machine(len(machines), action.spec, child, valuation, regions))
+                machines.append(_Machine(len(machines), action.spec, child, regions))
         elif isinstance(action, EmitMove):
             if action.kind not in ATTACKER_CLASSES:
                 raise ProtocolFault(
@@ -453,8 +387,7 @@ def play(
         else:
             raise ProtocolFault(f"strategy returned unknown action {action!r}", transcript)
 
-        transcript.append_move(ctx.machine_id, move, step_cost)
-        ctx.tape.append(move)
+        moves.append(move)
         if engine_reply is not None:
             reply = Move(Actor.ENVIRONMENT, MoveClass.RESPONSE, engine_reply)
         else:
@@ -463,8 +396,8 @@ def play(
                 raise ProtocolFault("environment must answer with exactly one move", transcript)
             if reply.actor is not Actor.ENVIRONMENT or reply.kind not in ENVIRONMENT_CLASSES:
                 raise ProtocolFault("environment answered with a non-response move", transcript)
-        transcript.append_move(ctx.machine_id, reply, 0.0)
-        ctx.tape.append(reply)
+        moves.append(reply)
+        ctx.reply = reply
 
         if move.kind is MoveClass.CHALLENGE and reply.kind is MoveClass.RESPONSE:
             trials += 1
@@ -492,9 +425,9 @@ def transcript_lines(transcript: GameTranscript) -> list[str]:
     """Move lines only: `<index> <actor> <class> <hex payload>` with the
     hex covering the length-prefixed payload."""
     return [
-        f"{e.index} {_NAMES[e.move.actor]} {_NAMES[e.move.kind]} "
-        f"{len(e.move.payload):08x}{e.move.payload.hex()}"
-        for e in transcript.entries
+        f"{index} {_NAMES[move.actor]} {_NAMES[move.kind]} "
+        f"{len(move.payload):08x}{move.payload.hex()}"
+        for index, move in enumerate(transcript.entries)
     ]
 
 

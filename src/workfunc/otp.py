@@ -5,7 +5,9 @@ the environment pads the shorter with zero bytes, picks one uniformly
 with its seeded generator, XOR-encrypts it with fresh keystream bits and
 returns the ciphertext.  The attacker then names the plaintext it thinks
 was encrypted.  With a truly uniform pad no strategy beats coin flipping;
-any keystream bias leaks through the XOR.
+any keystream bias leaks through the XOR.  The distinguisher keeps no
+record of the game: each turn it reads the engine's `ctx.reply` to its
+own last move, which after an encryption request is the ciphertext.
 """
 
 from __future__ import annotations
@@ -48,9 +50,6 @@ class OtpEnvironment:
     def start(self, rng):
         self._rng = rng
 
-    def valuation_tape(self) -> bytes:
-        return b"otp-distinguishing"
-
     def respond(self, move: Move) -> Move:
         if move.kind is MoveClass.ENCRYPTION_REQUEST:
             return self._encrypt(move)
@@ -86,13 +85,6 @@ class OtpEnvironment:
         return Move(Actor.ENVIRONMENT, MoveClass.RESPONSE, verdict)
 
 
-def monobit_deviation(data: bytes) -> float:
-    """Absolute deviation of the ones fraction from one half."""
-    nbits = 8 * len(data)
-    ones = int.from_bytes(data, "big").bit_count()
-    return abs(ones / nbits - 0.5)
-
-
 class OtpDistinguisher:
     """Two-plaintext monobit strategy.
 
@@ -109,22 +101,19 @@ class OtpDistinguisher:
         self.trials_wanted = trials
         self.plaintexts = (b"\x00" * plaintext_bytes, b"\xaa" * plaintext_bytes)
         self._request = frame(self.plaintexts[0]) + frame(self.plaintexts[1])
+        self._candidates = tuple(int.from_bytes(p, "big") for p in self.plaintexts)
+        self._nbits = 8 * plaintext_bytes
         self.spec = MachineSpec(b"monobit-distinguisher:" + str(plaintext_bytes).encode())
         self._sent = 0
         self._awaiting_ciphertext = False
 
     def step(self, ctx):
-        move = ctx.read_next()
-        while move is not None and not (
-            self._awaiting_ciphertext and move.kind is MoveClass.RESPONSE
-        ):
-            move = ctx.read_next()
-
         if self._awaiting_ciphertext:
-            if move is None:
+            reply = ctx.reply
+            if reply is None or reply.kind is not MoveClass.RESPONSE:
                 raise RuntimeError("ciphertext response missing")
             self._awaiting_ciphertext = False
-            (ciphertext,) = unframe(move.payload)
+            (ciphertext,) = unframe(reply.payload)
             guess = self._guess(ciphertext)
             return EmitMove(MoveClass.CHALLENGE, str(guess).encode())
 
@@ -135,11 +124,11 @@ class OtpDistinguisher:
         return EmitMove(MoveClass.ENCRYPTION_REQUEST, self._request)
 
     def _guess(self, ciphertext: bytes) -> int:
-        devs = [
-            monobit_deviation(_xor(ciphertext, p.ljust(len(ciphertext), b"\x00")))
-            for p in self.plaintexts
-        ]
-        return 0 if devs[0] >= devs[1] else 1
+        """The ciphertext is as long as the plaintexts; each candidate's
+        residual deviation is abs(ones / bits - 1/2)."""
+        c = int.from_bytes(ciphertext, "big")
+        dev0, dev1 = (abs((c ^ p).bit_count() / self._nbits - 0.5) for p in self._candidates)
+        return 0 if dev0 >= dev1 else 1
 
 
 def run_otp_challenge(

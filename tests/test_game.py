@@ -22,8 +22,6 @@ from workfunc.game import (
     Move,
     MoveClass,
     ProtocolFault,
-    RunTape,
-    Spawn,
     SpawnBatch,
     binomial_tail_probability,
     budget_query_action,
@@ -76,6 +74,12 @@ def config(budget, **kw):
     return GameConfig(budget=Budget.fresh(budget), **kw)
 
 
+def test_package_exports_resolve_once():
+    assert len(set(workfunc.__all__)) == len(workfunc.__all__)
+    for name in workfunc.__all__:
+        assert hasattr(workfunc, name), name
+
+
 def test_frame_unframe_roundtrip():
     assert frame(b"abc") == b"\x00\x00\x00\x03abc"
     assert unframe(frame(b"") + frame(b"xy")) == [b"", b"xy"]
@@ -92,42 +96,9 @@ def test_move_actor_class_pairing():
     with pytest.raises(ValueError):
         Move(Actor.ENVIRONMENT, MoveClass.CHALLENGE)
     move = Move(Actor.ATTACKER, MoveClass.CHALLENGE, b"pick")
-    assert Move.from_framed(Actor.ATTACKER, MoveClass.CHALLENGE, move.framed_payload) == move
+    assert Move.from_framed(Actor.ATTACKER, MoveClass.CHALLENGE, frame(move.payload)) == move
     with pytest.raises(ValueError):
         Move.from_framed(Actor.ATTACKER, MoveClass.CHALLENGE, frame(b"a") + frame(b"b"))
-
-
-def test_run_tape_alternation():
-    tape = RunTape()
-    attacker = Move(Actor.ATTACKER, MoveClass.INFO_REQUEST, b"q")
-    response = Move(Actor.ENVIRONMENT, MoveClass.RESPONSE, b"a")
-    with pytest.raises(ProtocolFault):
-        tape.append(response)
-    tape.append(attacker)
-    with pytest.raises(ProtocolFault):
-        tape.append(attacker)
-    tape.append(response)
-    assert tape.moves == (attacker, response)
-
-
-def test_run_tape_read_once():
-    tape = RunTape()
-    moves = [
-        Move(Actor.ATTACKER, MoveClass.INFO_REQUEST, b"1"),
-        Move(Actor.ENVIRONMENT, MoveClass.RESPONSE, b"2"),
-        Move(Actor.ATTACKER, MoveClass.CHALLENGE, b"3"),
-        Move(Actor.ENVIRONMENT, MoveClass.RESPONSE, b"4"),
-    ]
-    for m in moves:
-        tape.append(m)
-    assert tape.read_next() == moves[0]
-    assert tape.read_at(2) == moves[2]
-    with pytest.raises(ProtocolFault):
-        tape.read_at(1)
-    assert tape.read_next() == moves[3]
-    assert tape.read_next() is None
-    with pytest.raises(IndexError):
-        tape.read_at(9)
 
 
 def test_win_thresholds_at_one_percent():
@@ -211,7 +182,7 @@ def test_ledger_exact_on_scripted_game():
     assert outcome.transcript.steps_by_machine == {0: 4}
     assert outcome.transcript.cost_by_machine == {0: 32.0}
     # budget reply reflects the balance after that step's own deduction
-    query_reply = outcome.transcript.entries[1].move
+    query_reply = outcome.transcript.entries[1]
     assert parse_budget_reply(query_reply) == 984.0
 
 
@@ -262,14 +233,14 @@ def test_zero_budget_opens_depleted():
 def test_structural_request_gets_engine_ok():
     strategy = Script([EmitMove(MoveClass.STRUCTURAL_REQUEST, b"lease ram")])
     outcome = play(strategy, SuccessEnv(), config(100.0))
-    assert outcome.transcript.entries[1].move.payload == b"ok"
+    assert outcome.transcript.entries[1].payload == b"ok"
 
 
 def test_spawn_reply_and_child_scheduling():
     child = Script([])
-    strategy = Script([Spawn(MachineSpec(b"worker!!"), child)])
+    strategy = Script([SpawnBatch(MachineSpec(b"worker!!"), [child])])
     outcome = play(strategy, SuccessEnv(), config(100.0))
-    reply = outcome.transcript.entries[1].move
+    reply = outcome.transcript.entries[1]
     assert reply.payload == b"1:1"
     assert set(outcome.transcript.steps_by_machine) == {0, 1}
     # spawn is priced at count * description bytes, not the root's step price
@@ -277,14 +248,47 @@ def test_spawn_reply_and_child_scheduling():
     assert outcome.transcript.cost_by_machine[1] == 8.0  # child halt
 
 
-def test_spawn_is_a_one_machine_spawn_batch():
-    def run(action):
-        outcome = play(Script([action, LocalStep()]), SuccessEnv(), config(100.0))
-        t = outcome.transcript
-        return transcript_lines(t), t.steps_by_machine, t.cost_by_machine
+def test_reply_answers_the_machines_own_last_move():
+    seen = {}
 
-    spec = MachineSpec(b"worker!!", overlap_region="pool")
-    assert run(Spawn(spec, Script([LocalStep()]))) == run(SpawnBatch(spec, [Script([LocalStep()])]))
+    class Recorder:
+        def __init__(self, name, actions):
+            self.name = name
+            self.actions = list(actions)
+
+        def step(self, ctx):
+            seen.setdefault(self.name, []).append(ctx.reply)
+            return self.actions.pop(0) if self.actions else Halt()
+
+    class EchoEnv:
+        def respond(self, move):
+            return Move(Actor.ENVIRONMENT, MoveClass.RESPONSE, b"re:" + move.payload)
+
+    workers = [
+        Recorder("a", [EmitMove(MoveClass.ENCRYPTION_REQUEST, b"a")]),
+        Recorder("b", [LocalStep(), EmitMove(MoveClass.ENCRYPTION_REQUEST, b"b")]),
+    ]
+    root = Recorder(
+        "root",
+        [
+            budget_query_action(),
+            EmitMove(MoveClass.ENCRYPTION_REQUEST, b"x"),
+            LocalStep(),
+            SpawnBatch(MachineSpec(b"w"), workers),
+        ],
+    )
+    outcome = play(root, EchoEnv(), config(1000.0))
+
+    def payloads(name):
+        return [None if r is None else r.payload for r in seen[name]]
+
+    # the engine answers the budget query, the environment the encryption
+    # request, and the local step leaves that answer in place
+    assert payloads("root") == [None, b"992.0", b"re:x", b"re:x", b"1:2"]
+    assert seen["root"][1] is outcome.transcript.entries[1]
+    # each spawned machine sees only the replies to its own moves
+    assert payloads("a") == [None, b"re:a"]
+    assert payloads("b") == [None, None, b"re:b"]
 
 
 def test_spawn_batch_shares_one_region():
@@ -299,7 +303,7 @@ def test_spawn_batch_shares_one_region():
     spec = MachineSpec(b"worker", overlap_region="pool")
     strategy = Script([SpawnBatch(spec, [Pool(), Pool()])])
     outcome = play(strategy, SuccessEnv(), config(100.0))
-    assert outcome.transcript.entries[1].move.payload == b"1:2"
+    assert outcome.transcript.entries[1].payload == b"1:2"
     assert len(seen) == 2 and seen[0] == seen[1]
     assert outcome.transcript.cost_by_machine[0] == 12.0 + 8.0  # 2 * 6-byte spec + halt
     with pytest.raises(ProtocolFault):
@@ -333,12 +337,12 @@ def test_protocol_fault_transcript_ends_with_the_rejected_move():
     with pytest.raises(ProtocolFault) as info:
         play(probe, RawEnv(), config(100.0))
     entries = info.value.transcript.entries
-    assert [e.move.kind for e in entries] == [
+    assert [m.kind for m in entries] == [
         MoveClass.INFO_REQUEST,
         MoveClass.RESPONSE,
         MoveClass.ENCRYPTION_REQUEST,
     ]
-    assert entries[-1].move == Move(Actor.ATTACKER, MoveClass.ENCRYPTION_REQUEST, b"block")
+    assert entries[-1] == Move(Actor.ATTACKER, MoveClass.ENCRYPTION_REQUEST, b"block")
 
 
 def test_strategy_side_faults():
@@ -346,15 +350,6 @@ def test_strategy_side_faults():
         play(Script([EmitMove(MoveClass.RESPONSE, b"x")]), SuccessEnv(), config(100.0))
     with pytest.raises(ProtocolFault):
         play(Script([42]), SuccessEnv(), config(100.0))
-
-
-def test_round_limit():
-    class Spinner:
-        def step(self, ctx):
-            return LocalStep()
-
-    with pytest.raises(RuntimeError, match="round limit"):
-        play(Spinner(), SuccessEnv(), config(1e9, max_rounds=5))
 
 
 def test_challenge_adjudication_stops_at_trial_quota():
@@ -426,7 +421,7 @@ def test_monotone_winnability_for_oblivious_strategy():
 
 
 def test_root_spec_override_changes_step_price():
-    outcome = play(Script([LocalStep()]), SuccessEnv(), config(100.0), root_spec=MachineSpec(b"xx"))
+    outcome = play(Script([LocalStep()], spec=MachineSpec(b"xx")), SuccessEnv(), config(100.0))
     assert outcome.total_cost == 4.0
 
 
@@ -436,8 +431,8 @@ def test_transcript_export_parse_roundtrip():
     text = export_transcript(outcome)
     assert text.endswith("challenges 1/1\n")
     parsed = parse_transcript_moves(text)
-    assert [m for _, m in parsed] == [e.move for e in outcome.transcript.entries]
-    assert [i for i, _ in parsed] == [e.index for e in outcome.transcript.entries]
+    assert [m for _, m in parsed] == outcome.transcript.entries
+    assert [i for i, _ in parsed] == list(range(len(outcome.transcript.entries)))
 
 
 @pytest.mark.parametrize(
@@ -524,6 +519,6 @@ def test_mass_spawn_batch():
     spec = MachineSpec(b"d")
     root = Script([SpawnBatch(spec, [stop] * 65536)])
     outcome = play(root, SuccessEnv(), config(1e7, per_step_information=0.0))
-    assert outcome.transcript.entries[1].move.payload == b"1:65536"
+    assert outcome.transcript.entries[1].payload == b"1:65536"
     assert outcome.total_cost == 65536.0
     assert len(outcome.transcript.steps_by_machine) == 65537

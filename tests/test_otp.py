@@ -6,6 +6,7 @@ from workfunc.cost import Budget
 from workfunc.game import (
     Actor,
     GameResult,
+    MachineContext,
     Move,
     MoveClass,
     export_transcript,
@@ -16,7 +17,6 @@ from workfunc.otp import (
     OtpDistinguisher,
     OtpEnvironment,
     _xor,
-    monobit_deviation,
     run_otp_challenge,
 )
 from workfunc.toycrypto import KeystreamGen
@@ -41,13 +41,6 @@ def test_xor_matches_bytewise_zip():
         assert _xor(data, pad) == bytes(a ^ b for a, b in zip(data, pad))
     assert _xor(b"", b"") == b""
     assert _xor(b"\x00\xff", b"") == b""
-
-
-def test_monobit_deviation():
-    assert monobit_deviation(b"\x00") == 0.5
-    assert monobit_deviation(b"\xff\xff") == 0.5
-    assert monobit_deviation(b"\xaa") == 0.0
-    assert monobit_deviation(b"\xc0") == 0.25
 
 
 def test_environment_denial_payloads():
@@ -98,6 +91,16 @@ def test_distinguisher_validation_and_spec_price():
     with pytest.raises(ValueError):
         OtpDistinguisher(10, plaintext_bytes=0)
     assert OtpDistinguisher(10).spec.description_bytes == 24
+
+
+def test_distinguisher_needs_a_ciphertext_reply():
+    for reply in (None, Move(Actor.ENVIRONMENT, MoveClass.DENIAL, b"no")):
+        strategy = OtpDistinguisher(1)
+        ctx = MachineContext(0, None)
+        assert strategy.step(ctx).kind is MoveClass.ENCRYPTION_REQUEST
+        ctx.reply = reply
+        with pytest.raises(RuntimeError, match="ciphertext response missing"):
+            strategy.step(ctx)
 
 
 def test_uniform_pad_resists_distinguishing():
