@@ -124,10 +124,11 @@ class OtpDistinguisher:
         return EmitMove(MoveClass.ENCRYPTION_REQUEST, self._request)
 
     def _guess(self, ciphertext: bytes) -> int:
-        """The ciphertext is as long as the plaintexts; each candidate's
-        residual deviation is abs(ones / bits - 1/2)."""
+        """The ciphertext is as long as the plaintexts.  Each candidate's
+        residual deviation is abs(2 * ones - bits), twice abs(ones - bits/2)
+        and an integer, so equal deviations are exact ties."""
         c = int.from_bytes(ciphertext, "big")
-        dev0, dev1 = (abs((c ^ p).bit_count() / self._nbits - 0.5) for p in self._candidates)
+        dev0, dev1 = (abs(2 * (c ^ p).bit_count() - self._nbits) for p in self._candidates)
         return 0 if dev0 >= dev1 else 1
 
 

@@ -439,7 +439,7 @@ def test_transcript_export_parse_roundtrip():
     "bias, plaintext_bytes, digest",
     [
         (0.5, 32, "05d19ae610e12d82cb3f9680b1376993cf4f0a6486ab70438192f5db3ba62525"),
-        (0.6, 5, "77b5bf5d5310ed8844b5785065a811a2fd76bc7ddfd4581f7bedd9c94d1d9c31"),
+        (0.6, 5, "55356a102ae2579d6eb0e41c763010a6650de807a7c5f714f3271472513d2482"),
     ],
 )
 def test_otp_transcript_bytes_are_pinned(bias, plaintext_bytes, digest):

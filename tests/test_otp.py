@@ -93,6 +93,11 @@ def test_distinguisher_validation_and_spec_price():
     assert OtpDistinguisher(10).spec.description_bytes == 24
 
 
+def test_exact_monobit_tie_goes_to_candidate_zero():
+    # residual popcounts 13 and 27 of 40 bits: deviations 7 and 7 from 20
+    assert OtpDistinguisher(1, plaintext_bytes=5)._guess(bytes.fromhex("7401334051")) == 0
+
+
 def test_distinguisher_needs_a_ciphertext_reply():
     for reply in (None, Move(Actor.ENVIRONMENT, MoveClass.DENIAL, b"no")):
         strategy = OtpDistinguisher(1)
