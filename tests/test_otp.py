@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -91,6 +92,30 @@ def test_distinguisher_validation_and_spec_price():
     with pytest.raises(ValueError):
         OtpDistinguisher(10, plaintext_bytes=0)
     assert OtpDistinguisher(10).spec.description_bytes == 24
+
+
+def test_monobit_deviation():
+    # the guess names the candidate whose residual (ciphertext XOR plaintext)
+    # has the larger deviation of its ones fraction from 1/2, ties to candidate 0
+    def guess(ciphertext):
+        return OtpDistinguisher(1, plaintext_bytes=len(ciphertext))._guess(ciphertext)
+
+    assert guess(b"\x00") == 0  # residual deviations 1/2 and 0
+    assert guess(b"\xaa") == 1  # 0 and 1/2
+    assert guess(b"\x55\x55") == 1  # 0 and 1/2
+    assert guess(b"\xc0") == 0  # 1/4 and 0
+    assert guess(b"\x6a") == 1  # 0 and 1/4
+
+    def deviation(data):
+        ones = int.from_bytes(data, "big").bit_count()
+        return abs(Fraction(ones, 8 * len(data)) - Fraction(1, 2))
+
+    rng = random.Random(5)
+    cases = [bytes([b]) for b in range(256)]
+    cases += [rng.randbytes(n) for n in (2, 3, 5, 7, 33) for _ in range(400)]
+    for c in cases:
+        d0, d1 = (deviation(_xor(c, p)) for p in (b"\x00" * len(c), b"\xaa" * len(c)))
+        assert guess(c) == (0 if d0 >= d1 else 1), c.hex()
 
 
 def test_exact_monobit_tie_goes_to_candidate_zero():
