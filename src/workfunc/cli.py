@@ -3,7 +3,12 @@
 Subcommands: table, estimate, game, validate, catalog.
 
 Exit codes: 0 success (or game won), 1 reproduction or validation
-failure, 2 usage error, 3 game lost, 4 protocol fault in a game.
+failure, 2 usage error (including an output or transcript path that
+cannot be opened for writing), 3 game lost, 4 protocol fault in a game.
+
+`game` opens its transcript before the first move and writes each move's
+line as the move is played, so its memory does not grow with `trials`;
+the summary trailer follows the last move.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from typing import Optional, Sequence
 
 from . import refdata
@@ -27,7 +33,9 @@ from .estimators import (
     progress_years,
     tf1_estimate,
 )
-from .game import GameResult, ProtocolFault, export_transcript, transcript_lines
+from .game import GameResult, ProtocolFault, TranscriptWriter, transcript_trailer
+# the benchmark tracer wraps export_transcript by this name in this module
+from .game import export_transcript  # noqa: F401
 from .otp import run_otp_challenge
 from .reports import (
     Report,
@@ -52,13 +60,25 @@ EXIT_GAME_LOST = 3
 EXIT_PROTOCOL_FAULT = 4
 
 
+class _Unwritable(Exception):
+    """An output path that cannot be opened for writing; `main` reports it."""
+
+
+def _output(path: Optional[str]):
+    """The text file at `path`, opened for writing, or stdout when there is
+    none; either way for use in a `with` block."""
+    if not path:
+        return nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write(text: str, path: Optional[str]) -> None:
     """Write `text` to the file at `path`, or to stdout when there is none."""
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(path) as handle:
+        handle.write(text)
 
 
 def _emit(report: Report, as_csv: bool, output: Optional[str]) -> None:
@@ -237,22 +257,21 @@ def cmd_game(args: argparse.Namespace) -> int:
         return code
     params = scenario.params
     keystream = KeystreamGen(params["bias"], f"{params['seed']}:keystream")
-    try:
-        outcome = run_otp_challenge(
-            keystream,
-            params["trials"],
-            rng_seed=params["seed"],
-            budget=Budget.fresh(params["budget"]),
-            **_given(scenario, "plaintext_bytes", "win_threshold", "per_step_information"),
-        )
-    except ProtocolFault as fault:
-        print(f"protocol fault: {fault}", file=sys.stderr)
-        if fault.transcript is not None:
-            lines = transcript_lines(fault.transcript)
-            lines.append("result ProtocolFault")
-            _write("\n".join(lines) + "\n", args.transcript)
-        return EXIT_PROTOCOL_FAULT
-    _write(export_transcript(outcome), args.transcript)
+    with _output(args.transcript) as handle:
+        try:
+            outcome = run_otp_challenge(
+                keystream,
+                params["trials"],
+                rng_seed=params["seed"],
+                budget=Budget.fresh(params["budget"]),
+                entries=TranscriptWriter(handle.write),
+                **_given(scenario, "plaintext_bytes", "win_threshold", "per_step_information"),
+            )
+        except ProtocolFault as fault:
+            print(f"protocol fault: {fault}", file=sys.stderr)
+            handle.write("result ProtocolFault\n")  # after the moves already written
+            return EXIT_PROTOCOL_FAULT
+        handle.write(transcript_trailer(outcome))
     print(f"result {outcome.result.value}")
     print(f"challenges {outcome.successes}/{outcome.trials}")
     print(f"total_cost {outcome.total_cost!r}")
@@ -363,7 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _Unwritable as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

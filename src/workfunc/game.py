@@ -9,8 +9,10 @@ private scratch space whose length is priced into every step, and
 outside one).  Each step is charged to a shared budget before it takes
 effect, and every attacker move gets exactly one reply, from the engine
 or the environment.  The transcript is the one record of the moves, in
-order.  Challenge moves are adjudicated at the end with a one-sided
-exact binomial test against chance 1/2.
+order: a list by default, or a `TranscriptWriter` that writes each
+move's line as it is recorded, so that a game's memory does not grow
+with its trials.  Challenge moves are adjudicated at the end with a
+one-sided exact binomial test against chance 1/2.
 
 Engine-side conventions, fixed for transcript stability:
   * payloads travel length-prefixed (4-byte big-endian length),
@@ -69,7 +71,9 @@ _NAMES = {member: member.value for members in (Actor, MoveClass) for member in m
 class ProtocolFault(RuntimeError):
     """A rule violation, distinct from losing: the game is void.
 
-    Carries whatever transcript existed when the fault was detected.
+    Carries the transcript as it stood when the fault was detected; when
+    its entries are a `TranscriptWriter`, the lines of every move up to
+    the fault are already written.
     """
 
     def __init__(self, message: str, transcript: "GameTranscript | None" = None):
@@ -185,14 +189,17 @@ class GameResult(Enum):
 class GameTranscript:
     """Global move log plus the complete charge ledger.
 
-    `entries` holds every move in play order, so a move's transcript
-    index is its list position.  Local (non-move) steps appear in the
-    per-machine aggregates only; charges_total covers every deduction,
-    so budget.initial - budget.remaining == charges_total exactly.
+    `entries` receives every move in play order through `append`, and
+    its `len` is the number of moves so far.  By default it is a list, so
+    a move's transcript index is its list position; a `TranscriptWriter`
+    writes each move's line instead and keeps only the count.  Local
+    (non-move) steps appear in the per-machine aggregates only;
+    charges_total covers every deduction, so budget.initial -
+    budget.remaining == charges_total exactly.
     """
 
-    def __init__(self):
-        self.entries: list[Move] = []
+    def __init__(self, entries=None):
+        self.entries = [] if entries is None else entries
         self.steps_by_machine: dict[int, int] = {}
         self.cost_by_machine: dict[int, float] = {}
         self.charges_total = 0.0
@@ -311,21 +318,24 @@ def _schedule(machines: list[_Machine]) -> Iterator[_Machine]:
         yield from live
 
 
-def play(strategy, environment, config: GameConfig) -> GameOutcome:
+def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome:
     """Run one game to completion, one machine turn at a time.
 
     The root machine runs `strategy` under its `.spec` (8-byte
     b"attacker" when it has none).  A turn prices the step, charges it
     through `cost.charge` before it takes effect, then acts: the move and
-    its one reply, from the engine or the environment, go to the
-    transcript, and the reply becomes the machine's `ctx.reply`.  Turns
-    come from `_schedule`, so a machine spawned mid-round first acts in
-    the next round.  Determinism: with a fixed (strategy, environment,
-    config) the move sequence and outcome are bit-identical; all
-    randomness flows from config.rng_seed through the environment's
-    seeded generator.
+    its one reply, from the engine or the environment, are appended to
+    the transcript's `entries`, and the reply becomes the machine's
+    `ctx.reply`.  `entries` is a list unless a sink such as a
+    `TranscriptWriter` is given; the engine itself keeps no move but the
+    last reply of each machine, so with a writer the game's memory does
+    not grow with its trials.  Turns come from `_schedule`, so a machine
+    spawned mid-round first acts in the next round.  Determinism: with a
+    fixed (strategy, environment, config) the move sequence and outcome
+    are bit-identical; all randomness flows from config.rng_seed through
+    the environment's seeded generator.
     """
-    transcript = GameTranscript()
+    transcript = GameTranscript(entries)
     moves = transcript.entries
     if hasattr(environment, "start"):
         environment.start(random.Random(f"{config.rng_seed}:environment"))
@@ -421,23 +431,50 @@ def play(strategy, environment, config: GameConfig) -> GameOutcome:
     )
 
 
-def transcript_lines(transcript: GameTranscript) -> list[str]:
-    """Move lines only: `<index> <actor> <class> <hex payload>` with the
-    hex covering the length-prefixed payload."""
-    return [
-        f"{index} {_NAMES[move.actor]} {_NAMES[move.kind]} "
-        f"{len(move.payload):08x}{move.payload.hex()}"
-        for index, move in enumerate(transcript.entries)
-    ]
+def transcript_trailer(outcome: GameOutcome) -> str:
+    """The summary lines that follow the move lines."""
+    return (
+        f"total_cost {outcome.total_cost!r}\n"
+        f"result {outcome.result.value}\n"
+        f"challenges {outcome.successes}/{outcome.trials}\n"
+    )
+
+
+class TranscriptWriter:
+    """A move sink for `play` that writes each move's transcript line
+    through `write` as the move is recorded and keeps only the count.
+
+    A line is `<index> <actor> <class> <hex payload>`, the hex covering
+    the length-prefixed payload.
+    """
+
+    __slots__ = ("_write", "_count")
+
+    def __init__(self, write):
+        self._write = write
+        self._count = 0
+
+    def append(self, move: Move) -> None:
+        payload = move.payload
+        self._write(
+            f"{self._count} {_NAMES[move.actor]} {_NAMES[move.kind]} "
+            f"{len(payload):08x}{payload.hex()}\n"
+        )
+        self._count += 1
+
+    def __len__(self) -> int:
+        return self._count
 
 
 def export_transcript(outcome: GameOutcome) -> str:
-    """Render a transcript: one move per line, then a summary trailer."""
-    lines = transcript_lines(outcome.transcript)
-    lines.append(f"total_cost {outcome.total_cost!r}")
-    lines.append(f"result {outcome.result.value}")
-    lines.append(f"challenges {outcome.successes}/{outcome.trials}")
-    return "\n".join(lines) + "\n"
+    """Render a list-backed transcript: the lines a `TranscriptWriter`
+    writes for its moves, then the summary trailer."""
+    parts: list[str] = []
+    writer = TranscriptWriter(parts.append)
+    for move in outcome.transcript.entries:
+        writer.append(move)
+    parts.append(transcript_trailer(outcome))
+    return "".join(parts)
 
 
 def parse_transcript_moves(text: str) -> list[tuple[int, Move]]:

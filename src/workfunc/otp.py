@@ -140,8 +140,10 @@ def run_otp_challenge(
     budget: Optional[Budget] = None,
     win_threshold: float = 0.01,
     per_step_information: Optional[float] = None,
+    entries=None,
 ) -> GameOutcome:
-    """Play the full distinguishing game; the outcome carries successes."""
+    """Play the full distinguishing game; the outcome carries successes.
+    `entries` is the move sink `play` records into (a list by default)."""
     if budget is None:
         budget = Budget.fresh(1e15)
     config = GameConfig(
@@ -152,4 +154,4 @@ def run_otp_challenge(
         per_step_information=per_step_information,
     )
     strategy = OtpDistinguisher(trials, plaintext_bytes)
-    return play(strategy, OtpEnvironment(keystream), config)
+    return play(strategy, OtpEnvironment(keystream), config, entries)

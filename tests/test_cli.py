@@ -1,10 +1,19 @@
+import os
 import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import workfunc
+from workfunc import cli
 from workfunc.cli import main
-from workfunc.game import parse_transcript_moves
+from workfunc.cost import Budget
+from workfunc.game import Actor, Move, MoveClass, ProtocolFault, export_transcript, parse_transcript_moves
+from workfunc.otp import run_otp_challenge
 from workfunc.reports import report_from_csv
+from workfunc.toycrypto import KeystreamGen
 
 
 def write(tmp_path, name, text):
@@ -244,6 +253,128 @@ def test_game_validates_parameters(tmp_path, capsys):
     not_game = write(tmp_path, "bf.scenario", "[brute_force]\nkey_bits = 8\n")
     assert main(["game", not_game, "--transcript", str(tmp_path / "y")]) == 2
     assert "not a game" in capsys.readouterr().err
+
+
+def game_scenario(seed, bias, trials, budget, plaintext_bytes=32):
+    return (
+        f"[game_otp]\nseed = {seed}\nbias = {bias}\ntrials = {trials}\n"
+        f"budget = {budget!r}\nplaintext_bytes = {plaintext_bytes}\n"
+    )
+
+
+@pytest.mark.parametrize("bias", [0.5, 0.6, 1.0])
+@pytest.mark.parametrize("plaintext_bytes", [1, 5, 32, 33])
+@pytest.mark.parametrize("seed, budget", [(1, 1e6), (2, 1000.0)])  # 1000 runs out mid-game
+def test_streamed_transcript_equals_in_memory_export(tmp_path, capsys, bias, plaintext_bytes,
+                                                     seed, budget):
+    trials = 60
+    outcome = run_otp_challenge(
+        KeystreamGen(bias, f"{seed}:keystream"),
+        trials,
+        rng_seed=seed,
+        budget=Budget.fresh(budget),
+        plaintext_bytes=plaintext_bytes,
+    )
+    expected = export_transcript(outcome)
+    scenario = write(tmp_path, "g.scenario", game_scenario(seed, bias, trials, budget, plaintext_bytes))
+    transcript = tmp_path / "g.transcript"
+    code = main(["game", scenario, "--transcript", str(transcript)])
+    assert transcript.read_text() == expected
+    summary = capsys.readouterr().out
+    assert summary.startswith(f"result {outcome.result.value}\n")
+
+    assert main(["game", scenario, "--transcript", ""]) == code
+    assert capsys.readouterr().out == expected + summary.replace(str(transcript), "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "1", "--output", "{missing}"],
+        ["table", "2", "--output", "{directory}"],
+        ["validate", "--quick", "--output", "{missing}"],
+        ["catalog", "--output", "{missing}"],
+        ["estimate", "{estimate}", "--output", "{missing}"],
+    ],
+)
+def test_unwritable_output_exits_two(tmp_path, capsys, argv):
+    paths = {
+        "missing": str(tmp_path / "absent" / "out.txt"),
+        "directory": str(tmp_path),
+        "estimate": write(tmp_path, "bf.scenario", "[brute_force]\nkey_bits = 56\n"),
+    }
+    argv = [arg.format(**paths) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"cannot write {argv[-1]}: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "target, reason",
+    [("absent/t.transcript", "No such file or directory"), (".", "Is a directory")],
+)
+def test_unwritable_transcript_exits_two_before_the_first_move(tmp_path, capsys, monkeypatch,
+                                                               target, reason):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the game was played")
+
+    monkeypatch.setattr(cli, "run_otp_challenge", refuse)
+    scenario = write(tmp_path, "won.scenario", GAME_WON)
+    path = str(tmp_path / target)
+    assert main(["game", scenario, "--transcript", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot write {path}: {reason}\n"
+
+
+def test_unwritable_transcript_leaves_no_traceback(tmp_path):
+    scenario = write(tmp_path, "won.scenario", GAME_WON)
+    env = {**os.environ, "PYTHONPATH": str(Path(workfunc.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "workfunc.cli", "game", scenario,
+         "--transcript", str(tmp_path / "absent" / "t")],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("cannot write ")
+    assert "Traceback" not in proc.stderr
+
+
+def test_game_protocol_fault_ends_the_streamed_transcript(tmp_path, capsys, monkeypatch):
+    def faulty(keystream, trials, entries, **kwargs):
+        entries.append(Move(Actor.ATTACKER, MoveClass.CHALLENGE, b"0"))
+        raise ProtocolFault("bad reply")
+
+    monkeypatch.setattr(cli, "run_otp_challenge", faulty)
+    scenario = write(tmp_path, "won.scenario", GAME_WON)
+    transcript = tmp_path / "fault.transcript"
+    assert main(["game", scenario, "--transcript", str(transcript)]) == 4
+    assert transcript.read_text() == "0 Attacker Challenge 0000000130\nresult ProtocolFault\n"
+    captured = capsys.readouterr()
+    assert captured.err == "protocol fault: bad reply\n"
+    assert captured.out == ""
+
+
+def test_game_memory_does_not_grow_with_trials(tmp_path, capsys):
+    """The transcript is written as the game runs, so the traced peak of a
+    null game is the same at 1,000 and 5,000 trials."""
+    peaks = []
+    for trials in (20, 1000, 5000):  # the 20-trial game only warms caches
+        scenario = write(tmp_path, f"n{trials}.scenario", game_scenario(1, 0.5, trials, 1e15))
+        tracemalloc.start()
+        try:
+            code = main(["game", scenario, "--transcript", str(tmp_path / "t")])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code in (0, 3)
+        assert "challenges " in capsys.readouterr().out
+    small, large = peaks[1:]
+    assert small < 256 * 1024 and large < 256 * 1024, peaks
+    assert abs(large - small) < 64 * 1024, peaks
 
 
 def test_validate_quick_passes(capsys):

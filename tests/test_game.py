@@ -23,6 +23,7 @@ from workfunc.game import (
     MoveClass,
     ProtocolFault,
     SpawnBatch,
+    TranscriptWriter,
     binomial_tail_probability,
     budget_query_action,
     export_transcript,
@@ -30,7 +31,6 @@ from workfunc.game import (
     parse_budget_reply,
     parse_transcript_moves,
     play,
-    transcript_lines,
     unframe,
     wins_challenge,
 )
@@ -345,6 +345,30 @@ def test_protocol_fault_transcript_ends_with_the_rejected_move():
     assert entries[-1] == Move(Actor.ATTACKER, MoveClass.ENCRYPTION_REQUEST, b"block")
 
 
+def test_protocol_fault_streams_the_list_backed_lines():
+    class RawEnv:
+        def respond(self, move):
+            return b"raw bytes"
+
+    def probe():
+        return Script([budget_query_action(), EmitMove(MoveClass.ENCRYPTION_REQUEST, b"block")])
+
+    with pytest.raises(ProtocolFault) as listed:
+        play(probe(), RawEnv(), config(100.0))
+    lines = []
+    writer = TranscriptWriter(lines.append)
+    with pytest.raises(ProtocolFault) as streamed:
+        play(probe(), RawEnv(), config(100.0), entries=writer)
+    assert streamed.value.transcript.entries is writer
+    assert len(writer) == 3
+    assert lines == [
+        "0 Attacker InfoRequest 00000007" + b"budget?".hex() + "\n",
+        "1 Environment Response 00000004" + b"92.0".hex() + "\n",  # 100 - 8-byte spec
+        "2 Attacker EncryptionRequest 00000005" + b"block".hex() + "\n",
+    ]
+    assert parse_transcript_moves("".join(lines)) == list(enumerate(listed.value.transcript.entries))
+
+
 def test_strategy_side_faults():
     with pytest.raises(ProtocolFault):
         play(Script([EmitMove(MoveClass.RESPONSE, b"x")]), SuccessEnv(), config(100.0))
@@ -416,7 +440,7 @@ def test_monotone_winnability_for_oblivious_strategy():
 
     small, large = run(1e6), run(1e7)
     assert small.result is large.result is GameResult.WON
-    assert transcript_lines(small.transcript) == transcript_lines(large.transcript)
+    assert small.transcript.entries == large.transcript.entries
     assert small.total_cost == large.total_cost
 
 
