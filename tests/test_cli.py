@@ -10,7 +10,14 @@ import workfunc
 from workfunc import cli
 from workfunc.cli import main
 from workfunc.cost import Budget
-from workfunc.game import Actor, Move, MoveClass, ProtocolFault, export_transcript, parse_transcript_moves
+from workfunc.game import (
+    Actor,
+    Move,
+    MoveClass,
+    ProtocolFault,
+    export_transcript,
+    parse_transcript_moves,
+)
 from workfunc.otp import run_otp_challenge
 from workfunc.reports import report_from_csv
 from workfunc.toycrypto import KeystreamGen
@@ -276,7 +283,8 @@ def test_streamed_transcript_equals_in_memory_export(tmp_path, capsys, bias, pla
         plaintext_bytes=plaintext_bytes,
     )
     expected = export_transcript(outcome)
-    scenario = write(tmp_path, "g.scenario", game_scenario(seed, bias, trials, budget, plaintext_bytes))
+    text = game_scenario(seed, bias, trials, budget, plaintext_bytes)
+    scenario = write(tmp_path, "g.scenario", text)
     transcript = tmp_path / "g.transcript"
     code = main(["game", scenario, "--transcript", str(transcript)])
     assert transcript.read_text() == expected

@@ -366,7 +366,8 @@ def test_protocol_fault_streams_the_list_backed_lines():
         "1 Environment Response 00000004" + b"92.0".hex() + "\n",  # 100 - 8-byte spec
         "2 Attacker EncryptionRequest 00000005" + b"block".hex() + "\n",
     ]
-    assert parse_transcript_moves("".join(lines)) == list(enumerate(listed.value.transcript.entries))
+    listed_moves = list(enumerate(listed.value.transcript.entries))
+    assert parse_transcript_moves("".join(lines)) == listed_moves
 
 
 def test_strategy_side_faults():
