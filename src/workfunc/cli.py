@@ -287,23 +287,24 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
     failures = 0
     lines = []
-    for number in (1, 2, 3):
-        report, bad = _table_report(number)
-        status = "PASS" if not bad else "FAIL"
-        failures += len(bad)
-        lines.append(f"{status} {report.title}")
-        lines.extend(f"     {b}" for b in bad)
-    suite = build_break_suite_report()
-    lines.append(f"PASS {suite.title} (printed figures attached)")
-    for result in run_validation(quick=args.quick, seed=args.seed):
-        status = "PASS" if result.passed else "FAIL"
-        if not result.passed:
-            failures += 1
-        lines.append(
-            f"{status} {result.name}: {result.statistic:.6g} "
-            f"(expected {result.expected:.6g} within {result.tolerance:.3g})"
-        )
-    _write("\n".join(lines) + "\n", args.output)
+    with _output(args.output) as handle:  # an unwritable path fails before the work
+        for number in (1, 2, 3):
+            report, bad = _table_report(number)
+            status = "PASS" if not bad else "FAIL"
+            failures += len(bad)
+            lines.append(f"{status} {report.title}")
+            lines.extend(f"     {b}" for b in bad)
+        suite = build_break_suite_report()
+        lines.append(f"PASS {suite.title} (printed figures attached)")
+        for result in run_validation(quick=args.quick, seed=args.seed):
+            status = "PASS" if result.passed else "FAIL"
+            if not result.passed:
+                failures += 1
+            lines.append(
+                f"{status} {result.name}: {result.statistic:.6g} "
+                f"(expected {result.expected:.6g} within {result.tolerance:.3g})"
+            )
+        handle.write("\n".join(lines) + "\n")
     return EXIT_FAILURE if failures else EXIT_OK
 
 

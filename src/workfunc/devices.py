@@ -10,6 +10,7 @@ that matter for pricing are therefore the transistor count and the clock.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Iterable, TextIO, Union
 
@@ -132,12 +133,18 @@ class CatalogError(ValueError):
 _CATALOG_FIELDS = CATALOG_HEADER.split(",")
 
 
-def _parse_count(text: str, line_no: int, column: str) -> int:
+def _parse_number(text: str, line_no: int, column: str, integer: bool = False):
+    """The finite number in one catalog cell, an int for an integer column
+    (written as 2.15e9 too), or a CatalogError naming line and column."""
     try:
         value = float(text)
     except ValueError:
         raise CatalogError(line_no, f"column {column!r}: not a number: {text!r}") from None
-    if value != int(value):
+    if not math.isfinite(value):
+        raise CatalogError(line_no, f"column {column!r}: not a finite number: {text!r}")
+    if not integer:
+        return value
+    if not value.is_integer():
         raise CatalogError(line_no, f"column {column!r}: not an integer: {text!r}")
     return int(value)
 
@@ -174,15 +181,13 @@ def load_catalog(source: Union[str, TextIO]) -> list[DeviceSpec]:
             raise CatalogError(line_no, "column 'name': empty")
         if name in seen:
             raise CatalogError(line_no, f"duplicate device name {name!r}")
-        transistors = _parse_count(cells[1], line_no, "transistor_count")
-        try:
-            clock = float(cells[2])
-        except ValueError:
-            raise CatalogError(
-                line_no, f"column 'clock_hz': not a number: {cells[2]!r}"
-            ) from None
-        components = _parse_count(cells[3], line_no, "component_count") if cells[3] else 1
-        bits = float(cells[4]) if cells[4] else BITS_PER_TRANSISTOR
+        transistors = _parse_number(cells[1], line_no, "transistor_count", integer=True)
+        clock = _parse_number(cells[2], line_no, "clock_hz")
+        components, bits = 1, BITS_PER_TRANSISTOR  # the values of empty cells
+        if cells[3]:
+            components = _parse_number(cells[3], line_no, "component_count", integer=True)
+        if cells[4]:
+            bits = _parse_number(cells[4], line_no, "bits_per_transistor")
         try:
             spec = DeviceSpec(
                 name=name,

@@ -31,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .estimators import DEFAULT_BYTES_PER_KEY_BIT
 from .toycrypto import (
     CHECKER_OPS,
     KeystreamGen,
@@ -40,6 +41,7 @@ from .toycrypto import (
     arx_step,
     brute_force_search,
     pack_state,
+    reduction_hint,
     reduction_unknown_bits,
     rotl,
     state_search,
@@ -203,7 +205,7 @@ def state_search_candidates_tested(
         counts.append(_first_rank(rng, size, 1))
         truths.append(packed)
         observed.append(StandInPrng.from_packed(word_bits, packed).next_words(window))
-    highs = [packed >> unknown for packed in truths]
+    highs = [reduction_hint(packed, word_bits) for packed in truths]
     observed = np.array(observed, dtype=np.uint32).reshape(trials, window)
     lows = _first_word_survivors(word_bits, highs, observed[:, 0])
     confirmed = _confirm_window(word_bits, highs, lows, observed)
@@ -282,7 +284,7 @@ def scan_mean_words(
 def meter_ledger_experiment(seed: int = 5) -> ExperimentResult:
     """Charge-sum identities on real searches; zero tolerance."""
     cipher = ToyCipher(key_bits=12)
-    per_key = 120.0 * 12
+    per_key = DEFAULT_BYTES_PER_KEY_BIT * cipher.key_bits
     secret = 0x5A5
     pairs = [(p, cipher.encrypt(secret, p)) for p in TRIAL_PLAINTEXTS]
     found = brute_force_search(cipher, pairs, per_key, rng_seed=seed)
@@ -292,7 +294,7 @@ def meter_ledger_experiment(seed: int = 5) -> ExperimentResult:
     prng = StandInPrng.from_seed(8, seed)
     packed = prng.packed_state()
     observed = prng.next_words(16)
-    res = state_search(8, observed, packed >> reduction_unknown_bits(8), rng_seed=seed)
+    res = state_search(8, observed, reduction_hint(packed, 8), rng_seed=seed)
     search_gap = res.meter.accumulated_cost - CHECKER_OPS * res.candidates_tested
 
     return ExperimentResult(

@@ -1,23 +1,25 @@
 """Turn-based attacker-vs-environment game with budget charging.
 
 The attacker is one or more machines scheduled round-robin.  A machine
-is a strategy whose `step(ctx)` returns one action per turn: `EmitMove`,
-`SpawnBatch`, `LocalStep` or `Halt`.  `ctx` offers `reply`, the answer to
-that machine's own last move (None before its first move), `work_tape`,
-private scratch space whose length is priced into every step, and
-`shared`, the scratch space of the machine's overlap region (None
-outside one).  Each step is charged to a shared budget before it takes
-effect, and every attacker move gets exactly one reply, from the engine
-or the environment.  The transcript is the one record of the moves, in
-order: a list by default, or a `TranscriptWriter` that writes each
-move's line as it is recorded, so that a game's memory does not grow
-with its trials.  Challenge moves are adjudicated at the end with a
+is a strategy whose `step(ctx)` returns one action per turn: an attacker
+`Move`, a `SpawnBatch`, a `LocalStep` or `HALT`.  A move is its class and
+payload; the class fixes its player (`PLAYER`).  `ctx` offers `reply`,
+the answer to that machine's own last move (None before its first move),
+`work_tape`, private scratch space whose length is priced into every
+step, and `shared`, the scratch space of the machine's overlap region
+(None outside one).  Each step is charged to a shared budget before it
+takes effect, and every attacker move gets exactly one reply, from the
+engine or the environment.  The transcript is the one record of the
+moves, in order: a list by default, or a `TranscriptWriter` that writes
+each move's line as it is recorded, so that a game's memory does not
+grow with its trials.  Challenge moves are adjudicated at the end with a
 one-sided exact binomial test against chance 1/2.
 
 Engine-side conventions, fixed for transcript stability:
   * payloads travel length-prefixed (4-byte big-endian length),
   * the engine itself answers budget queries (InfoRequest b"budget?")
-    and structural requests (spawn/halt); everything else goes to the
+    and structural requests (spawn, and `HALT`, StructuralRequest
+    b"halt", which ends its machine); everything else goes to the
     environment object,
   * a Response to a Challenge counts as a success iff its payload starts
     with byte 0x01.
@@ -34,15 +36,11 @@ from typing import Iterator, Optional, Sequence
 from .cost import Budget, Depleted, charge
 
 BUDGET_QUERY = b"budget?"
-HALT_PAYLOAD = b"halt"
 
 
 class Actor(Enum):
     ATTACKER = "Attacker"
     ENVIRONMENT = "Environment"
-    # hash by identity, as members compare: the set and dict lookups of the
-    # move loop and the export then stay in C (Enum's own __hash__ is Python)
-    __hash__ = object.__hash__
 
 
 class MoveClass(Enum):
@@ -52,20 +50,18 @@ class MoveClass(Enum):
     CHALLENGE = "Challenge"
     RESPONSE = "Response"
     DENIAL = "Denial"
-    __hash__ = object.__hash__  # as for Actor
+    # hash by identity, as members compare: the dict lookups of the move
+    # loop and the export then stay in C (Enum's own __hash__ is Python)
+    __hash__ = object.__hash__
 
 
-ATTACKER_CLASSES = frozenset(
-    {
-        MoveClass.INFO_REQUEST,
-        MoveClass.STRUCTURAL_REQUEST,
-        MoveClass.ENCRYPTION_REQUEST,
-        MoveClass.CHALLENGE,
-    }
-)
-ENVIRONMENT_CLASSES = frozenset({MoveClass.RESPONSE, MoveClass.DENIAL})
-# the transcript name of each actor and move class
-_NAMES = {member: member.value for members in (Actor, MoveClass) for member in members}
+# the player of each move class: the attacker asks, the environment answers
+PLAYER = {
+    kind: Actor.ENVIRONMENT if kind in (MoveClass.RESPONSE, MoveClass.DENIAL) else Actor.ATTACKER
+    for kind in MoveClass
+}
+# the start of a move's transcript line after its index: player and class
+_LINE_HEADS = {kind: f"{PLAYER[kind].value} {kind.value}" for kind in MoveClass}
 
 
 class ProtocolFault(RuntimeError):
@@ -104,22 +100,14 @@ def unframe(buffer: bytes) -> list[bytes]:
 
 @dataclass(frozen=True)
 class Move:
-    actor: Actor
+    """One move of either player; its class fixes which (`PLAYER`)."""
+
     kind: MoveClass
     payload: bytes = b""
 
-    def __post_init__(self):
-        if self.kind in ATTACKER_CLASSES and self.actor is not Actor.ATTACKER:
-            raise ValueError(f"{self.kind.value} is an attacker move")
-        if self.kind in ENVIRONMENT_CLASSES and self.actor is not Actor.ENVIRONMENT:
-            raise ValueError(f"{self.kind.value} is an environment move")
 
-    @classmethod
-    def from_framed(cls, actor: Actor, kind: MoveClass, framed_bytes: bytes) -> "Move":
-        parts = unframe(framed_bytes)
-        if len(parts) != 1:
-            raise ValueError("framed move payload must hold exactly one string")
-        return cls(actor, kind, parts[0])
+# the move that ends the machine playing it; the engine answers b"ok"
+HALT = Move(MoveClass.STRUCTURAL_REQUEST, b"halt")
 
 
 @dataclass(frozen=True)
@@ -138,13 +126,7 @@ class MachineSpec:
         return len(self.description)
 
 
-# Actions a strategy may return from step().
-@dataclass(frozen=True)
-class EmitMove:
-    kind: MoveClass
-    payload: bytes = b""
-
-
+# Actions a strategy may return from step() besides a Move.
 @dataclass(frozen=True)
 class SpawnBatch:
     """One structural request recruiting several copies of one spec."""
@@ -155,11 +137,6 @@ class SpawnBatch:
 
 @dataclass(frozen=True)
 class LocalStep:
-    pass
-
-
-@dataclass(frozen=True)
-class Halt:
     pass
 
 
@@ -233,8 +210,8 @@ class MachineContext:
 
 
 class _Machine:
-    """A strategy with its spec, context and liveness; only its own Halt
-    clears `alive`."""
+    """A strategy with its spec, context and liveness; only its own `HALT`
+    move clears `alive`."""
 
     __slots__ = ("spec", "strategy", "ctx", "alive")
 
@@ -299,9 +276,9 @@ def wins_challenge(successes: int, trials: int, alpha: float) -> bool:
     return _adjudicate(successes, trials, alpha)[1]
 
 
-def budget_query_action() -> EmitMove:
+def budget_query_action() -> Move:
     """The move that asks the engine for the remaining budget."""
-    return EmitMove(MoveClass.INFO_REQUEST, BUDGET_QUERY)
+    return Move(MoveClass.INFO_REQUEST, BUDGET_QUERY)
 
 
 def parse_budget_reply(move: Move) -> float:
@@ -373,39 +350,34 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
 
         if isinstance(action, LocalStep):
             continue
-        if isinstance(action, Halt):
-            machine.alive = False
-            action = EmitMove(MoveClass.STRUCTURAL_REQUEST, HALT_PAYLOAD)
-        if isinstance(action, SpawnBatch):
+        if isinstance(action, Move):
+            move = action
+            if PLAYER.get(move.kind) is not Actor.ATTACKER:
+                raise ProtocolFault(f"strategy played {move.kind}, not an attacker move", transcript)
+            engine_reply = None  # the environment answers
+            if move.kind is MoveClass.INFO_REQUEST and move.payload == BUDGET_QUERY:
+                engine_reply = repr(budget.remaining).encode()
+            elif move.kind is MoveClass.STRUCTURAL_REQUEST:
+                engine_reply = b"ok"
+                if move.payload == HALT.payload:
+                    machine.alive = False
+        elif isinstance(action, SpawnBatch):
             count = len(action.strategies)
             payload = frame(action.spec.description) + frame(count.to_bytes(4, "big"))
-            move = Move(Actor.ATTACKER, MoveClass.STRUCTURAL_REQUEST, payload)
+            move = Move(MoveClass.STRUCTURAL_REQUEST, payload)
             engine_reply = f"{len(machines)}:{count}".encode()
             for child in action.strategies:
                 machines.append(_Machine(len(machines), action.spec, child, regions))
-        elif isinstance(action, EmitMove):
-            if action.kind not in ATTACKER_CLASSES:
-                raise ProtocolFault(
-                    f"strategy emitted environment move class {action.kind.value}", transcript
-                )
-            move = Move(Actor.ATTACKER, action.kind, action.payload)
-            engine_reply = None  # the environment answers
-            if action.kind is MoveClass.INFO_REQUEST and action.payload == BUDGET_QUERY:
-                engine_reply = repr(budget.remaining).encode()
-            elif action.kind is MoveClass.STRUCTURAL_REQUEST:
-                engine_reply = b"ok"
         else:
             raise ProtocolFault(f"strategy returned unknown action {action!r}", transcript)
 
         moves.append(move)
         if engine_reply is not None:
-            reply = Move(Actor.ENVIRONMENT, MoveClass.RESPONSE, engine_reply)
+            reply = Move(MoveClass.RESPONSE, engine_reply)
         else:
             reply = environment.respond(move)
-            if not isinstance(reply, Move):
-                raise ProtocolFault("environment must answer with exactly one move", transcript)
-            if reply.actor is not Actor.ENVIRONMENT or reply.kind not in ENVIRONMENT_CLASSES:
-                raise ProtocolFault("environment answered with a non-response move", transcript)
+            if not isinstance(reply, Move) or PLAYER.get(reply.kind) is not Actor.ENVIRONMENT:
+                raise ProtocolFault("environment must answer with one Response or Denial", transcript)
         moves.append(reply)
         ctx.reply = reply
 
@@ -456,10 +428,7 @@ class TranscriptWriter:
 
     def append(self, move: Move) -> None:
         payload = move.payload
-        self._write(
-            f"{self._count} {_NAMES[move.actor]} {_NAMES[move.kind]} "
-            f"{len(payload):08x}{payload.hex()}\n"
-        )
+        self._write(f"{self._count} {_LINE_HEADS[move.kind]} {len(payload):08x}{payload.hex()}\n")
         self._count += 1
 
     def __len__(self) -> int:
@@ -476,21 +445,3 @@ def export_transcript(outcome: GameOutcome) -> str:
     parts.append(transcript_trailer(outcome))
     return "".join(parts)
 
-
-def parse_transcript_moves(text: str) -> list[tuple[int, Move]]:
-    """Parse exported move lines back (trailer lines are skipped)."""
-    out = []
-    actors = {a.value: a for a in Actor}
-    kinds = {k.value: k for k in MoveClass}
-    for line in text.splitlines():
-        parts = line.split(" ")
-        if len(parts) != 4 or not parts[0].isdigit():
-            continue
-        index = int(parts[0])
-        actor = actors.get(parts[1])
-        kind = kinds.get(parts[2])
-        if actor is None or kind is None:
-            continue
-        move = Move.from_framed(actor, kind, bytes.fromhex(parts[3]))
-        out.append((index, move))
-    return out

@@ -15,19 +15,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .cost import Budget
-from .game import (
-    Actor,
-    EmitMove,
-    GameConfig,
-    GameOutcome,
-    Halt,
-    MachineSpec,
-    Move,
-    MoveClass,
-    frame,
-    play,
-    unframe,
-)
+from .game import HALT, GameConfig, GameOutcome, MachineSpec, Move, MoveClass, frame, play, unframe
 from .toycrypto import KeystreamGen
 
 DEFAULT_PLAINTEXT_BYTES = 32
@@ -55,34 +43,34 @@ class OtpEnvironment:
             return self._encrypt(move)
         if move.kind is MoveClass.CHALLENGE:
             return self._judge(move)
-        return Move(Actor.ENVIRONMENT, MoveClass.DENIAL, b"unsupported request")
+        return Move(MoveClass.DENIAL, b"unsupported request")
 
     def _encrypt(self, move: Move) -> Move:
         try:
             plaintexts = unframe(move.payload)
         except ValueError:
-            return Move(Actor.ENVIRONMENT, MoveClass.DENIAL, b"malformed framing")
+            return Move(MoveClass.DENIAL, b"malformed framing")
         if len(plaintexts) != 2:
-            return Move(Actor.ENVIRONMENT, MoveClass.DENIAL, b"need exactly two plaintexts")
+            return Move(MoveClass.DENIAL, b"need exactly two plaintexts")
         if not plaintexts[0] or not plaintexts[1]:
-            return Move(Actor.ENVIRONMENT, MoveClass.DENIAL, b"empty plaintext")
+            return Move(MoveClass.DENIAL, b"empty plaintext")
         length = max(len(plaintexts[0]), len(plaintexts[1]))
         pick = self._rng.getrandbits(1)
         pad = self.keystream.next_bytes(length)
         self._last_pick = pick
         plaintext = plaintexts[pick].ljust(length, b"\x00")
-        return Move(Actor.ENVIRONMENT, MoveClass.RESPONSE, frame(_xor(plaintext, pad)))
+        return Move(MoveClass.RESPONSE, frame(_xor(plaintext, pad)))
 
     def _judge(self, move: Move) -> Move:
         if self._last_pick is None:
-            return Move(Actor.ENVIRONMENT, MoveClass.DENIAL, b"nothing to challenge")
+            return Move(MoveClass.DENIAL, b"nothing to challenge")
         try:
             guess = int(move.payload.decode("ascii"))
         except (UnicodeDecodeError, ValueError):
-            return Move(Actor.ENVIRONMENT, MoveClass.DENIAL, b"malformed guess")
+            return Move(MoveClass.DENIAL, b"malformed guess")
         verdict = b"\x01" if guess == self._last_pick else b"\x00"
         self._last_pick = None
-        return Move(Actor.ENVIRONMENT, MoveClass.RESPONSE, verdict)
+        return Move(MoveClass.RESPONSE, verdict)
 
 
 class OtpDistinguisher:
@@ -115,13 +103,13 @@ class OtpDistinguisher:
             self._awaiting_ciphertext = False
             (ciphertext,) = unframe(reply.payload)
             guess = self._guess(ciphertext)
-            return EmitMove(MoveClass.CHALLENGE, str(guess).encode())
+            return Move(MoveClass.CHALLENGE, str(guess).encode())
 
         if self._sent >= self.trials_wanted:
-            return Halt()
+            return HALT
         self._sent += 1
         self._awaiting_ciphertext = True
-        return EmitMove(MoveClass.ENCRYPTION_REQUEST, self._request)
+        return Move(MoveClass.ENCRYPTION_REQUEST, self._request)
 
     def _guess(self, ciphertext: bytes) -> int:
         """The ciphertext is as long as the plaintexts.  Each candidate's

@@ -83,7 +83,6 @@ def throughput_for(cell: Table2Cell) -> ThroughputRecord:
 
 # --- exhaustive search reproduction (survey narrative) -----------------------
 
-# (key_bits, fleet units of the reference GPU, printed expectation, display)
 BREAK_SUITE_LOCATION = "2.3.2"
 
 # one Tianhe-1 cluster: printed aggregate rate

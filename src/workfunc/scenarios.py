@@ -146,7 +146,9 @@ class Scenario:
 
 
 def parse_scenario(text: str) -> Scenario:
-    parser = configparser.ConfigParser(interpolation=None)
+    # no default section: a [DEFAULT] section is a second section, not one
+    # merged into the kind's
+    parser = configparser.ConfigParser(interpolation=None, default_section="")
     parser.optionxform = str  # keys are case sensitive
     try:
         parser.read_string(text)

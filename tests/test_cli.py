@@ -10,14 +10,8 @@ import workfunc
 from workfunc import cli
 from workfunc.cli import main
 from workfunc.cost import Budget
-from workfunc.game import (
-    Actor,
-    Move,
-    MoveClass,
-    ProtocolFault,
-    export_transcript,
-    parse_transcript_moves,
-)
+from workfunc.devices import CATALOG_HEADER
+from workfunc.game import Move, MoveClass, ProtocolFault, export_transcript
 from workfunc.otp import run_otp_challenge
 from workfunc.reports import report_from_csv
 from workfunc.toycrypto import KeystreamGen
@@ -210,10 +204,18 @@ def test_game_win_writes_transcript(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "result Won" in out
     assert "challenges 200/200" in out
-    text = transcript.read_text()
-    moves = parse_transcript_moves(text)
-    assert len(moves) == 800  # 200 trials x (request, response, challenge, verdict)
-    assert text.endswith("result Won\nchallenges 200/200\n")
+    lines = transcript.read_text().splitlines()
+    # 200 trials x (request, response, challenge, verdict), then the trailer
+    assert len(lines) == 800 + 3
+    assert [line.split(" ")[0] for line in lines[:800]] == [str(i) for i in range(800)]
+    assert [line.split(" ", 3)[1:3] for line in lines[:4]] == [
+        ["Attacker", "EncryptionRequest"],
+        ["Environment", "Response"],
+        ["Attacker", "Challenge"],
+        ["Environment", "Response"],
+    ]
+    assert lines[800].startswith("total_cost ")
+    assert lines[801:] == ["result Won", "challenges 200/200"]
 
 
 def test_game_runs_are_reproducible(tmp_path):
@@ -337,6 +339,18 @@ def test_unwritable_transcript_exits_two_before_the_first_move(tmp_path, capsys,
     assert captured.err == f"cannot write {path}: {reason}\n"
 
 
+def test_unwritable_validate_output_exits_two_before_the_experiments(tmp_path, capsys,
+                                                                     monkeypatch):
+    import workfunc.experiments as experiments
+
+    calls = []
+    monkeypatch.setattr(experiments, "run_validation", lambda **kw: calls.append(kw) or [])
+    path = str(tmp_path / "absent" / "out.txt")
+    assert main(["validate", "--quick", "--output", path]) == 2
+    assert calls == []
+    assert capsys.readouterr().err == f"cannot write {path}: No such file or directory\n"
+
+
 def test_unwritable_transcript_leaves_no_traceback(tmp_path):
     scenario = write(tmp_path, "won.scenario", GAME_WON)
     env = {**os.environ, "PYTHONPATH": str(Path(workfunc.__file__).resolve().parents[1])}
@@ -353,7 +367,7 @@ def test_unwritable_transcript_leaves_no_traceback(tmp_path):
 
 def test_game_protocol_fault_ends_the_streamed_transcript(tmp_path, capsys, monkeypatch):
     def faulty(keystream, trials, entries, **kwargs):
-        entries.append(Move(Actor.ATTACKER, MoveClass.CHALLENGE, b"0"))
+        entries.append(Move(MoveClass.CHALLENGE, b"0"))
         raise ProtocolFault("bad reply")
 
     monkeypatch.setattr(cli, "run_otp_challenge", faulty)
@@ -405,6 +419,39 @@ def test_catalog_listing(capsys, tmp_path):
     assert main(["catalog", "--file", str(bad)]) == 1
     assert "bad catalog" in capsys.readouterr().err
     assert main(["catalog", "--file", str(tmp_path / "nope.csv")]) == 2
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[DEFAULT]\nkey_bits = 40\n[brute_force]\n",
+        "[brute_force]\n[DEFAULT]\nkey_bits = 40\n",
+        "[DEFAULT]\nkey_bits = 40\n[brute_force]\nkey_bits = 56\n",
+        "[brute_force]\nkey_bits = 56\n[DEFAULT]\nkey_bits = 40\n",
+    ],
+)
+def test_default_section_is_a_second_section(tmp_path, capsys, text):
+    assert main(["estimate", write(tmp_path, "bf.scenario", text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "bad scenario: expected exactly one [kind] section, found 2\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "row, column",
+    [
+        ("gpu,1e9,1e9,1,abc", "bits_per_transistor"),
+        ("gpu,inf,1e9,1,8", "transistor_count"),
+        ("gpu,1e9,nan,1,8", "clock_hz"),
+        ("gpu,1e9,inf,1,nan", "clock_hz"),
+    ],
+)
+def test_catalog_numeric_cells_are_checked(tmp_path, capsys, row, column):
+    path = write(tmp_path, "cat.csv", f"{CATALOG_HEADER}\n{row}\n")
+    assert main(["catalog", "--file", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"bad catalog: line 2: column {column!r}: ")
+    assert captured.out == ""
 
 
 def test_console_script_entry_point():

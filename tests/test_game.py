@@ -12,11 +12,9 @@ import pytest
 import workfunc
 from workfunc.cost import Budget
 from workfunc.game import (
-    Actor,
-    EmitMove,
+    HALT,
     GameConfig,
     GameResult,
-    Halt,
     LocalStep,
     MachineSpec,
     Move,
@@ -29,7 +27,6 @@ from workfunc.game import (
     export_transcript,
     frame,
     parse_budget_reply,
-    parse_transcript_moves,
     play,
     unframe,
     wins_challenge,
@@ -49,17 +46,17 @@ class Script:
     def step(self, ctx):
         if self.actions:
             return self.actions.pop(0)
-        return Halt()
+        return HALT
 
 
 class SuccessEnv:
     def respond(self, move):
-        return Move(Actor.ENVIRONMENT, MoveClass.RESPONSE, b"\x01")
+        return Move(MoveClass.RESPONSE, b"\x01")
 
 
 class DenyEnv:
     def respond(self, move):
-        return Move(Actor.ENVIRONMENT, MoveClass.DENIAL, b"no")
+        return Move(MoveClass.DENIAL, b"no")
 
 
 class RandomEchoEnv:
@@ -67,7 +64,7 @@ class RandomEchoEnv:
         self.rng = rng
 
     def respond(self, move):
-        return Move(Actor.ENVIRONMENT, MoveClass.RESPONSE, bytes([self.rng.getrandbits(8)]))
+        return Move(MoveClass.RESPONSE, bytes([self.rng.getrandbits(8)]))
 
 
 def config(budget, **kw):
@@ -90,15 +87,19 @@ def test_frame_unframe_roundtrip():
         unframe(b"\x00\x00\x00\x05ab")
 
 
-def test_move_actor_class_pairing():
-    with pytest.raises(ValueError):
-        Move(Actor.ATTACKER, MoveClass.RESPONSE)
-    with pytest.raises(ValueError):
-        Move(Actor.ENVIRONMENT, MoveClass.CHALLENGE)
-    move = Move(Actor.ATTACKER, MoveClass.CHALLENGE, b"pick")
-    assert Move.from_framed(Actor.ATTACKER, MoveClass.CHALLENGE, frame(move.payload)) == move
-    with pytest.raises(ValueError):
-        Move.from_framed(Actor.ATTACKER, MoveClass.CHALLENGE, frame(b"a") + frame(b"b"))
+def test_transcript_line_names_the_player_of_each_class():
+    lines = []
+    writer = TranscriptWriter(lines.append)
+    for kind in MoveClass:
+        writer.append(Move(kind, b"\x01"))
+    assert [line.split(" ")[1:3] for line in lines] == [
+        ["Attacker", "InfoRequest"],
+        ["Attacker", "StructuralRequest"],
+        ["Attacker", "EncryptionRequest"],
+        ["Attacker", "Challenge"],
+        ["Environment", "Response"],
+        ["Environment", "Denial"],
+    ]
 
 
 def test_win_thresholds_at_one_percent():
@@ -196,7 +197,7 @@ def test_work_tape_raises_next_step_price():
             if self.calls == 1:
                 ctx.work_tape.extend(b"x" * 10)
                 return LocalStep()
-            return Halt()
+            return HALT
 
     outcome = play(Scribbler(), SuccessEnv(), config(100.0))
     assert outcome.total_cost == 8.0 + 18.0
@@ -231,9 +232,19 @@ def test_zero_budget_opens_depleted():
 
 
 def test_structural_request_gets_engine_ok():
-    strategy = Script([EmitMove(MoveClass.STRUCTURAL_REQUEST, b"lease ram")])
+    strategy = Script([Move(MoveClass.STRUCTURAL_REQUEST, b"lease ram")])
     outcome = play(strategy, SuccessEnv(), config(100.0))
     assert outcome.transcript.entries[1].payload == b"ok"
+
+
+def test_halt_move_ends_its_machine():
+    # an equal move, not the HALT object itself: the engine reads class and payload
+    halt = Move(MoveClass.STRUCTURAL_REQUEST, b"halt")
+    assert halt is not HALT and halt == HALT
+    outcome = play(Script([halt, Move(MoveClass.CHALLENGE, b"g")]), SuccessEnv(), config(100.0))
+    assert outcome.transcript.entries == [halt, Move(MoveClass.RESPONSE, b"ok")]
+    assert outcome.transcript.steps_by_machine == {0: 1}
+    assert outcome.trials == 0
 
 
 def test_spawn_reply_and_child_scheduling():
@@ -258,21 +269,21 @@ def test_reply_answers_the_machines_own_last_move():
 
         def step(self, ctx):
             seen.setdefault(self.name, []).append(ctx.reply)
-            return self.actions.pop(0) if self.actions else Halt()
+            return self.actions.pop(0) if self.actions else HALT
 
     class EchoEnv:
         def respond(self, move):
-            return Move(Actor.ENVIRONMENT, MoveClass.RESPONSE, b"re:" + move.payload)
+            return Move(MoveClass.RESPONSE, b"re:" + move.payload)
 
     workers = [
-        Recorder("a", [EmitMove(MoveClass.ENCRYPTION_REQUEST, b"a")]),
-        Recorder("b", [LocalStep(), EmitMove(MoveClass.ENCRYPTION_REQUEST, b"b")]),
+        Recorder("a", [Move(MoveClass.ENCRYPTION_REQUEST, b"a")]),
+        Recorder("b", [LocalStep(), Move(MoveClass.ENCRYPTION_REQUEST, b"b")]),
     ]
     root = Recorder(
         "root",
         [
             budget_query_action(),
-            EmitMove(MoveClass.ENCRYPTION_REQUEST, b"x"),
+            Move(MoveClass.ENCRYPTION_REQUEST, b"x"),
             LocalStep(),
             SpawnBatch(MachineSpec(b"w"), workers),
         ],
@@ -298,7 +309,7 @@ def test_spawn_batch_shares_one_region():
         def step(self, ctx):
             seen.append(id(ctx.shared))
             ctx.shared.extend(b"m")
-            return Halt()
+            return HALT
 
     spec = MachineSpec(b"worker", overlap_region="pool")
     strategy = Script([SpawnBatch(spec, [Pool(), Pool()])])
@@ -317,13 +328,13 @@ def test_environment_must_answer_with_one_response_move():
 
     class WrongActorEnv:
         def respond(self, move):
-            return Move(Actor.ATTACKER, MoveClass.CHALLENGE, b"?")
+            return Move(MoveClass.CHALLENGE, b"?")
 
-    probe = Script([EmitMove(MoveClass.ENCRYPTION_REQUEST, b"block")])
+    probe = Script([Move(MoveClass.ENCRYPTION_REQUEST, b"block")])
     with pytest.raises(ProtocolFault) as info:
         play(probe, RawEnv(), config(100.0))
     assert info.value.transcript is not None
-    probe = Script([EmitMove(MoveClass.ENCRYPTION_REQUEST, b"block")])
+    probe = Script([Move(MoveClass.ENCRYPTION_REQUEST, b"block")])
     with pytest.raises(ProtocolFault):
         play(probe, WrongActorEnv(), config(100.0))
 
@@ -333,7 +344,7 @@ def test_protocol_fault_transcript_ends_with_the_rejected_move():
         def respond(self, move):
             return b"raw bytes"
 
-    probe = Script([budget_query_action(), EmitMove(MoveClass.ENCRYPTION_REQUEST, b"block")])
+    probe = Script([budget_query_action(), Move(MoveClass.ENCRYPTION_REQUEST, b"block")])
     with pytest.raises(ProtocolFault) as info:
         play(probe, RawEnv(), config(100.0))
     entries = info.value.transcript.entries
@@ -342,7 +353,7 @@ def test_protocol_fault_transcript_ends_with_the_rejected_move():
         MoveClass.RESPONSE,
         MoveClass.ENCRYPTION_REQUEST,
     ]
-    assert entries[-1] == Move(Actor.ATTACKER, MoveClass.ENCRYPTION_REQUEST, b"block")
+    assert entries[-1] == Move(MoveClass.ENCRYPTION_REQUEST, b"block")
 
 
 def test_protocol_fault_streams_the_list_backed_lines():
@@ -351,7 +362,7 @@ def test_protocol_fault_streams_the_list_backed_lines():
             return b"raw bytes"
 
     def probe():
-        return Script([budget_query_action(), EmitMove(MoveClass.ENCRYPTION_REQUEST, b"block")])
+        return Script([budget_query_action(), Move(MoveClass.ENCRYPTION_REQUEST, b"block")])
 
     with pytest.raises(ProtocolFault) as listed:
         play(probe(), RawEnv(), config(100.0))
@@ -366,19 +377,22 @@ def test_protocol_fault_streams_the_list_backed_lines():
         "1 Environment Response 00000004" + b"92.0".hex() + "\n",  # 100 - 8-byte spec
         "2 Attacker EncryptionRequest 00000005" + b"block".hex() + "\n",
     ]
-    listed_moves = list(enumerate(listed.value.transcript.entries))
-    assert parse_transcript_moves("".join(lines)) == listed_moves
+    relisted = []
+    rewriter = TranscriptWriter(relisted.append)
+    for move in listed.value.transcript.entries:
+        rewriter.append(move)
+    assert relisted == lines
 
 
 def test_strategy_side_faults():
     with pytest.raises(ProtocolFault):
-        play(Script([EmitMove(MoveClass.RESPONSE, b"x")]), SuccessEnv(), config(100.0))
+        play(Script([Move(MoveClass.RESPONSE, b"x")]), SuccessEnv(), config(100.0))
     with pytest.raises(ProtocolFault):
         play(Script([42]), SuccessEnv(), config(100.0))
 
 
 def test_challenge_adjudication_stops_at_trial_quota():
-    actions = [EmitMove(MoveClass.CHALLENGE, b"guess")] * 10
+    actions = [Move(MoveClass.CHALLENGE, b"guess")] * 10
     outcome = play(Script(actions), SuccessEnv(), config(1e6, challenge_trials=7))
     assert outcome.result is GameResult.WON
     assert outcome.trials == 7
@@ -390,8 +404,8 @@ def test_challenge_adjudication_stops_at_trial_quota():
 @pytest.mark.parametrize(
     "actions, budget, trials, evaluations",
     [
-        ([EmitMove(MoveClass.CHALLENGE, b"g")] * 10, 1e6, 7, 1),  # trial quota reached
-        ([EmitMove(MoveClass.CHALLENGE, b"g")] * 10, 30.0, 3, 1),  # budget out
+        ([Move(MoveClass.CHALLENGE, b"g")] * 10, 1e6, 7, 1),  # trial quota reached
+        ([Move(MoveClass.CHALLENGE, b"g")] * 10, 30.0, 3, 1),  # budget out
         ([LocalStep()], 1e6, 0, 0),
     ],
 )
@@ -417,7 +431,7 @@ def test_tail_evaluated_once_per_game(monkeypatch, actions, budget, trials, eval
 
 
 def test_denials_do_not_count_as_trials():
-    actions = [EmitMove(MoveClass.CHALLENGE, b"guess")] * 2
+    actions = [Move(MoveClass.CHALLENGE, b"guess")] * 2
     outcome = play(Script(actions), DenyEnv(), config(1e6))
     assert outcome.result is GameResult.LOST_CHALLENGE_FAILED
     assert outcome.trials == 0
@@ -426,7 +440,7 @@ def test_denials_do_not_count_as_trials():
 
 def test_determinism_and_seed_sensitivity():
     def run(seed):
-        actions = [EmitMove(MoveClass.ENCRYPTION_REQUEST, b"b")] * 5
+        actions = [Move(MoveClass.ENCRYPTION_REQUEST, b"b")] * 5
         outcome = play(Script(actions), RandomEchoEnv(), config(1e6, rng_seed=seed))
         return export_transcript(outcome)
 
@@ -436,7 +450,7 @@ def test_determinism_and_seed_sensitivity():
 
 def test_monotone_winnability_for_oblivious_strategy():
     def run(budget):
-        actions = [EmitMove(MoveClass.CHALLENGE, b"g")] * 10
+        actions = [Move(MoveClass.CHALLENGE, b"g")] * 10
         return play(Script(actions), SuccessEnv(), config(budget, challenge_trials=10))
 
     small, large = run(1e6), run(1e7)
@@ -450,14 +464,18 @@ def test_root_spec_override_changes_step_price():
     assert outcome.total_cost == 4.0
 
 
-def test_transcript_export_parse_roundtrip():
-    actions = [budget_query_action(), EmitMove(MoveClass.CHALLENGE, b"\x00guess")]
+def test_transcript_export_lines():
+    actions = [budget_query_action(), Move(MoveClass.CHALLENGE, b"\x00guess")]
     outcome = play(Script(actions), SuccessEnv(), config(1e3))
-    text = export_transcript(outcome)
-    assert text.endswith("challenges 1/1\n")
-    parsed = parse_transcript_moves(text)
-    assert [m for _, m in parsed] == outcome.transcript.entries
-    assert [i for i, _ in parsed] == list(range(len(outcome.transcript.entries)))
+    assert export_transcript(outcome) == (
+        "0 Attacker InfoRequest 00000007" + b"budget?".hex() + "\n"
+        "1 Environment Response 00000005" + b"992.0".hex() + "\n"
+        "2 Attacker Challenge 00000006" + b"\x00guess".hex() + "\n"
+        "3 Environment Response 0000000101\n"
+        "4 Attacker StructuralRequest 00000004" + b"halt".hex() + "\n"
+        "5 Environment Response 00000002" + b"ok".hex() + "\n"
+        "total_cost 24.0\nresult LostChallengeFailed\nchallenges 1/1\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -503,10 +521,10 @@ class SliceScanner:
 
     def step(self, ctx):
         if ctx.shared:
-            return Halt()
+            return HALT
         if self.next_key == self.target:
             ctx.shared.extend(b"found")
-            return Halt()
+            return HALT
         self.next_key += self.width
         return LocalStep()
 
@@ -538,7 +556,7 @@ def test_fleet_scan_round_robin_mechanics():
 def test_mass_spawn_batch():
     class Stop:
         def step(self, ctx):
-            return Halt()
+            return HALT
 
     stop = Stop()
     spec = MachineSpec(b"d")

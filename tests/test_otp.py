@@ -5,7 +5,6 @@ import pytest
 
 from workfunc.cost import Budget
 from workfunc.game import (
-    Actor,
     GameResult,
     MachineContext,
     Move,
@@ -31,7 +30,7 @@ def started_env(bias=0.0, seed=0):
 
 def encryption_request(*plaintexts):
     payload = b"".join(frame(p) for p in plaintexts)
-    return Move(Actor.ATTACKER, MoveClass.ENCRYPTION_REQUEST, payload)
+    return Move(MoveClass.ENCRYPTION_REQUEST, payload)
 
 
 def test_xor_matches_bytewise_zip():
@@ -46,13 +45,13 @@ def test_xor_matches_bytewise_zip():
 
 def test_environment_denial_payloads():
     env = started_env()
-    bad_frame = Move(Actor.ATTACKER, MoveClass.ENCRYPTION_REQUEST, b"\x00\x00\x00\x05ab")
+    bad_frame = Move(MoveClass.ENCRYPTION_REQUEST, b"\x00\x00\x00\x05ab")
     assert env.respond(bad_frame).payload == b"malformed framing"
     assert env.respond(encryption_request(b"a")).payload == b"need exactly two plaintexts"
     assert env.respond(encryption_request(b"", b"x")).payload == b"empty plaintext"
-    early = Move(Actor.ATTACKER, MoveClass.CHALLENGE, b"0")
+    early = Move(MoveClass.CHALLENGE, b"0")
     assert env.respond(early).payload == b"nothing to challenge"
-    info = Move(Actor.ATTACKER, MoveClass.INFO_REQUEST, b"hello?")
+    info = Move(MoveClass.INFO_REQUEST, b"hello?")
     assert env.respond(info).payload == b"unsupported request"
     for denial in (bad_frame, early, info):
         assert env.respond(denial if denial is not early else early).kind is MoveClass.DENIAL
@@ -71,11 +70,11 @@ def test_judge_verdicts_and_one_shot_pick():
     reply = env.respond(encryption_request(b"\x00\x00", b"\xaa\xaa"))
     (ciphertext,) = unframe(reply.payload)
     pick = 0 if ciphertext == b"\x00\x00" else 1
-    garbled = env.respond(Move(Actor.ATTACKER, MoveClass.CHALLENGE, b"\xff"))
+    garbled = env.respond(Move(MoveClass.CHALLENGE, b"\xff"))
     assert garbled.payload == b"malformed guess"
-    verdict = env.respond(Move(Actor.ATTACKER, MoveClass.CHALLENGE, str(pick).encode()))
+    verdict = env.respond(Move(MoveClass.CHALLENGE, str(pick).encode()))
     assert verdict.payload == b"\x01"
-    again = env.respond(Move(Actor.ATTACKER, MoveClass.CHALLENGE, str(pick).encode()))
+    again = env.respond(Move(MoveClass.CHALLENGE, str(pick).encode()))
     assert again.payload == b"nothing to challenge"
 
 
@@ -84,7 +83,7 @@ def test_wrong_guess_fails():
     reply = env.respond(encryption_request(b"\x00\x00", b"\xaa\xaa"))
     (ciphertext,) = unframe(reply.payload)
     wrong = 1 if ciphertext == b"\x00\x00" else 0
-    verdict = env.respond(Move(Actor.ATTACKER, MoveClass.CHALLENGE, str(wrong).encode()))
+    verdict = env.respond(Move(MoveClass.CHALLENGE, str(wrong).encode()))
     assert verdict.payload == b"\x00"
 
 
@@ -124,7 +123,7 @@ def test_exact_monobit_tie_goes_to_candidate_zero():
 
 
 def test_distinguisher_needs_a_ciphertext_reply():
-    for reply in (None, Move(Actor.ENVIRONMENT, MoveClass.DENIAL, b"no")):
+    for reply in (None, Move(MoveClass.DENIAL, b"no")):
         strategy = OtpDistinguisher(1)
         ctx = MachineContext(0, None)
         assert strategy.step(ctx).kind is MoveClass.ENCRYPTION_REQUEST
