@@ -1,10 +1,11 @@
 """Cost accumulation and budgets.
 
 A computation step that keeps I bytes of machinery busy costs I bytes.
-The total cost of a run is the plain sum of its step costs, so meters and
-budgets are value objects: every operation returns a new instance and the
-ledger identity initial - remaining == sum(charges) holds exactly as long
-as the charges themselves are exactly representable.
+The total cost of a run is the plain sum of its step costs.  Meters and
+budgets are value objects, charged by `record_step` and by the game
+engine (`game.play`), and the ledger identity initial - remaining ==
+sum(charges) holds exactly as long as the charges are exactly
+representable.
 """
 
 from __future__ import annotations
@@ -39,24 +40,3 @@ class Budget:
     @classmethod
     def fresh(cls, initial: float) -> "Budget":
         return cls(initial, initial)
-
-
-@dataclass(frozen=True)
-class Depleted:
-    """Result of a charge that exceeded the remaining budget.
-
-    Not a fault: depletion is an ordinary outcome.  The wrapped budget has
-    remaining forced to zero.
-    """
-
-    budget: Budget
-
-
-def charge(budget: Budget, cost: float) -> Budget | Depleted:
-    """Deduct cost.  Exact exhaustion stays solvent; overdraft is Depleted."""
-    if cost < 0:
-        raise ValueError("cost must be non-negative")
-    if cost > budget.remaining:
-        return Depleted(Budget(budget.initial, 0.0))
-    return Budget(budget.initial, budget.remaining - cost)
-

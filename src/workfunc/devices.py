@@ -155,7 +155,8 @@ def load_catalog(source: Union[str, TextIO]) -> list[DeviceSpec]:
     Header must be exactly CATALOG_HEADER.  Lines starting with '#' are
     comments.  Scientific notation is accepted for the numeric columns.
     component_count and bits_per_transistor may be left empty (defaults 1
-    and 8).  Duplicate normalized names are rejected.
+    and 8).  Duplicate normalized names are rejected, and so is a row whose
+    rate (`resource_rate`) overflows a float.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -198,6 +199,8 @@ def load_catalog(source: Union[str, TextIO]) -> list[DeviceSpec]:
             )
         except ValueError as exc:
             raise CatalogError(line_no, f"invariant violation: {exc}") from None
+        if not math.isfinite(resource_rate(spec)):
+            raise CatalogError(line_no, "rate_bytes_per_s overflows a float")
         seen.add(name)
         specs.append(spec)
     if not header_seen:

@@ -8,11 +8,12 @@ the answer to that machine's own last move (None before its first move),
 `work_tape`, private scratch space whose length is priced into every
 step, and `shared`, the scratch space of the machine's overlap region
 (None outside one).  Each step is charged to a shared budget before it
-takes effect, and every attacker move gets exactly one reply, from the
-engine or the environment.  The transcript is the one record of the
-moves, in order: a list by default, or a `TranscriptWriter` that writes
-each move's line as it is recorded, so that a game's memory does not
-grow with its trials.  Challenge moves are adjudicated at the end with a
+takes effect (an overdraft charges what is left and ends the game), and
+every attacker move gets exactly one reply, from the engine or the
+environment.  The transcript is the one record of the moves, in order:
+a list by default, or a `TranscriptWriter` that writes each move's line
+as it is recorded, so that a game's memory does not grow with its
+trials.  Challenge moves are adjudicated at the end with a
 one-sided exact binomial test against chance 1/2.
 
 Engine-side conventions, fixed for transcript stability:
@@ -33,7 +34,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .cost import Budget, Depleted, charge
+from .cost import Budget
 
 BUDGET_QUERY = b"budget?"
 
@@ -153,7 +154,7 @@ class GameConfig:
             raise ValueError("challenge_trials must be non-negative")
         if not 0 < self.win_threshold < 1:
             raise ValueError("win_threshold must be in (0, 1)")
-        if self.per_step_information is not None and self.per_step_information < 0:
+        if self.per_step_information is not None and not self.per_step_information >= 0:
             raise ValueError("per_step_information must be non-negative")
 
 
@@ -299,8 +300,10 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
     """Run one game to completion, one machine turn at a time.
 
     The root machine runs `strategy` under its `.spec` (8-byte
-    b"attacker" when it has none).  A turn prices the step, charges it
-    through `cost.charge` before it takes effect, then acts: the move and
+    b"attacker" when it has none).  A turn prices the step and charges it
+    before it takes effect: a step dearer than the remaining budget
+    charges the remainder and ends the game `LostBudgetDepleted`, and one
+    that exactly exhausts it is paid in full.  Then it acts: the move and
     its one reply, from the engine or the environment, are appended to
     the transcript's `entries`, and the reply becomes the machine's
     `ctx.reply`.  `entries` is a list unless a sink such as a
@@ -320,10 +323,14 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
     regions: dict[str, bytearray] = {}
     root_spec = getattr(strategy, "spec", None) or MachineSpec(b"attacker")
     machines = [_Machine(0, root_spec, strategy, regions)]
-    budget = config.budget
+    remaining = config.budget.remaining
     successes = 0
     trials = 0
     result: Optional[GameResult] = None
+    # enum members read once: on Python 3.11 EnumType.__getattr__ slows each lookup
+    attacker, environment_player = Actor.ATTACKER, Actor.ENVIRONMENT
+    info_request, structural_request = MoveClass.INFO_REQUEST, MoveClass.STRUCTURAL_REQUEST
+    challenge, response = MoveClass.CHALLENGE, MoveClass.RESPONSE
 
     for machine in _schedule(machines):
         ctx = machine.ctx
@@ -339,32 +346,31 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
         else:
             step_cost = float(machine.spec.description_bytes + work_len)
 
-        charged = charge(budget, step_cost)
-        if isinstance(charged, Depleted):
-            transcript.record_charge(ctx.machine_id, budget.remaining)
-            budget = charged.budget
+        if step_cost > remaining:
+            transcript.record_charge(ctx.machine_id, remaining)
+            remaining = 0.0
             result = GameResult.LOST_BUDGET_DEPLETED
             break
-        budget = charged
+        remaining -= step_cost
         transcript.record_charge(ctx.machine_id, step_cost)
 
         if isinstance(action, LocalStep):
             continue
         if isinstance(action, Move):
             move = action
-            if PLAYER.get(move.kind) is not Actor.ATTACKER:
+            if PLAYER.get(move.kind) is not attacker:
                 raise ProtocolFault(f"strategy played {move.kind}, not an attacker move", transcript)
             engine_reply = None  # the environment answers
-            if move.kind is MoveClass.INFO_REQUEST and move.payload == BUDGET_QUERY:
-                engine_reply = repr(budget.remaining).encode()
-            elif move.kind is MoveClass.STRUCTURAL_REQUEST:
+            if move.kind is info_request and move.payload == BUDGET_QUERY:
+                engine_reply = repr(remaining).encode()
+            elif move.kind is structural_request:
                 engine_reply = b"ok"
                 if move.payload == HALT.payload:
                     machine.alive = False
         elif isinstance(action, SpawnBatch):
             count = len(action.strategies)
             payload = frame(action.spec.description) + frame(count.to_bytes(4, "big"))
-            move = Move(MoveClass.STRUCTURAL_REQUEST, payload)
+            move = Move(structural_request, payload)
             engine_reply = f"{len(machines)}:{count}".encode()
             for child in action.strategies:
                 machines.append(_Machine(len(machines), action.spec, child, regions))
@@ -373,15 +379,15 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
 
         moves.append(move)
         if engine_reply is not None:
-            reply = Move(MoveClass.RESPONSE, engine_reply)
+            reply = Move(response, engine_reply)
         else:
             reply = environment.respond(move)
-            if not isinstance(reply, Move) or PLAYER.get(reply.kind) is not Actor.ENVIRONMENT:
+            if not isinstance(reply, Move) or PLAYER.get(reply.kind) is not environment_player:
                 raise ProtocolFault("environment must answer with one Response or Denial", transcript)
         moves.append(reply)
         ctx.reply = reply
 
-        if move.kind is MoveClass.CHALLENGE and reply.kind is MoveClass.RESPONSE:
+        if move.kind is challenge and reply.kind is response:
             trials += 1
             if reply.payload[:1] == b"\x01":
                 successes += 1
@@ -395,10 +401,10 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
     return GameOutcome(
         result=result,
         transcript=transcript,
-        total_cost=config.budget.remaining - budget.remaining,
+        total_cost=config.budget.remaining - remaining,
         successes=successes,
         trials=trials,
-        final_budget=budget,
+        final_budget=Budget(config.budget.initial, remaining),
         p_value=p_value,
     )
 

@@ -8,6 +8,7 @@ was encrypted.  With a truly uniform pad no strategy beats coin flipping;
 any keystream bias leaks through the XOR.  The distinguisher keeps no
 record of the game: each turn it reads the engine's `ctx.reply` to its
 own last move, which after an encryption request is the ciphertext.
+Moves that do not change from trial to trial are built once.
 """
 
 from __future__ import annotations
@@ -20,46 +21,54 @@ from .toycrypto import KeystreamGen
 
 DEFAULT_PLAINTEXT_BYTES = 32
 
-
-def _xor(data: bytes, pad: bytes) -> bytes:
-    """Bytewise XOR, truncated to the shorter input as zip() would."""
-    n = min(len(data), len(pad))
-    return (int.from_bytes(data[:n], "big") ^ int.from_bytes(pad[:n], "big")).to_bytes(n, "big")
+# looked up once, as in `game.play`: enum member lookups are slow on 3.11
+_REQUEST, _CHALLENGE = MoveClass.ENCRYPTION_REQUEST, MoveClass.CHALLENGE
+_RESPONSE = MoveClass.RESPONSE
+_VERDICTS = (Move(_RESPONSE, b"\x00"), Move(_RESPONSE, b"\x01"))  # indexed by "guess is right"
 
 
 class OtpEnvironment:
-    """Answers two-plaintext encryption requests with one XOR ciphertext."""
+    """Answers two-plaintext encryption requests with one XOR ciphertext.
+
+    A request equal to the last well-formed one reuses its parse: the
+    ciphertext length, its frame prefix and both zero-padded plaintexts
+    as ints."""
 
     def __init__(self, keystream: KeystreamGen):
         self.keystream = keystream
         self._rng = None
         self._last_pick: Optional[int] = None
+        self._request: Optional[bytes] = None
+        self._parsed: Optional[tuple[int, bytes, tuple[int, int]]] = None
 
     def start(self, rng):
         self._rng = rng
 
     def respond(self, move: Move) -> Move:
-        if move.kind is MoveClass.ENCRYPTION_REQUEST:
+        if move.kind is _REQUEST:
             return self._encrypt(move)
-        if move.kind is MoveClass.CHALLENGE:
+        if move.kind is _CHALLENGE:
             return self._judge(move)
         return Move(MoveClass.DENIAL, b"unsupported request")
 
     def _encrypt(self, move: Move) -> Move:
-        try:
-            plaintexts = unframe(move.payload)
-        except ValueError:
-            return Move(MoveClass.DENIAL, b"malformed framing")
-        if len(plaintexts) != 2:
-            return Move(MoveClass.DENIAL, b"need exactly two plaintexts")
-        if not plaintexts[0] or not plaintexts[1]:
-            return Move(MoveClass.DENIAL, b"empty plaintext")
-        length = max(len(plaintexts[0]), len(plaintexts[1]))
+        if move.payload != self._request:
+            try:
+                plaintexts = unframe(move.payload)
+            except ValueError:
+                return Move(MoveClass.DENIAL, b"malformed framing")
+            if len(plaintexts) != 2:
+                return Move(MoveClass.DENIAL, b"need exactly two plaintexts")
+            if not plaintexts[0] or not plaintexts[1]:
+                return Move(MoveClass.DENIAL, b"empty plaintext")
+            length = max(len(plaintexts[0]), len(plaintexts[1]))
+            padded = tuple(int.from_bytes(p.ljust(length, b"\x00"), "big") for p in plaintexts)
+            self._request, self._parsed = move.payload, (length, length.to_bytes(4, "big"), padded)
+        length, prefix, padded = self._parsed
         pick = self._rng.getrandbits(1)
-        pad = self.keystream.next_bytes(length)
+        pad = self.keystream.next_bits(8 * length)
         self._last_pick = pick
-        plaintext = plaintexts[pick].ljust(length, b"\x00")
-        return Move(MoveClass.RESPONSE, frame(_xor(plaintext, pad)))
+        return Move(_RESPONSE, prefix + (padded[pick] ^ pad).to_bytes(length, "big"))
 
     def _judge(self, move: Move) -> Move:
         if self._last_pick is None:
@@ -68,9 +77,9 @@ class OtpEnvironment:
             guess = int(move.payload.decode("ascii"))
         except (UnicodeDecodeError, ValueError):
             return Move(MoveClass.DENIAL, b"malformed guess")
-        verdict = b"\x01" if guess == self._last_pick else b"\x00"
+        verdict = _VERDICTS[guess == self._last_pick]
         self._last_pick = None
-        return Move(MoveClass.RESPONSE, verdict)
+        return verdict
 
 
 class OtpDistinguisher:
@@ -88,9 +97,11 @@ class OtpDistinguisher:
             raise ValueError("plaintext_bytes must be at least 1")
         self.trials_wanted = trials
         self.plaintexts = (b"\x00" * plaintext_bytes, b"\xaa" * plaintext_bytes)
-        self._request = frame(self.plaintexts[0]) + frame(self.plaintexts[1])
+        self._request = Move(_REQUEST, frame(self.plaintexts[0]) + frame(self.plaintexts[1]))
+        self._challenges = (Move(_CHALLENGE, b"0"), Move(_CHALLENGE, b"1"))
         self._candidates = tuple(int.from_bytes(p, "big") for p in self.plaintexts)
         self._nbits = 8 * plaintext_bytes
+        self._ciphertext_prefix = plaintext_bytes.to_bytes(4, "big")
         self.spec = MachineSpec(b"monobit-distinguisher:" + str(plaintext_bytes).encode())
         self._sent = 0
         self._awaiting_ciphertext = False
@@ -98,18 +109,19 @@ class OtpDistinguisher:
     def step(self, ctx):
         if self._awaiting_ciphertext:
             reply = ctx.reply
-            if reply is None or reply.kind is not MoveClass.RESPONSE:
+            if reply is None or reply.kind is not _RESPONSE:
                 raise RuntimeError("ciphertext response missing")
             self._awaiting_ciphertext = False
-            (ciphertext,) = unframe(reply.payload)
-            guess = self._guess(ciphertext)
-            return Move(MoveClass.CHALLENGE, str(guess).encode())
+            framed = reply.payload
+            if framed[:4] != self._ciphertext_prefix or len(framed) != 4 + self._nbits // 8:
+                raise RuntimeError("ciphertext response malformed")
+            return self._challenges[self._guess(framed[4:])]
 
         if self._sent >= self.trials_wanted:
             return HALT
         self._sent += 1
         self._awaiting_ciphertext = True
-        return Move(MoveClass.ENCRYPTION_REQUEST, self._request)
+        return self._request
 
     def _guess(self, ciphertext: bytes) -> int:
         """The ciphertext is as long as the plaintexts.  Each candidate's

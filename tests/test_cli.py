@@ -454,6 +454,14 @@ def test_catalog_numeric_cells_are_checked(tmp_path, capsys, row, column):
     assert captured.out == ""
 
 
+def test_catalog_row_whose_rate_overflows_is_refused(tmp_path, capsys):
+    path = write(tmp_path, "cat.csv", f"{CATALOG_HEADER}\ngpu,1e300,1e300,1,8\n")
+    assert main(["catalog", "--file", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "bad catalog: line 2: rate_bytes_per_s overflows a float\n"
+    assert captured.out == ""
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(["workfunc", "table", "1"], capture_output=True, text=True)
     assert proc.returncode == 0

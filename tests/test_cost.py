@@ -1,7 +1,10 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from workfunc.cost import Budget, CostMeter, Depleted, charge, record_step
+from workfunc.cost import Budget, CostMeter, record_step
+from workfunc.game import HALT, GameConfig, GameResult, LocalStep, budget_query_action, play
 
 
 def test_meter_accumulates():
@@ -35,46 +38,104 @@ def test_budget_fresh_and_invariants():
         Budget(-1.0, 0.0)
 
 
-def test_charge_deducts():
-    b = charge(Budget.fresh(100.0), 30.0)
-    assert isinstance(b, Budget)
-    assert b.remaining == 70.0 and b.initial == 100.0
-
-
-def test_exact_exhaustion_stays_solvent():
-    b = charge(Budget.fresh(100.0), 100.0)
-    assert isinstance(b, Budget)
-    assert b.remaining == 0.0
-
-
-def test_overdraft_is_depleted_not_an_error():
-    out = charge(Budget.fresh(100.0), 100.0000001)
-    assert isinstance(out, Depleted)
-    assert out.budget.remaining == 0.0
-    assert out.budget.initial == 100.0
-
-
-def test_charge_rejects_negative():
-    with pytest.raises(ValueError):
-        charge(Budget.fresh(1.0), -0.5)
-
-
-def test_zero_budget_is_legal_and_free_charges_pass():
-    b = Budget.fresh(0.0)
-    assert isinstance(charge(b, 0.0), Budget)
-    assert isinstance(charge(b, 1.0), Depleted)
-
-
-# integral charges add exactly in floats, so the ledger identity is exact
+# integral costs add exactly in floats, so the meter's sum is exact
 @given(st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=50))
 def test_ledger_identity_exact(costs):
-    total = float(sum(costs))
-    budget = Budget.fresh(total)
     meter = CostMeter()
     for c in costs:
         meter = record_step(meter, float(c))
-        budget = charge(budget, float(c))
-        assert isinstance(budget, Budget)
-    assert meter.accumulated_cost == total
-    assert budget.remaining == 0.0
-    assert budget.initial - budget.remaining == meter.accumulated_cost
+    assert meter.accumulated_cost == float(sum(costs))
+    assert meter.step_count == len(costs)
+
+
+# The budget is charged by the game engine: each case plays a strategy
+# that takes `local_steps` local steps and then halts, every step priced
+# at the flat `per_step_information`.
+
+
+class Steps:
+    def __init__(self, local_steps):
+        self.left = local_steps
+
+    def step(self, ctx):
+        if self.left:
+            self.left -= 1
+            return LocalStep()
+        return HALT
+
+
+def play_steps(budget, price, local_steps=1):
+    return play(Steps(local_steps), None, GameConfig(budget=budget, per_step_information=price))
+
+
+def test_play_deducts_each_step():
+    outcome = play_steps(Budget.fresh(100.0), 30.0)
+    assert outcome.result is GameResult.LOST_CHALLENGE_FAILED  # no challenge was played
+    assert outcome.final_budget == Budget(100.0, 40.0)
+    assert outcome.total_cost == outcome.transcript.charges_total == 60.0
+
+
+def test_exact_exhaustion_stays_solvent():
+    outcome = play_steps(Budget.fresh(100.0), 50.0)
+    assert outcome.result is GameResult.LOST_CHALLENGE_FAILED
+    assert outcome.final_budget == Budget(100.0, 0.0)
+    assert outcome.transcript.steps_by_machine == {0: 2}
+
+
+def test_overdraft_charges_the_remainder_and_keeps_initial():
+    outcome = play_steps(Budget.fresh(100.0), 100.0000001)
+    assert outcome.result is GameResult.LOST_BUDGET_DEPLETED
+    assert outcome.final_budget == Budget(100.0, 0.0)
+    assert outcome.total_cost == outcome.transcript.charges_total == 100.0
+    assert outcome.transcript.steps_by_machine == {0: 1}
+    assert outcome.transcript.entries == []
+
+
+def test_zero_budget_is_legal_and_free_steps_pass():
+    free = play_steps(Budget.fresh(0.0), 0.0)
+    assert free.result is GameResult.LOST_CHALLENGE_FAILED
+    assert free.final_budget == Budget(0.0, 0.0)
+    assert free.transcript.steps_by_machine == {0: 2}
+    priced = play_steps(Budget.fresh(0.0), 1.0)
+    assert priced.result is GameResult.LOST_BUDGET_DEPLETED
+    assert priced.total_cost == 0.0
+
+
+def test_step_price_must_be_a_non_negative_number():
+    for price in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="per_step_information"):
+            GameConfig(budget=Budget.fresh(1.0), per_step_information=price)
+
+
+class BudgetQueries:
+    """Asks for the budget `queries` times, then halts."""
+
+    def __init__(self, queries):
+        self.left = queries
+
+    def step(self, ctx):
+        if self.left:
+            self.left -= 1
+            return budget_query_action()
+        return HALT
+
+
+# integral step prices subtract exactly in floats: every reply, the ledger
+# and the meter agree to the last bit, and the budget ends exactly empty
+@given(st.integers(min_value=0, max_value=2**40), st.integers(min_value=0, max_value=49))
+def test_play_ledger_identity_exact(price, queries):
+    steps = queries + 1  # the halt is a step too
+    total = float(price * steps)
+    outcome = play(
+        BudgetQueries(queries), None, GameConfig(budget=Budget.fresh(total), per_step_information=float(price))
+    )
+    replies = outcome.transcript.entries[1::2]
+    assert [r.payload for r in replies[:-1]] == [
+        repr(float(price * (steps - k))).encode() for k in range(1, steps)
+    ]
+    meter = CostMeter()
+    for _ in range(steps):
+        meter = record_step(meter, float(price))
+    assert outcome.result is GameResult.LOST_CHALLENGE_FAILED
+    assert outcome.final_budget == Budget(total, 0.0)
+    assert outcome.total_cost == outcome.transcript.charges_total == meter.accumulated_cost == total

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -16,7 +17,6 @@ from workfunc.game import (
 from workfunc.otp import (
     OtpDistinguisher,
     OtpEnvironment,
-    _xor,
     run_otp_challenge,
 )
 from workfunc.toycrypto import KeystreamGen
@@ -33,14 +33,46 @@ def encryption_request(*plaintexts):
     return Move(MoveClass.ENCRYPTION_REQUEST, payload)
 
 
-def test_xor_matches_bytewise_zip():
-    rng = random.Random(7)
-    for _ in range(500):
-        data = rng.randbytes(rng.randrange(0, 70))
-        pad = rng.randbytes(rng.randrange(0, 70))
-        assert _xor(data, pad) == bytes(a ^ b for a, b in zip(data, pad))
-    assert _xor(b"", b"") == b""
-    assert _xor(b"\x00\xff", b"") == b""
+def xor(data, pad):
+    return bytes(a ^ b for a, b in zip(data, pad, strict=True))
+
+
+def test_ciphertext_is_padded_plaintext_xor_keystream():
+    # a same-seeded keystream and pick generator replay the environment's
+    # draws; each request is sent twice, the second time answered from the
+    # parsed-request cache
+    env = OtpEnvironment(KeystreamGen(0.6, seed="xor"))
+    env.start(random.Random(7))
+    keystream, picks = KeystreamGen(0.6, seed="xor"), random.Random(7)
+    data = random.Random(8)
+    for n in range(1, 71):
+        plaintexts = (data.randbytes(n), data.randbytes(71 - n))  # never equal lengths
+        request = encryption_request(*plaintexts)
+        for _ in range(2):
+            reply = env.respond(request)
+            assert reply.kind is MoveClass.RESPONSE
+            (ciphertext,) = unframe(reply.payload)
+            pick = picks.getrandbits(1)
+            plaintext = plaintexts[pick].ljust(max(n, 71 - n), b"\x00")
+            assert ciphertext == xor(plaintext, keystream.next_bytes(len(plaintext)))
+            assert env.respond(Move(MoveClass.CHALLENGE, str(pick).encode())).payload == b"\x01"
+    assert env.keystream._rng.getstate() == keystream._rng.getstate()
+
+
+def test_request_cache_answers_as_a_fresh_environment():
+    # A, B and the malformed request all have 16-byte payloads, and A and B
+    # differ in ciphertext length: a cache keyed on length serves a stale parse
+    a = encryption_request(b"\x01\x02", b"\xaa" * 6)
+    malformed = Move(MoveClass.ENCRYPTION_REQUEST, b"\x00\x00\x00\x09" + b"\x00" * 12)
+    b = encryption_request(b"\x03" * 4, b"\x55" * 4)
+    assert len({len(m.payload) for m in (a, malformed, b)}) == 1
+    env = started_env(bias=0.6)
+    for request in (a, malformed, b, a):
+        fresh = OtpEnvironment(copy.deepcopy(env.keystream))
+        fresh.start(copy.deepcopy(env._rng))
+        assert env.respond(request) == fresh.respond(request)
+        assert env.keystream._rng.getstate() == fresh.keystream._rng.getstate()
+        assert env._rng.getstate() == fresh._rng.getstate()
 
 
 def test_environment_denial_payloads():
@@ -113,7 +145,7 @@ def test_monobit_deviation():
     cases = [bytes([b]) for b in range(256)]
     cases += [rng.randbytes(n) for n in (2, 3, 5, 7, 33) for _ in range(400)]
     for c in cases:
-        d0, d1 = (deviation(_xor(c, p)) for p in (b"\x00" * len(c), b"\xaa" * len(c)))
+        d0, d1 = (deviation(xor(c, p)) for p in (b"\x00" * len(c), b"\xaa" * len(c)))
         assert guess(c) == (0 if d0 >= d1 else 1), c.hex()
 
 
@@ -130,6 +162,18 @@ def test_distinguisher_needs_a_ciphertext_reply():
         ctx.reply = reply
         with pytest.raises(RuntimeError, match="ciphertext response missing"):
             strategy.step(ctx)
+
+
+@pytest.mark.parametrize(
+    "payload", [b"", b"\x00\x00", frame(b"\x00" * 31), frame(b"\x00" * 33), frame(b"\x00" * 32) + b"x"]
+)
+def test_distinguisher_needs_one_framed_ciphertext_block(payload):
+    strategy = OtpDistinguisher(1)
+    ctx = MachineContext(0, None)
+    strategy.step(ctx)
+    ctx.reply = Move(MoveClass.RESPONSE, payload)
+    with pytest.raises(RuntimeError, match="ciphertext response malformed"):
+        strategy.step(ctx)
 
 
 def test_uniform_pad_resists_distinguishing():
