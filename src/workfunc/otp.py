@@ -32,7 +32,8 @@ class OtpEnvironment:
 
     A request equal to the last well-formed one reuses its parse: the
     ciphertext length, its frame prefix and both zero-padded plaintexts
-    as ints."""
+    as ints.  `respond` answers a request itself, without a further
+    method call."""
 
     def __init__(self, keystream: KeystreamGen):
         self.keystream = keystream
@@ -45,30 +46,34 @@ class OtpEnvironment:
         self._rng = rng
 
     def respond(self, move: Move) -> Move:
-        if move.kind is _REQUEST:
-            return self._encrypt(move)
-        if move.kind is _CHALLENGE:
+        kind = move.kind
+        if kind is _REQUEST:
+            if move.payload != self._request:
+                denial = self._parse(move.payload)
+                if denial is not None:
+                    return denial
+            length, prefix, padded = self._parsed
+            pick = self._last_pick = self._rng.getrandbits(1)
+            pad = self.keystream.next_bits(8 * length)
+            return Move(_RESPONSE, prefix + (padded[pick] ^ pad).to_bytes(length, "big"))
+        if kind is _CHALLENGE:
             return self._judge(move)
         return Move(MoveClass.DENIAL, b"unsupported request")
 
-    def _encrypt(self, move: Move) -> Move:
-        if move.payload != self._request:
-            try:
-                plaintexts = unframe(move.payload)
-            except ValueError:
-                return Move(MoveClass.DENIAL, b"malformed framing")
-            if len(plaintexts) != 2:
-                return Move(MoveClass.DENIAL, b"need exactly two plaintexts")
-            if not plaintexts[0] or not plaintexts[1]:
-                return Move(MoveClass.DENIAL, b"empty plaintext")
-            length = max(len(plaintexts[0]), len(plaintexts[1]))
-            padded = tuple(int.from_bytes(p.ljust(length, b"\x00"), "big") for p in plaintexts)
-            self._request, self._parsed = move.payload, (length, length.to_bytes(4, "big"), padded)
-        length, prefix, padded = self._parsed
-        pick = self._rng.getrandbits(1)
-        pad = self.keystream.next_bits(8 * length)
-        self._last_pick = pick
-        return Move(_RESPONSE, prefix + (padded[pick] ^ pad).to_bytes(length, "big"))
+    def _parse(self, payload: bytes) -> Optional[Move]:
+        """Keep a well-formed request and its parse; a denial otherwise."""
+        try:
+            plaintexts = unframe(payload)
+        except ValueError:
+            return Move(MoveClass.DENIAL, b"malformed framing")
+        if len(plaintexts) != 2:
+            return Move(MoveClass.DENIAL, b"need exactly two plaintexts")
+        if not plaintexts[0] or not plaintexts[1]:
+            return Move(MoveClass.DENIAL, b"empty plaintext")
+        length = max(len(plaintexts[0]), len(plaintexts[1]))
+        padded = tuple(int.from_bytes(p.ljust(length, b"\x00"), "big") for p in plaintexts)
+        self._request, self._parsed = payload, (length, length.to_bytes(4, "big"), padded)
+        return None
 
     def _judge(self, move: Move) -> Move:
         if self._last_pick is None:
@@ -128,7 +133,10 @@ class OtpDistinguisher:
         residual deviation is abs(2 * ones - bits), twice abs(ones - bits/2)
         and an integer, so equal deviations are exact ties."""
         c = int.from_bytes(ciphertext, "big")
-        dev0, dev1 = (abs(2 * (c ^ p).bit_count() - self._nbits) for p in self._candidates)
+        zeros, alternating = self._candidates
+        nbits = self._nbits
+        dev0 = abs(2 * (c ^ zeros).bit_count() - nbits)
+        dev1 = abs(2 * (c ^ alternating).bit_count() - nbits)
         return 0 if dev0 >= dev1 else 1
 
 

@@ -170,8 +170,11 @@ class KeystreamGen:
         if n <= 0:
             return 0
         data = self._rng.getrandbits(64 * n).to_bytes(8 * n, "little")
-        bits = bytearray(data[3::8].translate(self._top_byte_bits))
+        bits = data[3::8].translate(self._top_byte_bits)
         tie = bits.find(b"?")
+        if tie < 0:
+            return int(bits, 2)
+        bits = bytearray(bits)
         while tie >= 0:
             w0 = int.from_bytes(data[8 * tie : 8 * tie + 4], "little")
             w1 = int.from_bytes(data[8 * tie + 4 : 8 * tie + 8], "little")

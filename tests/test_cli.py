@@ -454,6 +454,29 @@ def test_catalog_numeric_cells_are_checked(tmp_path, capsys, row, column):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "row, column",
+    [
+        ("gpu,12345678901234567890,1,1,8", "transistor_count"),  # was listed as ...7168
+        ("gpu,1e300,1,1,8", "transistor_count"),  # was listed with 301 digits
+        ("gpu,1e9,1,9007199254740993,8", "component_count"),  # float() reads 2**53
+    ],
+)
+def test_catalog_counts_not_below_2_53_are_refused(tmp_path, capsys, row, column):
+    path = write(tmp_path, "cat.csv", f"{CATALOG_HEADER}\n{row}\n")
+    assert main(["catalog", "--file", path]) == 1
+    captured = capsys.readouterr()
+    cell = row.split(",")[CATALOG_HEADER.split(",").index(column)]
+    assert captured.err == f"bad catalog: line 2: column {column!r}: not below 2**53, so not read exactly: {cell!r}\n"
+    assert captured.out == ""
+
+
+def test_catalog_count_below_2_53_is_listed_exactly(tmp_path, capsys):
+    path = write(tmp_path, "cat.csv", f"{CATALOG_HEADER}\ngpu,9007199254740991,1,1,8\n")
+    assert main(["catalog", "--file", path, "--csv"]) == 0
+    assert "gpu,9007199254740991," in capsys.readouterr().out
+
+
 def test_catalog_row_whose_rate_overflows_is_refused(tmp_path, capsys):
     path = write(tmp_path, "cat.csv", f"{CATALOG_HEADER}\ngpu,1e300,1e300,1,8\n")
     assert main(["catalog", "--file", path]) == 1

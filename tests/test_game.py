@@ -18,6 +18,7 @@ from workfunc.game import (
     LocalStep,
     MachineSpec,
     Move,
+    PLAYER,
     MoveClass,
     ProtocolFault,
     SpawnBatch,
@@ -161,6 +162,99 @@ def test_half_chance_tail_scales():
     p = binomial_tail_probability(10_000, 20_000)
     assert time.perf_counter() - start < 1.0
     assert p == pytest.approx(float(stats.binom.sf(9_999, 20_000, 0.5)), rel=1e-9)
+
+
+def _exact_tail_counts(n):
+    """[sum of C(n, i) for i >= s, for s = 0..n + 1]."""
+    counts = [0] * (n + 2)
+    coefficient = 1
+    for i in range(n, -1, -1):  # C(n, i), walking down from C(n, n) = 1
+        counts[i] = counts[i + 1] + coefficient
+        coefficient = coefficient * i // (n - i + 1)
+    return counts
+
+
+def _grid_trials():
+    """Every n <= 64, then every 97th n up to 2000, and 2000 itself."""
+    return [*range(1, 65), *range(65, 2000, 97), 2000]
+
+
+def test_filtered_verdicts_exact_on_grid(monkeypatch):
+    """With the float filter forced at every n: for every s of each grid
+    n <= 2000, p is within E(n) * P + 2**-1074 of the exact tail P, and
+    the verdict is the exact comparison at alpha 0.01 and 0.05.  Alpha
+    equal to p (a tie) and the floats next to the exact tail, which the
+    exact fallback decides, are tried at every s up to n = 64 and at
+    every 25th s above."""
+    import workfunc.game as game
+
+    monkeypatch.setattr(game, "EXACT_TAIL_TRIALS", 0)
+    fallbacks = []
+    real = game._tail_at_most
+    monkeypatch.setattr(game, "_tail_at_most", lambda *args: fallbacks.append(args) or real(*args))
+    tiny = Fraction(1, 1 << 1074)
+    for n in _grid_trials():
+        bound = Fraction(game.tail_error_bound(n))
+        counts = _exact_tail_counts(n)
+        for s in range(n + 1):
+            exact = Fraction(counts[s], 1 << n)
+            p = binomial_tail_probability(s, n)
+            assert abs(Fraction(p) - exact) <= bound * exact + tiny, (s, n)
+            near = float(exact)
+            alphas = [0.01, 0.05]
+            if n <= 64 or s % 25 == 0:
+                alphas += [p, math.nextafter(near, 0.0), math.nextafter(near, 1.0)]
+            for alpha in alphas:
+                if 0 < alpha < 1:
+                    assert wins_challenge(s, n, alpha) == (exact <= Fraction(alpha)), (s, n, alpha)
+    assert len(fallbacks) > 1000
+
+
+def test_fallback_decides_when_alpha_is_the_filtered_p(monkeypatch):
+    """Above the cutoff, alpha equal to the filtered p is inside the
+    margin, so the exact comparison runs, once, and gives the exact
+    verdict; a far alpha does not reach it."""
+    import workfunc.game as game
+
+    calls = []
+    real = game._tail_at_most
+    monkeypatch.setattr(game, "_tail_at_most", lambda *args: calls.append(args) or real(*args))
+    n = game.EXACT_TAIL_TRIALS + 1
+    counts = _exact_tail_counts(n)
+    for s in (0, 1, n // 2 - 40, n // 2, n // 2 + 1, n // 2 + 60, n - 300):
+        exact = Fraction(counts[s], 1 << n)
+        p = binomial_tail_probability(s, n)
+        if not 0 < p < 1:
+            continue
+        calls.clear()
+        assert wins_challenge(s, n, p) == (exact <= Fraction(p)), s
+        assert calls == [(s, n, p)]
+        calls.clear()
+        far = 0.5 * p if exact > 0.5 * p else min(2 * p, 0.75)
+        assert wins_challenge(s, n, far) == (exact <= Fraction(far)), s
+        assert calls == []
+
+
+def test_filtered_tail_within_its_bound_of_scipy():
+    stats = pytest.importorskip("scipy.stats")
+    import workfunc.game as game
+
+    for n in (game.EXACT_TAIL_TRIALS + 1, 5000, 10**4, 10**5, 10**6):
+        sd = math.sqrt(n) / 2
+        for z in (-30, -8, -3, -1, -0.2, 0, 0.2, 1, 3, 8, 20, 30):
+            s = min(max(round(n / 2 + z * sd), 0), n)
+            ref = float(stats.binom.sf(s - 1, n, 0.5))
+            assert ref > 1e-300
+            p = binomial_tail_probability(s, n)
+            assert abs(p - ref) <= game.tail_error_bound(n) * ref, (s, n)
+
+
+def test_adjudication_at_the_trial_cap_is_fast():
+    n = 1_000_000
+    start = time.perf_counter()
+    for s in (n // 2, n // 2 + 1200, n // 2 + 2000):
+        wins_challenge(s, n, 0.01)
+    assert (time.perf_counter() - start) / 3 < 0.05
 
 
 def test_config_validation():
@@ -476,6 +570,51 @@ def test_transcript_export_lines():
         "5 Environment Response 00000002" + b"ok".hex() + "\n"
         "total_cost 24.0\nresult LostChallengeFailed\nchallenges 1/1\n"
     )
+
+
+def _reference_line(index, move):
+    """A move's transcript line, formatted afresh."""
+    head = f"{PLAYER[move.kind].value} {move.kind.value}"
+    return f"{index} {head} {len(move.payload):08x}{move.payload.hex()}\n"
+
+
+def test_streamed_lines_equal_per_move_reference_on_a_long_game():
+    """A 3,000-trial game streamed through a writer, whose cache serves
+    the repeated request, challenge and verdict moves, writes the lines
+    of the same game's moves formatted one by one."""
+    keystream = lambda: KeystreamGen(0.6, "7:keystream")  # noqa: E731
+    listed = run_otp_challenge(keystream(), 3000, rng_seed=7, plaintext_bytes=3)
+    lines = []
+    streamed = run_otp_challenge(
+        keystream(), 3000, rng_seed=7, plaintext_bytes=3, entries=TranscriptWriter(lines.append)
+    )
+    assert len(streamed.transcript.entries) == len(listed.transcript.entries) == 12_000
+    assert lines == [_reference_line(i, move) for i, move in enumerate(listed.transcript.entries)]
+
+
+def test_writer_cache_never_serves_a_reused_id_a_stale_line():
+    """Distinct short-lived moves, each dropped once written, reuse the ids
+    of earlier ones; every line is still its own move's."""
+    lines, ids = [], set()
+    writer = TranscriptWriter(lines.append)
+    expected = []
+    for i in range(5000):
+        move = Move(MoveClass.RESPONSE if i % 2 else MoveClass.CHALLENGE, i.to_bytes(4, "big"))
+        ids.add(id(move))
+        writer.append(move)
+        expected.append(_reference_line(i, move))
+        del move
+    assert len(ids) < 5000  # ids were reused
+    assert lines == expected
+
+
+def test_writer_cache_stays_bounded():
+    writer = TranscriptWriter(lambda line: None)
+    kept = [Move(MoveClass.RESPONSE, i.to_bytes(4, "big")) for i in range(1000)]
+    for move in kept * 3:
+        writer.append(move)
+    assert len(writer) == 3000
+    assert len(writer._tails) <= TranscriptWriter.TAIL_CACHE_SIZE
 
 
 @pytest.mark.parametrize(
