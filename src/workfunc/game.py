@@ -28,13 +28,10 @@ Engine-side conventions, fixed for transcript stability:
 
 from __future__ import annotations
 
-import decimal
 import math
 import random
 from dataclasses import dataclass
-from decimal import Decimal
 from enum import Enum
-from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
 from .cost import Budget
@@ -226,27 +223,6 @@ class _Machine:
         self.alive = True
 
 
-def _half_tail_count(successes: int, trials: int) -> int:
-    """Exact count of outcomes with at least `successes` ones in `trials`
-    fair coin flips: sum of C(trials, i) for i >= successes.
-
-    Only the side with fewer terms is summed, each binomial coefficient
-    following from the last by C(n, i+1) = C(n, i) * (n - i) // (i + 1):
-    the upper side directly (as C(n, 0) + ... + C(n, n - successes), its
-    mirror image), the lower side as 2**n minus the terms below
-    `successes`.  Each step adds an n-bit integer, so the count takes
-    time quadratic in n.
-    """
-    upper = successes > trials // 2
-    terms = trials - successes + 1 if upper else successes
-    total = 0
-    term = 1
-    for i in range(terms):
-        total += term
-        term = term * (trials - i) // (i + 1)
-    return total if upper else (1 << trials) - total
-
-
 # Up to this many trials the tail is the exact count, correctly rounded;
 # above it, the float filter of `_far_tail` within `tail_error_bound`.
 EXACT_TAIL_TRIALS = 4000
@@ -312,41 +288,12 @@ def _far_tail(k: int, n: int) -> float:
     return math.exp(log_lead + math.log(total))
 
 
-def binomial_tail_probability(successes: int, trials: int) -> float:
-    """One-sided tail P(X >= successes) for X ~ Binomial(trials, 1/2).
-
-    Up to `EXACT_TAIL_TRIALS` (4000) trials this is the exact tail,
-    correctly rounded to a float; its cost is quadratic in trials.  Above
-    it, the tail is filtered in float in time proportional to sqrt(trials):
-    the side above the mean by `_far_tail`, the side at or below it as
-    1 - P(X >= trials - successes + 1).  The filtered p then lies within
-    E(n) * P + 2**-1074 of the exact tail P, with
-    E(n) = (1 + sqrt(n)) * 2**-40 (`tail_error_bound`; 6.5e-11 at
-    n = 5000, 9.1e-10 at n = 1e6), provided libm's `log`, `log1p`, `exp`
-    and `lgamma` are within 1 ulp.  The error derived in `_far_tail` is
-    below E(n) by a factor of 2.5 or more.
-    """
-    if not 0 <= successes <= trials:
-        raise ValueError("successes must be within [0, trials]")
-    if trials <= EXACT_TAIL_TRIALS:
-        return float(Fraction(_half_tail_count(successes, trials), 1 << trials))
-    if 2 * successes > trials:
-        return _far_tail(successes, trials)
-    return 1.0 - _far_tail(trials - successes + 1, trials)
-
-
-# Integer arithmetic in decimal: libmpdec multiplies large numbers by a
-# number-theoretic transform, where Python ints use Karatsuba.  Any
-# rounding would raise Inexact, so every result is exact.
-_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
-_DECIMAL_ABOVE = 2048  # terms; smaller ranges are split in Python ints
-
-
-def _ratio_sum(n: int, a: int, b: int):
+def _ratio_sum(n: int, a: int, b: int, number=int):
     """Binary splitting of sum_{a <= i < b} prod_{a <= j < i} (n - j) / (j + 1):
     (P, Q, T) with P and Q the products of the numerators and the
-    denominators over [a, b), and T / Q the sum.  Ints up to
-    `_DECIMAL_ABOVE` terms, Decimals in `_EXACT` above."""
+    denominators over [a, b), and T / Q the sum.  Leaves of up to 32 terms
+    are summed in Python ints and converted by `number` (int or Decimal),
+    in which the merges run."""
     if b - a <= 32:
         p = q = 1
         t = 0
@@ -354,31 +301,69 @@ def _ratio_sum(n: int, a: int, b: int):
             t = (j + 1) * q + (n - j) * t
             p *= n - j
             q *= j + 1
-        return p, q, t
+        return number(p), number(q), number(t)
     mid = (a + b) // 2
-    p1, q1, t1 = _ratio_sum(n, a, mid)
-    p2, q2, t2 = _ratio_sum(n, mid, b)
-    if b - a > _DECIMAL_ABOVE:
-        p1, q1, t1, p2, q2, t2 = map(Decimal, (p1, q1, t1, p2, q2, t2))
+    p1, q1, t1 = _ratio_sum(n, a, mid, number)
+    p2, q2, t2 = _ratio_sum(n, mid, b, number)
     return p1 * p2, q1 * q2, q2 * t1 + p1 * t2
+
+
+def _scaled_tail(successes: int, trials: int, number=int):
+    """(count * m!, 2**trials * m!), exactly, where count is the tail
+    sum_{i >= successes} C(trials, i) and m the number of terms on its
+    shorter side, whose sum_{i < m} C(n, i) is T / m! from `_ratio_sum`:
+    the upper side directly (as the mirror image C(n, 0) + ... +
+    C(n, n - successes)), the lower side as 2**n minus the terms below
+    `successes`.  Binary splitting multiplies numbers of balanced sizes,
+    far cheaper at large n than adding n-bit terms one at a time."""
+    upper = successes > trials // 2
+    terms = trials - successes + 1 if upper else successes
+    _, q, t = _ratio_sum(trials, 0, terms, number)
+    scale = number(2) ** trials * q
+    return (t if upper else scale - t), scale
+
+
+def binomial_tail_probability(successes: int, trials: int) -> float:
+    """One-sided tail P(X >= successes) for X ~ Binomial(trials, 1/2).
+
+    Up to `EXACT_TAIL_TRIALS` (4000) trials this is the exact tail
+    (`_scaled_tail`), correctly rounded to a float by Python's int
+    division.  Above it, the tail is filtered in float in time
+    proportional to sqrt(trials): the side above the mean by `_far_tail`,
+    the side at or below it as 1 - P(X >= trials - successes + 1).  The
+    filtered p then lies within E(n) * P + 2**-1074 of the exact tail P,
+    with E(n) = (1 + sqrt(n)) * 2**-40 (`tail_error_bound`; 6.5e-11 at
+    n = 5000, 9.1e-10 at n = 1e6), provided libm's `log`, `log1p`, `exp`
+    and `lgamma` are within 1 ulp.  The error derived in `_far_tail` is
+    below E(n) by a factor of 2.5 or more.
+    """
+    if not 0 <= successes <= trials:
+        raise ValueError("successes must be within [0, trials]")
+    if trials <= EXACT_TAIL_TRIALS:
+        count, scale = _scaled_tail(successes, trials)
+        return count / scale
+    if 2 * successes > trials:
+        return _far_tail(successes, trials)
+    return 1.0 - _far_tail(trials - successes + 1, trials)
 
 
 def _tail_at_most(successes: int, trials: int, alpha: float) -> bool:
     """Exactly whether sum_{i >= successes} C(trials, i) <= alpha * 2**trials.
 
-    The shorter side's sum_{i < m} C(n, i) is T / m! from `_ratio_sum`,
-    and alpha is a ratio of integers, so the decision is one comparison
-    of integer products, without division.  At n = 1e6 and s = n / 2 it
-    took 6.4 s on a 2-vCPU Xeon.
+    alpha is a ratio of integers, so with `_scaled_tail` the decision is
+    one comparison of integer products, without division.  The products
+    are taken in decimal, where libmpdec multiplies large numbers by a
+    number-theoretic transform (Python ints use Karatsuba), in a context
+    that traps any rounding, so every result is exact.  At n = 1e6 and
+    s = n / 2 it took about 7.5 s on a 2-vCPU Xeon.
     """
-    upper = successes > trials // 2
-    terms = trials - successes + 1 if upper else successes
+    import decimal  # only this rare fallback uses decimal
+
+    exact = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact])
     numerator, denominator = alpha.as_integer_ratio()
-    with decimal.localcontext(_EXACT):
-        _, q, t = map(Decimal, _ratio_sum(trials, 0, terms))
-        scaled_total = Decimal(2) ** trials * q  # 2**n * m!, for the count * m!
-        count = t if upper else scaled_total - t
-        return count * denominator <= numerator * scaled_total
+    with decimal.localcontext(exact):
+        count, scale = _scaled_tail(successes, trials, decimal.Decimal)
+        return count * denominator <= numerator * scale
 
 
 def _adjudicate(successes: int, trials: int, alpha: float) -> tuple[Optional[float], bool]:
@@ -559,11 +544,11 @@ class TranscriptWriter:
     through `write` as the move is recorded and keeps only the count.
 
     A line is `<index> <actor> <class> <hex payload>`, the hex covering
-    the length-prefixed payload.  A move object played again (a strategy's
-    constant request, say) reuses the line tail formatted for it last time,
-    from a cache of at most `TAIL_CACHE_SIZE` moves that is emptied when
-    full.  Each entry holds its move, so no other move can take that
-    move's id while the entry lives.
+    the length-prefixed payload.  The first `TAIL_CACHE_SIZE` move objects
+    written keep their formatted line tails, so a move object played again
+    (a strategy's constant request, say) is formatted once; a game's
+    constant moves come early.  Entries are never dropped, and each holds
+    its move, so no other move can take that move's id.
     """
 
     __slots__ = ("_write", "_count", "_tails")
@@ -579,9 +564,8 @@ class TranscriptWriter:
         if cached is None:
             payload = move.payload
             tail = f"{_LINE_HEADS[move.kind]} {len(payload):08x}{payload.hex()}\n"
-            if len(self._tails) >= self.TAIL_CACHE_SIZE:
-                self._tails.clear()
-            self._tails[id(move)] = (move, tail)
+            if len(self._tails) < self.TAIL_CACHE_SIZE:
+                self._tails[id(move)] = (move, tail)
         else:
             tail = cached[1]
         self._write(f"{self._count} {tail}")

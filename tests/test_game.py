@@ -210,6 +210,23 @@ def test_filtered_verdicts_exact_on_grid(monkeypatch):
     assert len(fallbacks) > 1000
 
 
+@pytest.mark.slow
+def test_filtered_verdicts_exact_for_every_trial_count(monkeypatch):
+    """With the float filter forced: for every n <= 2000 and every s, the
+    verdict at alpha 0.01 and 0.05 is the exact comparison.  About a
+    minute; selected by `pytest -m slow`."""
+    import workfunc.game as game
+
+    monkeypatch.setattr(game, "EXACT_TAIL_TRIALS", 0)
+    levels = [(alpha, *alpha.as_integer_ratio()) for alpha in (0.01, 0.05)]
+    for n in range(1, 2001):
+        counts = _exact_tail_counts(n)
+        for s in range(n + 1):
+            for alpha, numerator, denominator in levels:
+                exact = counts[s] * denominator <= numerator << n
+                assert wins_challenge(s, n, alpha) == exact, (s, n, alpha)
+
+
 def test_fallback_decides_when_alpha_is_the_filtered_p(monkeypatch):
     """Above the cutoff, alpha equal to the filtered p is inside the
     margin, so the exact comparison runs, once, and gives the exact
