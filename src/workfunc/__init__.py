@@ -1,119 +1,4 @@
 """Attack cost calculus: device-priced computation, budgeted games,
 closed-form break estimators, and desk-scale toy validations."""
 
-from .cost import Budget, CostMeter, record_step
-from .devices import (
-    BITS_PER_TRANSISTOR,
-    CatalogError,
-    DeviceSpec,
-    Fleet,
-    ThroughputRecord,
-    cost_per_bit,
-    default_catalog,
-    find_device,
-    fleet_rate,
-    i_dev_bytes,
-    load_catalog,
-    resource_rate,
-)
-from .estimators import (
-    AttackEstimate,
-    BruteForceModel,
-    DictionaryModel,
-    DictionaryStats,
-    Tf1Estimate,
-    Tf1Model,
-    break_time,
-    brute_force_cost,
-    dictionary_stats,
-    progress_years,
-    tf1_estimate,
-)
-from .game import (
-    HALT,
-    Actor,
-    GameConfig,
-    GameOutcome,
-    GameResult,
-    GameTranscript,
-    LocalStep,
-    MachineContext,
-    MachineSpec,
-    Move,
-    MoveClass,
-    ProtocolFault,
-    SpawnBatch,
-    TranscriptWriter,
-    export_transcript,
-    play,
-    wins_challenge,
-)
-from .otp import OtpDistinguisher, OtpEnvironment, run_otp_challenge
-from .toycrypto import (
-    KeystreamGen,
-    ScanLimitError,
-    StandInPrng,
-    ToyCipher,
-    brute_force_search,
-    scan_for_zero,
-    state_search,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Actor",
-    "AttackEstimate",
-    "BITS_PER_TRANSISTOR",
-    "Budget",
-    "BruteForceModel",
-    "CatalogError",
-    "CostMeter",
-    "DeviceSpec",
-    "DictionaryModel",
-    "DictionaryStats",
-    "Fleet",
-    "GameConfig",
-    "GameOutcome",
-    "GameResult",
-    "GameTranscript",
-    "HALT",
-    "KeystreamGen",
-    "LocalStep",
-    "MachineContext",
-    "MachineSpec",
-    "Move",
-    "MoveClass",
-    "OtpDistinguisher",
-    "OtpEnvironment",
-    "ProtocolFault",
-    "ScanLimitError",
-    "SpawnBatch",
-    "StandInPrng",
-    "Tf1Estimate",
-    "Tf1Model",
-    "ThroughputRecord",
-    "ToyCipher",
-    "TranscriptWriter",
-    "break_time",
-    "brute_force_cost",
-    "brute_force_search",
-    "cost_per_bit",
-    "default_catalog",
-    "dictionary_stats",
-    "export_transcript",
-    "find_device",
-    "fleet_rate",
-    "i_dev_bytes",
-    "load_catalog",
-    "play",
-    "progress_years",
-    "record_step",
-    "resource_rate",
-    "run_otp_challenge",
-    "scan_for_zero",
-    "state_search",
-    "tf1_estimate",
-    "wins_challenge",
-    "__version__",
-]

@@ -219,6 +219,11 @@ _ESTIMATORS = {
 }
 
 
+def _not_utf8(exc: UnicodeDecodeError) -> str:
+    """A file that is not UTF-8 text, named by its first bad byte and that byte's offset."""
+    return f"not UTF-8 text: byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+
+
 def _read_scenario(path: str, kinds: Sequence[str], role: str) -> tuple[Optional[Scenario], int]:
     """The scenario in `path` if it has one of `kinds`, or None and the exit code for why not."""
     try:
@@ -228,6 +233,9 @@ def _read_scenario(path: str, kinds: Sequence[str], role: str) -> tuple[Optional
         return None, EXIT_USAGE
     except ScenarioError as exc:
         print(f"bad scenario: {exc}", file=sys.stderr)
+        return None, EXIT_FAILURE
+    except UnicodeDecodeError as exc:
+        print(f"bad scenario: {_not_utf8(exc)}", file=sys.stderr)
         return None, EXIT_FAILURE
     if scenario.kind not in kinds:
         print(
@@ -311,13 +319,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_catalog(args: argparse.Namespace) -> int:
     if args.file:
         try:
+            # read whole, so a decoding error's offset counts from the start of the file
             with open(args.file, "r", encoding="utf-8") as handle:
-                catalog = load_catalog(handle)
+                catalog = load_catalog(handle.read())
         except OSError as exc:
             print(f"cannot read catalog: {exc}", file=sys.stderr)
             return EXIT_USAGE
         except CatalogError as exc:
             print(f"bad catalog: {exc}", file=sys.stderr)
+            return EXIT_FAILURE
+        except UnicodeDecodeError as exc:
+            print(f"bad catalog: {_not_utf8(exc)}", file=sys.stderr)
             return EXIT_FAILURE
     else:
         catalog = default_catalog()
@@ -340,6 +352,17 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     )
     _emit(report, args.csv, args.output)
     return EXIT_OK
+
+
+def _seed(text: str) -> int:
+    """A `--seed` value: the search experiments derive their seeds from it, and none may be negative."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -368,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_val = sub.add_parser("validate", help="desk-scale reproduction experiments")
     p_val.add_argument("--quick", action="store_true", help="smaller trial counts")
-    p_val.add_argument("--seed", type=int, default=11)
+    p_val.add_argument("--seed", type=_seed, default=11)
     p_val.add_argument("--output", help="write to a file instead of stdout")
     p_val.set_defaults(func=cmd_validate)
 

@@ -132,9 +132,10 @@ class CatalogError(ValueError):
 
 _CATALOG_FIELDS = CATALOG_HEADER.split(",")
 # Integer cells are read through float(), which holds every integer only
-# below 2**53: a larger cell would be listed as some other integer.
+# below 2**53: a larger cell would be listed as some other integer. A fleet
+# count is priced as a float too, so scenarios hold it to the same limit.
 _COUNT_COLUMNS = ("transistor_count", "component_count")
-_EXACT_COUNT_LIMIT = 2**53
+EXACT_COUNT_LIMIT = 2**53
 
 
 def _parse_number(text: str, line_no: int, column: str, integer: bool = False):
@@ -207,7 +208,7 @@ def load_catalog(source: Union[str, TextIO]) -> list[DeviceSpec]:
         if not math.isfinite(resource_rate(spec)):
             raise CatalogError(line_no, "rate_bytes_per_s overflows a float")
         for column in _COUNT_COLUMNS:
-            if getattr(spec, column) >= _EXACT_COUNT_LIMIT:
+            if getattr(spec, column) >= EXACT_COUNT_LIMIT:
                 text = cells[_CATALOG_FIELDS.index(column)]
                 raise CatalogError(line_no, f"column {column!r}: not below 2**53, so not read exactly: {text!r}")
         seen.add(name)

@@ -394,15 +394,6 @@ def wins_challenge(successes: int, trials: int, alpha: float) -> bool:
     return _adjudicate(successes, trials, alpha)[1]
 
 
-def budget_query_action() -> Move:
-    """The move that asks the engine for the remaining budget."""
-    return Move(MoveClass.INFO_REQUEST, BUDGET_QUERY)
-
-
-def parse_budget_reply(move: Move) -> float:
-    return float(move.payload.decode("ascii"))
-
-
 def _schedule(machines: list[_Machine]) -> Iterator[_Machine]:
     """Round-robin turns: each round visits, in spawn order, the machines
     alive at its start; the game ends when none is left."""

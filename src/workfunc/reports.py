@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-import re
 from dataclasses import dataclass, field
 
 from . import refdata
@@ -102,34 +101,6 @@ def render_csv(report: Report) -> str:
     for row, (tag, loc) in zip(report.rows, report.provenance):
         writer.writerow([repr(v) if isinstance(v, float) else v for v in row] + [tag, loc])
     return out.getvalue()
-
-
-_INT_RE = re.compile(r"[+-]?\d+\Z")
-
-
-def _cell_from_csv(text: str) -> Cell:
-    if _INT_RE.match(text):
-        return int(text)
-    try:
-        return float(text)
-    except ValueError:
-        return text
-
-
-def report_from_csv(text: str, title: str = "") -> Report:
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if len(header) < 2 or header[-2:] != ["provenance_tag", "provenance_source"]:
-        raise ValueError("missing provenance columns")
-    columns = tuple(header[:-2])
-    rows = []
-    provenance = []
-    for line in reader:
-        if not line:
-            continue
-        rows.append(tuple(_cell_from_csv(c) for c in line[:-2]))
-        provenance.append((line[-2], line[-1]))
-    return Report(title=title, columns=columns, rows=tuple(rows), provenance=tuple(provenance))
 
 
 def build_device_rate_report() -> Report:

@@ -23,7 +23,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .devices import DeviceSpec, Fleet, find_device
+from .devices import EXACT_COUNT_LIMIT, DeviceSpec, Fleet, find_device
 from .otp import DEFAULT_PLAINTEXT_BYTES
 
 
@@ -218,10 +218,14 @@ def parse_fleet_spec(
             raise ScenarioError(
                 f"fleet term {term!r} is not of the form 'N x device-name'"
             )
-        count = int(match.group(1))
+        digits, name = match.groups()
+        digits = digits.lstrip("0") or "0"
+        # 2**53 has 16 digits; int() refuses strings of over 4,300
+        count = int(digits) if len(digits) <= 16 else EXACT_COUNT_LIMIT
+        if count >= EXACT_COUNT_LIMIT:
+            raise ScenarioError(f"fleet count for {name!r} must be below 2**53")
         if count < 1:
             raise ScenarioError(f"fleet count must be positive in {term!r}")
-        name = match.group(2)
         try:
             device = find_device(name, catalog)
         except KeyError as exc:

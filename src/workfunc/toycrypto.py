@@ -115,26 +115,6 @@ class ToyCipher:
         return self.decrypt_with_subkeys(self.subkeys(key), block)
 
 
-def format_kat_line(key_bits: int, key: int, block: int, cipher: int) -> str:
-    return f"{key_bits} {key:x} {block:08x} {cipher:08x}"
-
-
-def parse_kat_lines(text: str) -> list[tuple[int, int, int, int]]:
-    """Parse known-answer vectors: `k key_hex block_hex cipher_hex` per line."""
-    vectors = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split()
-        if len(parts) != 4:
-            raise ValueError(f"line {line_no}: expected 4 fields, got {len(parts)}")
-        k = int(parts[0])
-        key, block, cipher = (int(p, 16) for p in parts[1:])
-        vectors.append((k, key, block, cipher))
-    return vectors
-
-
 class KeystreamGen:
     """Seeded Bernoulli bit source: each bit is 1 with probability `bias`.
 
@@ -232,9 +212,6 @@ class StandInPrng:
     def packed_state(self) -> int:
         return pack_state(self.state, self.word_bits)
 
-    def clone(self) -> "StandInPrng":
-        return StandInPrng(self.word_bits, self.state)
-
     def next_word(self) -> int:
         self.state, word = arx_step(self.state, self.word_bits)
         return word
@@ -309,19 +286,17 @@ def state_search(
     observed: Sequence[int],
     hint_high_bits: int,
     rng_seed: int | str = 0,
-    meter: Optional[CostMeter] = None,
 ) -> StateSearchResult:
     """Recover the generator state that produced `observed`.
 
     Candidates share the hinted high bits and enumerate the low
     ceil(1.5w) bits in a seeded random order.  Every candidate charges
-    CHECKER_OPS to the meter (the checker is modeled at a flat op count).
+    CHECKER_OPS to a fresh meter (the checker is modeled at a flat op count).
     Returns the first candidate that reproduces the whole observed window.
     """
     if not observed:
         raise ValueError("observed outputs must be non-empty")
-    if meter is None:
-        meter = CostMeter()
+    meter = CostMeter()
     unknown = reduction_unknown_bits(word_bits)
     order = list(range(1 << unknown))
     random.Random(rng_seed).shuffle(order)
@@ -349,19 +324,17 @@ def brute_force_search(
     per_key_cost: float,
     rng_seed: int | str = 0,
     order: Optional[Sequence[int]] = None,
-    meter: Optional[CostMeter] = None,
 ) -> KeySearchResult:
     """Scan keys in seeded random order for one consistent with all pairs.
 
-    Every scanned candidate charges per_key_cost to the meter, so the
+    Every scanned candidate charges per_key_cost to a fresh meter, so the
     ledger identity meter.accumulated_cost == keys_tested * per_key_cost
     holds exactly for exactly-representable costs.  An explicit `order`
     overrides the seeded shuffle (the caller owns its completeness).
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
-    if meter is None:
-        meter = CostMeter()
+    meter = CostMeter()
     if order is None:
         scan = list(range(1 << cipher.key_bits))
         random.Random(rng_seed).shuffle(scan)

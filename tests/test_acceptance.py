@@ -32,7 +32,7 @@ from workfunc.estimators import (
 from workfunc.game import GameResult, export_transcript
 from workfunc.otp import run_otp_challenge
 from workfunc.reports import relative_deviation, table3_estimate
-from workfunc.toycrypto import KeystreamGen, ToyCipher, parse_kat_lines
+from workfunc.toycrypto import KeystreamGen, ToyCipher
 from workfunc.experiments import run_validation
 
 KAT_PATH = Path(__file__).parent / "data" / "toy_cipher_kat.txt"
@@ -187,7 +187,9 @@ def test_criterion_8_toy_cipher_bijectivity_and_vectors():
             assert len(np.unique(images)) == 1 << 16
             assert int(images.max()) < 1 << 16
 
-        vectors = parse_kat_lines(KAT_PATH.read_text())
+        # one `k key_hex block_hex cipher_hex` vector per line
+        lines = KAT_PATH.read_text().splitlines()
+        vectors = [line.split() for line in lines if line and not line.startswith("#")]
         assert len(vectors) == 17
         for key_bits, key, block, expected in vectors:
-            assert ToyCipher(key_bits).encrypt(key, block) == expected
+            assert ToyCipher(int(key_bits)).encrypt(int(key, 16), int(block, 16)) == int(expected, 16)

@@ -1,3 +1,4 @@
+import csv
 import os
 import subprocess
 import sys
@@ -13,7 +14,6 @@ from workfunc.cost import Budget
 from workfunc.devices import CATALOG_HEADER
 from workfunc.game import Move, MoveClass, ProtocolFault, export_transcript
 from workfunc.otp import run_otp_challenge
-from workfunc.reports import report_from_csv
 from workfunc.toycrypto import KeystreamGen
 
 
@@ -36,16 +36,18 @@ def test_table_commands_succeed(capsys):
 
 def test_table_csv_is_parseable(capsys):
     assert main(["table", "1", "--csv"]) == 0
-    report = report_from_csv(capsys.readouterr().out)
-    assert len(report.rows) == 5
-    assert report.provenance[0] == ("printed", "Table 1")
+    header, *rows = csv.reader(capsys.readouterr().out.splitlines())
+    assert header[-2:] == ["provenance_tag", "provenance_source"]
+    assert len(rows) == 5
+    assert rows[0][-2:] == ["printed", "Table 1"]
 
 
 def test_table_output_file(tmp_path, capsys):
     target = tmp_path / "t3.csv"
     assert main(["table", "3", "--csv", "--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
-    assert len(report_from_csv(target.read_text()).rows) == 5
+    header, *rows = csv.reader(target.read_text().splitlines())
+    assert len(rows) == 5
 
 
 def test_usage_errors_exit_two():
@@ -483,6 +485,46 @@ def test_catalog_row_whose_rate_overflows_is_refused(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "bad catalog: line 2: rate_bytes_per_s overflows a float\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, data, offset",
+    [
+        ("estimate {path}", b"[brute_force]\nkey_bits = 8\n# caf\xe9\n", 32),
+        ("game {path} --transcript {dir}/t", b"[game_otp]\nseed = 1\xff\n", 19),
+        ("catalog --file {path}", CATALOG_HEADER.encode() + b"\ngpu\xc3,1e9,1e9,1,8\n", 70),
+    ],
+    ids=["estimate", "game", "catalog"],
+)
+def test_input_that_is_not_utf8_is_refused_naming_the_byte(tmp_path, capsys, command, data, offset):
+    path = tmp_path / "input"
+    path.write_bytes(data)
+    assert main(command.format(path=path, dir=tmp_path).split()) == 1
+    captured = capsys.readouterr()
+    role = "catalog" if command.startswith("catalog") else "scenario"
+    assert captured.err == f"bad {role}: not UTF-8 text: byte {data[offset]:#04x} at offset {offset}\n"
+    assert data[offset] >= 0x80
+    assert captured.out == ""
+    assert not (tmp_path / "t").exists()  # a game is refused before its transcript opens
+
+
+@pytest.mark.parametrize("kind, size_key", [("brute_force", "key_bits"), ("tf1", "word_bits")])
+@pytest.mark.parametrize("digits", [400, 5000])  # past a float, and past int()'s digit limit
+def test_fleet_counts_not_below_2_53_are_refused(tmp_path, capsys, kind, size_key, digits):
+    text = f"[{kind}]\n{size_key} = 8\nfleet = {'9' * digits} x intel-core-duo\n"
+    assert main(["estimate", write(tmp_path, "fleet.scenario", text)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "bad scenario: fleet count for 'intel-core-duo' must be below 2**53\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("seed", ["-1", "-9", "-100", "ten"])
+def test_validate_refuses_a_seed_that_is_not_a_non_negative_integer(capsys, seed):
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "--quick", "--seed", seed])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument --seed: must be a non-negative integer, got {seed!r}" in err
 
 
 def test_console_script_entry_point():

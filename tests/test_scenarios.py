@@ -167,6 +167,12 @@ def test_fleet_spec_parsing():
         parse_fleet_spec("0 x intel-core-duo", catalog)
     with pytest.raises(ScenarioError, match="unknown device"):
         parse_fleet_spec("3 x cray-1", catalog)
+    # a count is priced as a float, so it must be below 2**53
+    assert parse_fleet_spec(f"{2**53 - 1} x intel-core-duo", catalog)[0].unit_count == 2**53 - 1
+    assert parse_fleet_spec("0" * 5000 + "7 x intel-core-duo", catalog)[0].unit_count == 7
+    for count in (str(2**53), "0" * 5000 + str(2**53), "9" * 17, "9" * 400, "9" * 5000):
+        with pytest.raises(ScenarioError, match=r"^fleet count for 'intel-core-duo' must be below 2\*\*53$"):
+            parse_fleet_spec(f"{count} x intel-core-duo", catalog)
 
 
 def test_scenario_fleet_dispatch():

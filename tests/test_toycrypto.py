@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from workfunc import toycrypto
-from workfunc.cost import CostMeter
 from workfunc.toycrypto import (
     MAX_KEY_BITS,
     MAX_WORD_BITS,
@@ -15,9 +14,7 @@ from workfunc.toycrypto import (
     StandInPrng,
     ToyCipher,
     brute_force_search,
-    format_kat_line,
     pack_state,
-    parse_kat_lines,
     reduction_hint,
     reduction_unknown_bits,
     rotl,
@@ -41,24 +38,21 @@ def test_rotl_inverse(x, r):
     assert rotl(rotl(x, r, 16), 16 - (r % 16), 16) == x
 
 
+def kat_vectors():
+    """(key_bits, key, block, cipher) per line of `k key_hex block_hex cipher_hex`."""
+    for line in KAT_PATH.read_text().splitlines():
+        if line and not line.startswith("#"):
+            key_bits, key, block, cipher = line.split()
+            yield int(key_bits), int(key, 16), int(block, 16), int(cipher, 16)
+
+
 def test_known_answer_vectors():
-    vectors = parse_kat_lines(KAT_PATH.read_text())
+    vectors = list(kat_vectors())
     assert len(vectors) == 17
     for key_bits, key, block, cipher in vectors:
         tc = ToyCipher(key_bits)
         assert tc.encrypt(key, block) == cipher
         assert tc.decrypt(key, cipher) == block
-
-
-def test_kat_format_roundtrip():
-    line = format_kat_line(12, 0x74A, 0x2FFA34C8, 0xAB8BAEC5)
-    assert line == "12 74a 2ffa34c8 ab8baec5"
-    assert parse_kat_lines("# comment\n\n" + line) == [(12, 0x74A, 0x2FFA34C8, 0xAB8BAEC5)]
-
-
-def test_kat_parse_rejects_short_lines():
-    with pytest.raises(ValueError, match="line 2"):
-        parse_kat_lines("8 5a 00000000 0479a238\n8 5a 00000000")
 
 
 def test_cipher_validation():
@@ -180,7 +174,7 @@ def test_prng_validation():
 
 def test_clone_is_independent():
     prng = StandInPrng.from_seed(8, 1)
-    twin = prng.clone()
+    twin = StandInPrng(8, prng.state)
     original_state = prng.state
     prng.next_words(5)
     assert twin.state == original_state
@@ -210,7 +204,7 @@ def test_scan_cap_on_zero_free_cycle():
 
 def test_scan_leaves_generator_past_zero():
     prng = StandInPrng.from_seed(8, 3)
-    probe = prng.clone()
+    probe = StandInPrng(8, prng.state)
     consumed = scan_for_zero(prng)
     assert probe.next_words(consumed)[-1] == 0
 
@@ -224,7 +218,7 @@ def test_reduction_sizes():
 
 def test_state_search_recovers_truth():
     truth = StandInPrng.from_seed(8, "vector")
-    observed = truth.clone().next_words(16)
+    observed = StandInPrng(8, truth.state).next_words(16)
     result = state_search(8, observed, reduction_hint(truth.packed_state(), 8), rng_seed=1)
     assert result.state_packed == truth.packed_state()
     assert 1 <= result.candidates_tested <= 1 << 12
@@ -234,7 +228,7 @@ def test_state_search_recovers_truth():
 
 def test_state_search_cost_scales_with_checker_ops(monkeypatch):
     truth = StandInPrng.from_seed(8, 9)
-    observed = truth.clone().next_words(16)
+    observed = StandInPrng(8, truth.state).next_words(16)
     hint = reduction_hint(truth.packed_state(), 8)
     base = state_search(8, observed, hint, rng_seed=4)
     monkeypatch.setattr(toycrypto, "CHECKER_OPS", 32)
@@ -245,7 +239,7 @@ def test_state_search_cost_scales_with_checker_ops(monkeypatch):
 
 def test_state_search_wrong_hint_fails():
     truth = StandInPrng.from_seed(8, "vector")
-    observed = truth.clone().next_words(16)
+    observed = StandInPrng(8, truth.state).next_words(16)
     wrong = (reduction_hint(truth.packed_state(), 8) + 1) % (1 << 20)
     with pytest.raises(LookupError):
         state_search(8, observed, wrong, rng_seed=1)
@@ -287,11 +281,3 @@ def test_brute_force_search_identifies_exactly():
         found = brute_force_search(tc, pairs, per_key_cost=1.0, rng_seed=trial)
         assert found.key == planted
 
-
-def test_search_honours_existing_meter():
-    tc = ToyCipher(8)
-    pairs = [(0, tc.encrypt(0x42, 0))]
-    carried = CostMeter(accumulated_cost=10.0, step_count=3)
-    result = brute_force_search(tc, pairs, per_key_cost=2.0, rng_seed=0, meter=carried)
-    assert result.meter.accumulated_cost == 10.0 + 2.0 * result.keys_tested
-    assert result.meter.step_count == 3 + result.keys_tested
