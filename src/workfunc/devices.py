@@ -9,10 +9,9 @@ that matter for pricing are therefore the transistor count and the clock.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, TextIO, Union
+from typing import Iterable, Union
 
 BITS_PER_TRANSISTOR = 8.0
 
@@ -154,7 +153,7 @@ def _parse_number(text: str, line_no: int, column: str, integer: bool = False):
     return int(value)
 
 
-def load_catalog(source: Union[str, TextIO]) -> list[DeviceSpec]:
+def load_catalog(text: str) -> list[DeviceSpec]:
     """Parse a device catalog CSV.
 
     Header must be exactly CATALOG_HEADER.  Lines starting with '#' are
@@ -164,12 +163,10 @@ def load_catalog(source: Union[str, TextIO]) -> list[DeviceSpec]:
     rate (`resource_rate`) overflows a float or whose transistor_count or
     component_count is not below 2**53.
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
     specs: list[DeviceSpec] = []
     seen: set[str] = set()
     header_seen = False
-    for line_no, raw in enumerate(source, start=1):
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -47,6 +47,7 @@ def test_table_output_file(tmp_path, capsys):
     assert main(["table", "3", "--csv", "--output", str(target)]) == 0
     assert capsys.readouterr().out == ""
     header, *rows = csv.reader(target.read_text().splitlines())
+    assert header[-2:] == ["provenance_tag", "provenance_source"]
     assert len(rows) == 5
 
 

@@ -1,4 +1,3 @@
-import io
 
 import pytest
 from hypothesis import given, strategies as st
@@ -123,8 +122,10 @@ def test_load_catalog_accepts_comments_and_defaults():
     assert specs[1].component_count == 16
 
 
-def test_load_catalog_reads_file_objects():
-    specs = load_catalog(io.StringIO(CATALOG_HEADER + "\nchip,1e6,1e9,1,8\n"))
+def test_load_catalog_reads_file_text(tmp_path):
+    path = tmp_path / "catalog.csv"
+    path.write_text(CATALOG_HEADER + "\r\nchip,1e6,1e9,1,8\r\n")
+    specs = load_catalog(path.read_text())
     assert len(specs) == 1
 
 

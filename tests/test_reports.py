@@ -70,7 +70,7 @@ def test_csv_roundtrip_is_bit_exact():
     assert [tuple(line[-2:]) for line in lines] == list(SAMPLE.provenance)
     for line, row in zip(lines, SAMPLE.rows, strict=True):
         # each cell reads back as its own type; floats survive via repr
-        assert tuple(type(cell)(text) for text, cell in zip(line, row)) == row
+        assert tuple(type(cell)(text) for text, cell in zip(line[:-2], row, strict=True)) == row
 
 
 def test_device_rate_report_reproduces_published_rates():
