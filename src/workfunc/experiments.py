@@ -11,7 +11,14 @@ stops at the first target.  The targets' positions in such an order are
 a uniformly random subset of the ranks, so a trial draws that subset
 (`_first_rank`) instead of shuffling the whole candidate space: the
 count has exactly the scalar search's distribution, at a cost per trial
-that does not grow with the space.
+that does not grow with the space.  The key search draws all its trials
+in one call.  Two numpy identities keep that draw sequence equal to one
+trial at a time, value for value and generator state for state: a
+one-member subset `choice(size, 1, replace=False)` is one
+`integers(size)` draw, and `integers(size, size=n)` is n scalar
+`integers(size)` draws.  A trial whose secret has more than one
+consistent key draws a true subset, so the block is replayed up to it
+(`brute_force_keys_tested`).
 
 The state search sweeps no candidate space either.  The generator's
 first output word is (a' + c') mod 2**w, and the hint fixes a', so for
@@ -53,9 +60,14 @@ TRIAL_PLAINTEXTS = (0x00000000, 0x00000001)
 
 
 def cipher_table(key_bits: int, block: int) -> np.ndarray:
-    """Ciphertext of `block` under every key, as one vectorized sweep."""
+    """Ciphertext of `block` under every key, as one vectorized sweep.
+
+    The keys are uint32 lanes: the schedule's product wraps mod 2**32,
+    which is the cipher's own reduction, so every value is the scalar
+    cipher's.
+    """
     cipher = ToyCipher(key_bits)
-    keys = np.arange(1 << key_bits, dtype=np.uint64)
+    keys = np.arange(1 << key_bits, dtype=np.uint32)
     return cipher.encrypt_with_subkeys(cipher.schedule(keys), block)
 
 
@@ -79,8 +91,12 @@ def _first_rank(rng: np.random.Generator, size: int, m: int) -> int:
     In a uniformly random scan order the targets' positions are a
     uniformly random m-subset of [0, size), so the count is that subset's
     smallest member plus one.  numpy draws a small subset of a large range
-    without touching the rest of it.
+    without touching the rest of it; for m = 1 that is one
+    `integers(size)` draw, the same value from the same generator state
+    as `choice(size, 1, replace=False)`, at a fraction of the call cost.
     """
+    if m == 1:
+        return int(rng.integers(size)) + 1
     return int(rng.choice(size, size=m, replace=False).min()) + 1
 
 
@@ -90,7 +106,7 @@ def _packed_pairs(key_bits: int) -> np.ndarray:
     no known pair tells apart."""
     t1 = cipher_table(key_bits, TRIAL_PLAINTEXTS[0])
     t2 = cipher_table(key_bits, TRIAL_PLAINTEXTS[1])
-    return t1 << np.uint64(32) | t2
+    return t1.astype(np.uint64) << np.uint64(32) | t2
 
 
 def brute_force_keys_tested(key_bits: int, trials: int, seed: int) -> list[int]:
@@ -101,17 +117,36 @@ def brute_force_keys_tested(key_bits: int, trials: int, seed: int) -> list[int]:
     binary search, then draws where the first of them falls in a uniform
     scan order (`_first_rank`): the scalar search's count, in
     distribution.
+
+    A trial draws its secret, then its rank; with m = 1 both are single
+    `integers(size)` draws, so one `integers(size, size=(n, 2))` call
+    makes n trials' draws in the order a trial-by-trial loop makes them.
+    A secret with m > 1 draws an m-subset instead, so the block stops
+    short of it: the generator goes back to the block's start state and
+    redraws the trials before it and the tied secret, `_first_rank`
+    draws that trial's rank, and the next block starts after it.  The
+    counts and the final generator state are those of the trial-by-trial
+    loop.
     """
     pairs = _packed_pairs(key_bits)
     table = np.sort(pairs)
     rng = np.random.default_rng(seed)
     size = 1 << key_bits
-    counts = []
-    for _ in range(trials):
-        secret = int(rng.integers(size))
-        target = pairs[secret]
-        m = int(np.searchsorted(table, target, "right") - np.searchsorted(table, target, "left"))
-        counts.append(_first_rank(rng, size, m))
+    counts: list[int] = []
+    while len(counts) < trials:
+        start = rng.bit_generator.state
+        draws = rng.integers(size, size=(trials - len(counts), 2))
+        targets = pairs[draws[:, 0]]
+        m = table.searchsorted(targets, "right") - table.searchsorted(targets, "left")
+        tied = np.flatnonzero(m > 1)
+        if not tied.size:
+            counts += (draws[:, 1] + 1).tolist()
+            break
+        first = int(tied[0])
+        rng.bit_generator.state = start
+        rng.integers(size, size=2 * first + 1)  # the trials before it, and its secret
+        counts += (draws[:first, 1] + 1).tolist()
+        counts.append(_first_rank(rng, size, int(m[first])))
     return counts
 
 
@@ -200,7 +235,7 @@ def state_search_candidates_tested(
     size = 1 << unknown
     counts, truths, observed = [], [], []
     for _ in range(trials):
-        truth = tuple(int(rng.integers(1 << word_bits)) for _ in range(4))
+        truth = tuple(rng.integers(1 << word_bits, size=4).tolist())
         packed = pack_state(truth, word_bits)
         counts.append(_first_rank(rng, size, 1))
         truths.append(packed)

@@ -29,7 +29,8 @@ MASK32 = 0xFFFFFFFF
 
 def rotl(value, amount: int, width: int):
     """Rotate left within `width` bits; `value` is an int or an unsigned
-    numpy array wide enough to hold `value << amount`."""
+    numpy array at least `width` bits wide.  A shift that wraps the
+    array's dtype loses only bits above `width`, which the mask drops."""
     amount %= width
     if amount == 0:
         return value
