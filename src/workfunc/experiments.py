@@ -6,54 +6,62 @@ run the toy cipher's own key schedule and rounds, and the generator's own
 step, on arrays of keys or candidate states, so there is one
 implementation of each primitive.
 
-A scalar search scans its candidates in a uniformly random order and
-stops at the first target.  The targets' positions in such an order are
-a uniformly random subset of the ranks, so a trial draws that subset
-(`_first_rank`) instead of shuffling the whole candidate space: the
-count has exactly the scalar search's distribution, at a cost per trial
-that does not grow with the space.  The key search draws all its trials
-in one call.  Two numpy identities keep that draw sequence equal to one
-trial at a time, value for value and generator state for state: a
-one-member subset `choice(size, 1, replace=False)` is one
-`integers(size)` draw, and `integers(size, size=n)` is n scalar
+The searches, `brute_force_search` and `state_search`, check every
+candidate in one array pass and take the first match in a seeded
+shuffled order, charging a meter once per candidate scanned: what a
+candidate-by-candidate loop finds, at the same count.
+
+A sweep runs many trials of such a search.  The targets' positions in a
+uniformly random order are a uniformly random subset of the ranks, so a
+trial draws that subset (`_first_rank`) instead of shuffling the whole
+candidate space: the count has exactly the search's distribution, at a
+cost per trial that does not grow with the space.  The key sweep draws
+all its trials in one call.  Two numpy identities keep that draw
+sequence equal to one trial at a time, value for value and generator
+state for state: a one-member subset `choice(size, 1, replace=False)` is
+one `integers(size)` draw, and `integers(size, size=n)` is n scalar
 `integers(size)` draws.  A trial whose secret has more than one
 consistent key draws a true subset, so the block is replayed up to it
 (`brute_force_keys_tested`).
 
-The state search sweeps no candidate space either.  The generator's
+The state sweep scans no candidate space either.  The generator's
 first output word is (a' + c') mod 2**w, and the hint fixes a', so for
 each value of c's unknown low bits exactly one d meets the observed first
 word: the 2**(ceil(1.5w) - w) candidates that survive the first word are
-listed directly.  The survivors of every trial then step through the
-whole observed window in one lockstep `arx_step` pass, which checks that
-the window pins each trial's state uniquely.
+listed directly.  Every trial's observed window, and then its survivors'
+outputs over that window, come from one lockstep `arx_step` pass each
+(`_lockstep_outputs`), and the sweep checks that the window pins each
+trial's state uniquely.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
+from .cost import CostMeter, record_step
 from .estimators import DEFAULT_BYTES_PER_KEY_BIT
 from .toycrypto import (
-    CHECKER_OPS,
+    MAX_WORD_BITS,
     KeystreamGen,
     SCAN_CAP_MARGIN_BITS,
     StandInPrng,
     ToyCipher,
     arx_step,
-    brute_force_search,
     pack_state,
     reduction_hint,
     reduction_unknown_bits,
     rotl,
-    state_search,
     unpack_state,
 )
+
+# flat op count of checking one candidate state against the window
+CHECKER_OPS = 16
 
 # fixed known plaintexts for key-search trials; two blocks pin the key
 TRIAL_PLAINTEXTS = (0x00000000, 0x00000001)
@@ -197,13 +205,20 @@ def _first_word_survivors(word_bits: int, high_bits, first_words) -> np.ndarray:
     return j << w | ((t - (c_high | j)) & mask)
 
 
-def _confirm_window(word_bits: int, high_bits, lows: np.ndarray, observed) -> np.ndarray:
+def _lockstep_outputs(word_bits: int, state, count: int) -> Iterator[np.ndarray]:
+    """Yield the first `count` outputs of the four uint32 `state` words:
+    all states step in lockstep, one `arx_step` per word."""
+    for _ in range(count):
+        state, word = arx_step(state, word_bits)
+        yield word
+
+
+def _confirm_window(word_bits: int, high_bits, lows, observed) -> np.ndarray:
     """True where a candidate state emits the whole observed window.
 
     Takes one hint, a row of lows and one window, or one hint, one row of
     lows and one window per trial (`high_bits` 1-D, `lows` and `observed`
-    2-D).  All candidates step in lockstep, one `arx_step` on uint32
-    arrays per observed word.
+    2-D).  All candidates step in lockstep (`_lockstep_outputs`).
     """
     w = word_bits
     lows = np.asarray(lows, dtype=np.uint32)
@@ -211,10 +226,86 @@ def _confirm_window(word_bits: int, high_bits, lows: np.ndarray, observed) -> np
     a, b, c_high = _hint_words(w, high_bits)
     state = (a, b, c_high | (lows >> w), lows & ((1 << w) - 1))
     keep = np.ones(lows.shape, dtype=bool)
-    for i in range(observed.shape[-1]):
-        state, output = arx_step(state, w)
+    for i, output in enumerate(_lockstep_outputs(w, state, observed.shape[-1])):
         keep &= output == observed[..., i, None]
     return keep
+
+
+def _scan(order: Sequence[int], match: np.ndarray, cost: float) -> tuple[int, CostMeter]:
+    """The first candidate of `order` that matches, and a fresh meter
+    charged `cost` by one `record_step` per candidate scanned up to it."""
+    if not match.any():
+        raise LookupError("no candidate in the scan order matches")
+    meter = CostMeter()
+    for candidate in order[: int(match.argmax()) + 1]:
+        meter = record_step(meter, cost)
+    return candidate, meter
+
+
+@dataclass(frozen=True)
+class StateSearchResult:
+    state_packed: int
+    candidates_tested: int
+    meter: CostMeter
+
+
+def state_search(
+    word_bits: int, observed: Sequence[int], hint_high_bits: int, rng_seed: int | str = 0
+) -> StateSearchResult:
+    """Recover the generator state that produced `observed`.
+
+    Candidates share the hinted high bits; their low ceil(1.5w) bits are
+    scanned in `random.Random(rng_seed).shuffle` order, all checked in one
+    lockstep pass (`_confirm_window`).  Each one scanned up to the first
+    match charges CHECKER_OPS (the checker is modeled at a flat op count).
+    """
+    if not 1 <= word_bits <= MAX_WORD_BITS:
+        raise ValueError(f"word_bits must be in [1, {MAX_WORD_BITS}]")
+    if not observed or not all(0 <= word < 1 << word_bits for word in observed):
+        raise ValueError("observed outputs must be a non-empty window of word_bits words")
+    unknown = reduction_unknown_bits(word_bits)
+    if not 0 <= hint_high_bits < 1 << (4 * word_bits - unknown):
+        raise ValueError(f"hint_high_bits must fit in {4 * word_bits - unknown} bits")
+    order = list(range(1 << unknown))
+    random.Random(rng_seed).shuffle(order)
+    match = _confirm_window(word_bits, hint_high_bits, order, observed)
+    low, meter = _scan(order, match, CHECKER_OPS)
+    return StateSearchResult((hint_high_bits << unknown) | low, meter.step_count, meter)
+
+
+@dataclass(frozen=True)
+class KeySearchResult:
+    key: int
+    keys_tested: int
+    meter: CostMeter
+
+
+def brute_force_search(
+    cipher: ToyCipher,
+    pairs: Sequence[tuple[int, int]],
+    per_key_cost: float,
+    rng_seed: int | str = 0,
+    order: Optional[Sequence[int]] = None,
+) -> KeySearchResult:
+    """Scan keys in seeded random order for one consistent with all pairs.
+
+    Keys are scanned in `random.Random(rng_seed).shuffle` order, or in an
+    explicit `order` (the caller owns its completeness), all checked in one
+    pass of the cipher on uint32 lanes.  Each one scanned up to the first
+    match charges per_key_cost, so meter.accumulated_cost == keys_tested *
+    per_key_cost holds exactly for exactly-representable costs.
+    """
+    if not pairs or not all(0 <= block < 1 << cipher.block_bits for pair in pairs for block in pair):
+        raise ValueError(f"pairs must be a non-empty list of {cipher.block_bits}-bit blocks")
+    if order is None:
+        order = list(range(1 << cipher.key_bits))
+        random.Random(rng_seed).shuffle(order)
+    elif not all(0 <= key < 1 << cipher.key_bits for key in order):
+        raise ValueError(f"order holds a key out of range for {cipher.key_bits} bits")
+    subkeys = cipher.schedule(np.array(order, dtype=np.uint32))
+    match = np.logical_and.reduce([cipher.encrypt_with_subkeys(subkeys, p) == c for p, c in pairs])
+    key, meter = _scan(order, match, per_key_cost)
+    return KeySearchResult(key, meter.step_count, meter)
 
 
 def state_search_candidates_tested(
@@ -227,26 +318,24 @@ def state_search_candidates_tested(
     (`_first_word_survivors`), and those of every trial are stepped in
     one lockstep pass through the whole window (`_confirm_window`), which
     must pin each trial's state uniquely.  The count is where the one
-    true candidate falls in a uniform scan order (`_first_rank`): the
-    scalar search's count, in distribution.
+    true candidate falls in a uniform scan order (`_first_rank`):
+    `state_search`'s count, in distribution.
     """
     rng = np.random.default_rng(seed)
-    unknown = reduction_unknown_bits(word_bits)
-    size = 1 << unknown
-    counts, truths, observed = [], [], []
+    size = 1 << reduction_unknown_bits(word_bits)
+    counts, truths = [], []
     for _ in range(trials):
-        truth = tuple(rng.integers(1 << word_bits, size=4).tolist())
-        packed = pack_state(truth, word_bits)
+        truths.append(rng.integers(1 << word_bits, size=4))
         counts.append(_first_rank(rng, size, 1))
-        truths.append(packed)
-        observed.append(StandInPrng.from_packed(word_bits, packed).next_words(window))
-    highs = [reduction_hint(packed, word_bits) for packed in truths]
-    observed = np.array(observed, dtype=np.uint32).reshape(trials, window)
+    truth = np.array(truths, dtype=np.uint64).reshape(trials, 4).T
+    observed = np.stack([*_lockstep_outputs(word_bits, truth.astype(np.uint32), window)], -1)
+    packed = pack_state(truth, word_bits)
+    highs = reduction_hint(packed, word_bits)
     lows = _first_word_survivors(word_bits, highs, observed[:, 0])
     confirmed = _confirm_window(word_bits, highs, lows, observed)
-    for packed, row, keep in zip(truths, lows, confirmed):
+    for low, row, keep in zip((packed & np.uint64(size - 1)).tolist(), lows, confirmed):
         full = row[keep].tolist()
-        if full != [packed & (size - 1)]:
+        if full != [low]:
             raise AssertionError(f"window does not pin the state uniquely: {full}")
     return counts
 
@@ -291,9 +380,7 @@ def keystream_bias_experiment(
     )
 
 
-def scan_mean_words(
-    word_bits: int, starts: int, seed: int
-) -> tuple[float, int]:
+def scan_mean_words(word_bits: int, starts: int, seed: int) -> tuple[float, int]:
     """Mean words to the first zero output over random starts.
 
     All starts step in lockstep, one `arx_step` on uint32 arrays per word,
@@ -327,9 +414,8 @@ def meter_ledger_experiment(seed: int = 5) -> ExperimentResult:
     step_gap = found.meter.step_count - found.keys_tested
 
     prng = StandInPrng.from_seed(8, seed)
-    packed = prng.packed_state()
-    observed = prng.next_words(16)
-    res = state_search(8, observed, reduction_hint(packed, 8), rng_seed=seed)
+    hint = reduction_hint(prng.packed_state(), 8)
+    res = state_search(8, prng.next_words(16), hint, rng_seed=seed)
     search_gap = res.meter.accumulated_cost - CHECKER_OPS * res.candidates_tested
 
     return ExperimentResult(
@@ -351,8 +437,6 @@ def run_validation(quick: bool = False, seed: int = 11) -> list[ExperimentResult
     slope_trials = (100, 60, 40) if quick else (300, 200, 120)
     slope_result, _ = state_search_slope_experiment(trials_list=slope_trials, seed=seed)
     results.append(slope_result)
-    results.append(
-        keystream_bias_experiment(nbits=200_000 if quick else 1_000_000)
-    )
+    results.append(keystream_bias_experiment(nbits=200_000 if quick else 1_000_000))
     results.append(meter_ledger_experiment())
     return results

@@ -4,17 +4,16 @@ These exist so that cost-model claims can be checked empirically in
 seconds: a small Feistel block cipher for key-search statistics, a biased
 keystream source for distinguishing games, and a small ARX word generator
 whose state can be recovered from output.  Key sizes are capped at 28
-bits and word sizes at 16 bits; nothing here is fit for real use.
+bits and word sizes at 16 bits; nothing here is fit for real use.  The
+key and state searches, which run these on numpy arrays, are in
+`experiments`: this module is on the game's import path, without numpy.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
-
-from .cost import CostMeter, record_step
+from typing import Sequence
 
 MAX_KEY_BITS = 28
 MAX_WORD_BITS = 16
@@ -80,8 +79,9 @@ class ToyCipher:
     def schedule(self, key):
         """The four round subkeys of `key`, without the range check.
 
-        `key` is an int, or a uint64 numpy array of keys to schedule at
-        once; the subkeys then are arrays of the same shape.
+        `key` is an int, or a uint32 (or wider unsigned) numpy array of
+        keys to schedule at once; the subkeys then are arrays of the same
+        shape.  uint32 lanes are exact: the product is reduced mod 2**32.
         """
         out = []
         for i, rc in enumerate(ROUND_CONSTANTS):
@@ -206,10 +206,6 @@ class StandInPrng:
         rng = random.Random(seed)
         return cls(word_bits, tuple(rng.randrange(1 << word_bits) for _ in range(4)))
 
-    @classmethod
-    def from_packed(cls, word_bits: int, packed: int) -> "StandInPrng":
-        return cls(word_bits, unpack_state(packed, word_bits))
-
     def packed_state(self) -> int:
         return pack_state(self.state, self.word_bits)
 
@@ -269,84 +265,3 @@ def reduction_hint(true_state_packed: int, word_bits: int) -> int:
     """
     unknown = reduction_unknown_bits(word_bits)
     return true_state_packed >> unknown
-
-
-# flat op count of checking one candidate state against the window
-CHECKER_OPS = 16
-
-
-@dataclass(frozen=True)
-class StateSearchResult:
-    state_packed: int
-    candidates_tested: int
-    meter: CostMeter
-
-
-def state_search(
-    word_bits: int,
-    observed: Sequence[int],
-    hint_high_bits: int,
-    rng_seed: int | str = 0,
-) -> StateSearchResult:
-    """Recover the generator state that produced `observed`.
-
-    Candidates share the hinted high bits and enumerate the low
-    ceil(1.5w) bits in a seeded random order.  Every candidate charges
-    CHECKER_OPS to a fresh meter (the checker is modeled at a flat op count).
-    Returns the first candidate that reproduces the whole observed window.
-    """
-    if not observed:
-        raise ValueError("observed outputs must be non-empty")
-    meter = CostMeter()
-    unknown = reduction_unknown_bits(word_bits)
-    order = list(range(1 << unknown))
-    random.Random(rng_seed).shuffle(order)
-    tested = 0
-    for low in order:
-        tested += 1
-        meter = record_step(meter, CHECKER_OPS)
-        candidate = (hint_high_bits << unknown) | low
-        prng = StandInPrng.from_packed(word_bits, candidate)
-        if all(prng.next_word() == word for word in observed):
-            return StateSearchResult(candidate, tested, meter)
-    raise LookupError("no candidate state reproduces the observed outputs")
-
-
-@dataclass(frozen=True)
-class KeySearchResult:
-    key: int
-    keys_tested: int
-    meter: CostMeter
-
-
-def brute_force_search(
-    cipher: ToyCipher,
-    pairs: Sequence[tuple[int, int]],
-    per_key_cost: float,
-    rng_seed: int | str = 0,
-    order: Optional[Sequence[int]] = None,
-) -> KeySearchResult:
-    """Scan keys in seeded random order for one consistent with all pairs.
-
-    Every scanned candidate charges per_key_cost to a fresh meter, so the
-    ledger identity meter.accumulated_cost == keys_tested * per_key_cost
-    holds exactly for exactly-representable costs.  An explicit `order`
-    overrides the seeded shuffle (the caller owns its completeness).
-    """
-    if not pairs:
-        raise ValueError("pairs must be non-empty")
-    meter = CostMeter()
-    if order is None:
-        scan = list(range(1 << cipher.key_bits))
-        random.Random(rng_seed).shuffle(scan)
-    else:
-        scan = order
-    encrypt = cipher.encrypt_with_subkeys
-    tested = 0
-    for key in scan:
-        tested += 1
-        meter = record_step(meter, per_key_cost)
-        subkeys = cipher.subkeys(key)
-        if all(encrypt(subkeys, p) == c for p, c in pairs):
-            return KeySearchResult(key, tested, meter)
-    raise LookupError("no key consistent with the given pairs")

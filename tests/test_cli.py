@@ -528,6 +528,15 @@ def test_validate_refuses_a_seed_that_is_not_a_non_negative_integer(capsys, seed
     assert f"argument --seed: must be a non-negative integer, got {seed!r}" in err
 
 
+def test_validate_seed_help_names_the_lines_it_seeds(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["validate", "--help"])
+    assert info.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())
+    assert "--seed SEED seeds the key-search and state-search lines (default 11)" in help_text
+    assert "keystream and meter-ledger lines use fixed seeds 20 and 5" in help_text
+
+
 def test_console_script_entry_point():
     proc = subprocess.run(["workfunc", "table", "1"], capture_output=True, text=True)
     assert proc.returncode == 0

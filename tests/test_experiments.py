@@ -12,27 +12,34 @@ from workfunc.experiments import (
     _confirm_window,
     _first_rank,
     _first_word_survivors,
+    _lockstep_outputs,
     _packed_pairs,
     brute_force_keys_tested,
     brute_force_mean_experiment,
+    brute_force_search,
     cipher_table,
     keystream_bias_experiment,
     meter_ledger_experiment,
     run_validation,
     scan_mean_words,
+    state_search,
     state_search_candidates_tested,
     state_search_slope_experiment,
 )
 from workfunc.toycrypto import (
+    MAX_WORD_BITS,
     ScanLimitError,
     StandInPrng,
     ToyCipher,
-    brute_force_search,
     reduction_hint,
     reduction_unknown_bits,
     scan_for_zero,
-    state_search,
+    unpack_state,
 )
+
+
+def _prng(word_bits, packed):
+    return StandInPrng(word_bits, unpack_state(packed, word_bits))
 
 
 def test_cipher_table_matches_scalar_cipher():
@@ -57,7 +64,7 @@ def test_first_word_survivors_match_scalar_generator():
         top = (1 << (4 * w - unknown)) - 1
         for high in (0, 1, top, rng.randrange(top + 1)):
             firsts = [
-                StandInPrng.from_packed(w, (high << unknown) | low).next_word()
+                _prng(w, (high << unknown) | low).next_word()
                 for low in range(1 << unknown)
             ]
             words = range(1 << w)
@@ -72,7 +79,7 @@ def test_first_word_survivors_match_scalar_generator():
         for high in (0, 1, top, *(rng.randrange(top + 1) for _ in range(5))):
             lows = [rng.randrange(1 << unknown) for _ in range(40)]
             firsts = [
-                StandInPrng.from_packed(w, (high << unknown) | low).next_word() for low in lows
+                _prng(w, (high << unknown) | low).next_word() for low in lows
             ]
             words = [*firsts, rng.randrange(1 << w)]
             listed = _first_word_survivors(w, [high] * len(words), words).tolist()
@@ -82,7 +89,7 @@ def test_first_word_survivors_match_scalar_generator():
                 assert len(row) == 1 << (unknown - w) and row == sorted(set(row))
                 for low in row:
                     packed = (high << unknown) | low
-                    assert StandInPrng.from_packed(w, packed).next_word() == word
+                    assert _prng(w, packed).next_word() == word
 
 
 def test_first_rank_has_the_exact_first_target_distribution():
@@ -164,7 +171,7 @@ def _scalar_window_survivors(w, high, lows, observed):
     return [
         low
         for low in lows
-        if StandInPrng.from_packed(w, (high << unknown) | low).next_words(len(observed))
+        if _prng(w, (high << unknown) | low).next_words(len(observed))
         == observed
     ]
 
@@ -179,7 +186,7 @@ def test_lockstep_window_keeps_the_scalar_window_survivors():
         truths = [(high << unknown) | rng.randrange(1 << unknown) for high in highs]
         # a short window keeps many candidates, a long one only the truth
         for window in (1, 2, 8):
-            windows = [StandInPrng.from_packed(w, truth).next_words(window) for truth in truths]
+            windows = [_prng(w, truth).next_words(window) for truth in truths]
             scalar = [
                 _scalar_window_survivors(w, high, lows.tolist(), observed)
                 for high, observed in zip(highs, windows)
@@ -190,6 +197,17 @@ def test_lockstep_window_keeps_the_scalar_window_survivors():
             rows = np.tile(lows, (len(highs), 1))
             kept = _confirm_window(w, highs, rows, windows)
             assert [row[keep].tolist() for row, keep in zip(rows, kept)] == scalar
+
+
+def test_lockstep_windows_equal_the_scalar_generator():
+    rng = random.Random(9)
+    for w in range(1, MAX_WORD_BITS + 1):
+        top = (1 << w) - 1
+        states = [(0, 0, 0, 0), (top, top, top, top)]
+        states += [tuple(rng.randrange(top + 1) for _ in range(4)) for _ in range(30)]
+        words = tuple(np.array(states, dtype=np.uint32).T)
+        windows = [StandInPrng(w, state).next_words(20) for state in states]
+        assert np.stack([*_lockstep_outputs(w, words, 20)], -1).tolist() == windows
 
 
 def test_state_search_uniqueness_check_stays_live():
@@ -300,6 +318,27 @@ def test_meter_ledger_identities_exact():
     assert result.statistic == 0.0
     assert result.tolerance == 0.0
     assert result.passed
+
+
+def test_meter_ledger_search_counts_are_frozen_at_seed_5(monkeypatch):
+    # the printed statistic is 0 for any scan order, so the counts pin it
+    found = {}
+    for name in ("brute_force_search", "state_search"):
+        search = getattr(experiments, name)
+
+        def recorded(*args, _name=name, _search=search, **kwargs):
+            found[_name] = _search(*args, **kwargs)
+            return found[_name]
+
+        monkeypatch.setattr(experiments, name, recorded)
+    assert meter_ledger_experiment().statistic == 0.0
+    key = found["brute_force_search"]
+    assert (key.key, key.keys_tested, key.meter.step_count) == (0x5A5, 878, 878)
+    assert key.meter.accumulated_cost == 878 * 1440.0
+    state = found["state_search"]
+    assert (state.candidates_tested, state.meter.step_count) == (1826, 1826)
+    assert state.state_packed == StandInPrng.from_seed(8, 5).packed_state()
+    assert state.meter.accumulated_cost == 1826 * 16.0
 
 
 def test_validation_figures_are_frozen_at_seed_11():

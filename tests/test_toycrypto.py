@@ -1,11 +1,14 @@
 import math
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from workfunc import toycrypto
+from workfunc import experiments
+from workfunc.cost import CostMeter, record_step
+from workfunc.experiments import CHECKER_OPS, brute_force_search, state_search
 from workfunc.toycrypto import (
     MAX_KEY_BITS,
     MAX_WORD_BITS,
@@ -13,13 +16,12 @@ from workfunc.toycrypto import (
     ScanLimitError,
     StandInPrng,
     ToyCipher,
-    brute_force_search,
+    arx_step,
     pack_state,
     reduction_hint,
     reduction_unknown_bits,
     rotl,
     scan_for_zero,
-    state_search,
     unpack_state,
 )
 
@@ -178,7 +180,7 @@ def test_clone_is_independent():
     original_state = prng.state
     prng.next_words(5)
     assert twin.state == original_state
-    assert StandInPrng.from_packed(8, twin.packed_state()).state == original_state
+    assert unpack_state(twin.packed_state(), 8) == original_state
 
 
 @given(word_bits=st.integers(min_value=1, max_value=16), data=st.data())
@@ -192,7 +194,7 @@ def test_scan_for_zero_one_bit_exhaustive():
     # every 4-bit state space fits in a hand check: zero appears in step 1 or 2
     counts = []
     for packed in range(16):
-        counts.append(scan_for_zero(StandInPrng.from_packed(1, packed)))
+        counts.append(scan_for_zero(StandInPrng(1, unpack_state(packed, 1))))
     assert set(counts) == {1, 2}
     assert sum(counts) / len(counts) == 1.5
 
@@ -231,7 +233,7 @@ def test_state_search_cost_scales_with_checker_ops(monkeypatch):
     observed = StandInPrng(8, truth.state).next_words(16)
     hint = reduction_hint(truth.packed_state(), 8)
     base = state_search(8, observed, hint, rng_seed=4)
-    monkeypatch.setattr(toycrypto, "CHECKER_OPS", 32)
+    monkeypatch.setattr(experiments, "CHECKER_OPS", 32)
     priced = state_search(8, observed, hint, rng_seed=4)
     assert priced.candidates_tested == base.candidates_tested
     assert priced.meter.accumulated_cost == 2.0 * base.meter.accumulated_cost
@@ -243,8 +245,24 @@ def test_state_search_wrong_hint_fails():
     wrong = (reduction_hint(truth.packed_state(), 8) + 1) % (1 << 20)
     with pytest.raises(LookupError):
         state_search(8, observed, wrong, rng_seed=1)
-    with pytest.raises(ValueError):
-        state_search(8, [], 0)
+
+
+def test_state_search_refuses_inputs_it_cannot_use():
+    truth = StandInPrng.from_seed(8, "vector")
+    observed = StandInPrng(8, truth.state).next_words(16)
+    hint = reduction_hint(truth.packed_state(), 8)
+    assert state_search(8, observed, hint).state_packed == truth.packed_state()
+    # the hint holds the 4w - ceil(1.5w) = 20 high bits; more would be dropped
+    for bad_hint in (-1, 1 << 20, hint | 1 << 20):
+        with pytest.raises(ValueError, match="hint_high_bits"):
+            state_search(8, observed, bad_hint)
+    for word_bits in (0, MAX_WORD_BITS + 1):
+        with pytest.raises(ValueError, match="word_bits"):
+            state_search(word_bits, [0], 0)
+    # an empty window, and a word no w-bit generator emits
+    for window in ([], [*observed[:3], 256], [-1]):
+        with pytest.raises(ValueError, match="observed"):
+            state_search(8, window, hint)
 
 
 def test_brute_force_search_ledger_and_recovery():
@@ -264,15 +282,28 @@ def test_brute_force_search_explicit_order():
     direct = brute_force_search(tc, pairs, per_key_cost=1.0, order=[planted])
     assert direct.key == planted
     assert direct.keys_tested == 1
+    late = brute_force_search(tc, pairs, per_key_cost=1.0, order=[0, 1, planted, 2])
+    assert (late.key, late.keys_tested, late.meter.step_count) == (planted, 3, 3)
     with pytest.raises(LookupError):
         brute_force_search(tc, pairs, per_key_cost=1.0, order=[0, 1, 2])
-    with pytest.raises(ValueError):
-        brute_force_search(tc, [], per_key_cost=1.0)
+    with pytest.raises(LookupError):
+        brute_force_search(tc, pairs, per_key_cost=1.0, order=[])
+
+
+def test_brute_force_search_refuses_inputs_it_cannot_use():
+    tc = ToyCipher(12)
+    pairs = [(p, tc.encrypt(0x0C3, p)) for p in (0x00000000, 0x00000001)]
+    # no pairs, and a plaintext or ciphertext that is no 32-bit block
+    for bad_pairs in ([], [(-1, 0)], [(0, 1 << 32), *pairs]):
+        with pytest.raises(ValueError, match="pairs"):
+            brute_force_search(tc, bad_pairs, per_key_cost=1.0)
+    # a key outside the keyspace is refused even behind the consistent one
+    for bad in (1 << 12, -1):
+        with pytest.raises(ValueError, match="out of range for 12 bits"):
+            brute_force_search(tc, pairs, per_key_cost=1.0, order=[0x0C3, bad])
 
 
 def test_brute_force_search_identifies_exactly():
-    import random
-
     rng = random.Random(77)
     tc = ToyCipher(12)
     for trial in range(50):
@@ -281,3 +312,62 @@ def test_brute_force_search_identifies_exactly():
         found = brute_force_search(tc, pairs, per_key_cost=1.0, rng_seed=trial)
         assert found.key == planted
 
+
+def _scalar_key_search(cipher, pairs, per_key_cost, rng_seed):
+    """The key search one candidate at a time, with the scalar cipher."""
+    order = list(range(1 << cipher.key_bits))
+    random.Random(rng_seed).shuffle(order)
+    meter = CostMeter()
+    for key in order:
+        meter = record_step(meter, per_key_cost)
+        if all(cipher.encrypt(key, p) == c for p, c in pairs):
+            return key, meter.step_count, meter
+    raise LookupError
+
+
+def _scalar_state_search(word_bits, observed, hint, rng_seed):
+    """The state search one candidate at a time, stepping `arx_step` on ints."""
+    unknown = reduction_unknown_bits(word_bits)
+    order = list(range(1 << unknown))
+    random.Random(rng_seed).shuffle(order)
+    meter = CostMeter()
+    for low in order:
+        meter = record_step(meter, CHECKER_OPS)
+        packed = (hint << unknown) | low
+        state = unpack_state(packed, word_bits)
+        for word in observed:
+            state, output = arx_step(state, word_bits)
+            if output != word:
+                break
+        else:
+            return packed, meter.step_count, meter
+    raise LookupError
+
+
+def test_array_searches_match_the_scalar_oracle():
+    wide, narrow = ToyCipher(12), ToyCipher(10, block_bits=16)
+    for rng_seed in range(50):
+        rng = random.Random(f"oracle:{rng_seed}")
+        secret = rng.randrange(1 << 12)
+        pairs = [(p, wide.encrypt(secret, p)) for p in (rng.randrange(1 << 32), 1)]
+        found = brute_force_search(wide, pairs, 1440.0, rng_seed=rng_seed)
+        oracle = _scalar_key_search(wide, pairs, 1440.0, rng_seed)
+        assert (found.key, found.keys_tested, found.meter) == oracle
+        # on a 16-bit block one known pair cannot tell the secret from a key
+        # with the same ciphertext, so the first of the two in scan order wins
+        block = rng.randrange(1 << 16)
+        outputs = [narrow.encrypt(key, block) for key in range(1 << 10)]
+        seen = Counter(outputs)
+        secret = rng.choice([key for key, out in enumerate(outputs) if seen[out] > 1])
+        pairs = [(block, outputs[secret])]
+        found = brute_force_search(narrow, pairs, 0.1, rng_seed=rng_seed)
+        oracle = _scalar_key_search(narrow, pairs, 0.1, rng_seed)
+        assert (found.key, found.keys_tested, found.meter) == oracle
+        # a two-word window at w = 5, and w = 3, leave several consistent states
+        for word_bits, window in ((8, 16), (5, 2), (3, 16)):
+            prng = StandInPrng.from_seed(word_bits, f"oracle:{rng_seed}")
+            hint = reduction_hint(prng.packed_state(), word_bits)
+            observed = prng.next_words(window)
+            found = state_search(word_bits, observed, hint, rng_seed=rng_seed)
+            oracle = _scalar_state_search(word_bits, observed, hint, rng_seed)
+            assert (found.state_packed, found.candidates_tested, found.meter) == oracle
