@@ -130,7 +130,7 @@ def _computed_report(title: str, rows: list[tuple], scenario: Scenario) -> Repor
         title=title,
         columns=("quantity", "value", "note"),
         rows=tuple(rows),
-        provenance=tuple(("computed", "") for _ in rows),
+        provenance=("computed", ""),
     )
 
 
@@ -348,7 +348,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
         title="Device catalog",
         columns=("device", "transistors", "clock_hz", "components", "rate_bytes_per_s"),
         rows=tuple(rows),
-        provenance=tuple(("catalog", "") for _ in rows),
+        provenance=("catalog", ""),
     )
     _emit(report, args.csv, args.output)
     return EXIT_OK

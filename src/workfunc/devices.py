@@ -102,23 +102,16 @@ def fleet_rate(fleet: Union[Fleet, Iterable[Fleet]]) -> float:
     return total
 
 
-def cost_per_bit(device: Union[DeviceSpec, Fleet], record: ThroughputRecord) -> float:
-    """Bytes charged per bit of throughput for `record` on `device`.
+def cost_per_bit(fleet: Fleet, record: ThroughputRecord) -> float:
+    """Bytes charged per bit of throughput for `record` on `fleet`.
 
-    The device name must match the record; a fleet prices multi-chip
-    figures with the summed rate.
+    The fleet's device name must match the record; multi-chip figures are
+    priced with the summed rate.
     """
-    if isinstance(device, Fleet):
-        spec = device.device
-        rate = fleet_rate(device)
-    else:
-        spec = device
-        rate = resource_rate(device)
-    if normalize_name(spec.name) != normalize_name(record.device_name):
-        raise ValueError(
-            f"device {spec.name!r} does not match record for {record.device_name!r}"
-        )
-    return record.core_fraction * rate / record.throughput_bits_per_s
+    name = fleet.device.name
+    if normalize_name(name) != normalize_name(record.device_name):
+        raise ValueError(f"device {name!r} does not match record for {record.device_name!r}")
+    return record.core_fraction * fleet_rate(fleet) / record.throughput_bits_per_s
 
 
 class CatalogError(ValueError):

@@ -120,14 +120,12 @@ class DictionaryModel:
 class DictionaryStats:
     entries: float
     entry_bits: int
-    dictionary_bits: float
     dictionary_bytes: float
     expected_comparisons: int
     steps_per_lookup: int
     lookup_cost: float
     per_key_cost: float
     construction_cost: float
-    construction_is_search_bound: bool = True
 
 
 def dictionary_stats(model: DictionaryModel) -> DictionaryStats:
@@ -135,15 +133,14 @@ def dictionary_stats(model: DictionaryModel) -> DictionaryStats:
 
     The lookup is priced under a lease model: every step of the lookup
     keeps the whole dictionary allocated, so one lookup costs
-    steps_per_lookup * dictionary_bytes.  Construction is reported as the
-    exhaustive-search average (a search bound, not a tight dictionary
-    build cost), flagged by construction_is_search_bound.
+    steps_per_lookup * dictionary_bytes.  Construction is priced at the
+    exhaustive-search average: a search bound, not a tight dictionary
+    build cost.
     """
     k = model.key_bits
     entries = 2.0 ** (k - model.epsilon)
     entry_bits = (model.plaintext_blocks + 1) * k
-    dictionary_bits = entry_bits * entries
-    dictionary_bytes = dictionary_bits / 8.0
+    dictionary_bytes = entry_bits * entries / 8.0
     if model.upper_bound:
         comparisons = model.plaintext_blocks * k * (k - model.epsilon)
     else:
@@ -155,7 +152,6 @@ def dictionary_stats(model: DictionaryModel) -> DictionaryStats:
     return DictionaryStats(
         entries=entries,
         entry_bits=entry_bits,
-        dictionary_bits=dictionary_bits,
         dictionary_bytes=dictionary_bytes,
         expected_comparisons=comparisons,
         steps_per_lookup=steps,

@@ -8,8 +8,8 @@ implementation of each primitive.
 
 The searches, `brute_force_search` and `state_search`, check every
 candidate in one array pass and take the first match in a seeded
-shuffled order, charging a meter once per candidate scanned: what a
-candidate-by-candidate loop finds, at the same count.
+shuffled order: what a candidate-by-candidate loop finds, at the same
+count.  Their cost is the plain sum of one charge per candidate scanned.
 
 A sweep runs many trials of such a search.  The targets' positions in a
 uniformly random order are a uniformly random subset of the ranks, so a
@@ -40,11 +40,10 @@ import math
 import random
 from dataclasses import dataclass
 from statistics import fmean
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .cost import CostMeter, record_step
 from .estimators import DEFAULT_BYTES_PER_KEY_BIT
 from .toycrypto import (
     MAX_WORD_BITS,
@@ -85,7 +84,6 @@ class ExperimentResult:
     statistic: float
     expected: float
     tolerance: float  # absolute bound on |statistic - expected|
-    detail: str = ""
 
     @property
     def passed(self) -> bool:
@@ -166,7 +164,6 @@ def brute_force_mean_experiment(key_bits: int, trials: int, seed: int) -> Experi
         statistic=fmean(counts),
         expected=expected,
         tolerance=0.05 * expected,
-        detail=f"{trials} random secrets, drawn scan ranks",
     )
 
 
@@ -231,22 +228,24 @@ def _confirm_window(word_bits: int, high_bits, lows, observed) -> np.ndarray:
     return keep
 
 
-def _scan(order: Sequence[int], match: np.ndarray, cost: float) -> tuple[int, CostMeter]:
-    """The first candidate of `order` that matches, and a fresh meter
-    charged `cost` by one `record_step` per candidate scanned up to it."""
+def _scan(order: Sequence[int], match: np.ndarray, charge: float) -> tuple[int, int, float]:
+    """The first candidate of `order` that matches, the count scanned up
+    to it, and the sum of one `charge` per candidate scanned: summed, not
+    multiplied, so the ledger identity checks one against the other."""
     if not match.any():
         raise LookupError("no candidate in the scan order matches")
-    meter = CostMeter()
-    for candidate in order[: int(match.argmax()) + 1]:
-        meter = record_step(meter, cost)
-    return candidate, meter
+    scanned = int(match.argmax()) + 1
+    cost = 0.0
+    for _ in range(scanned):
+        cost += charge
+    return order[scanned - 1], scanned, cost
 
 
 @dataclass(frozen=True)
 class StateSearchResult:
     state_packed: int
     candidates_tested: int
-    meter: CostMeter
+    cost: float
 
 
 def state_search(
@@ -269,15 +268,15 @@ def state_search(
     order = list(range(1 << unknown))
     random.Random(rng_seed).shuffle(order)
     match = _confirm_window(word_bits, hint_high_bits, order, observed)
-    low, meter = _scan(order, match, CHECKER_OPS)
-    return StateSearchResult((hint_high_bits << unknown) | low, meter.step_count, meter)
+    low, tested, cost = _scan(order, match, CHECKER_OPS)
+    return StateSearchResult((hint_high_bits << unknown) | low, tested, cost)
 
 
 @dataclass(frozen=True)
 class KeySearchResult:
     key: int
     keys_tested: int
-    meter: CostMeter
+    cost: float
 
 
 def brute_force_search(
@@ -285,27 +284,23 @@ def brute_force_search(
     pairs: Sequence[tuple[int, int]],
     per_key_cost: float,
     rng_seed: int | str = 0,
-    order: Optional[Sequence[int]] = None,
 ) -> KeySearchResult:
     """Scan keys in seeded random order for one consistent with all pairs.
 
-    Keys are scanned in `random.Random(rng_seed).shuffle` order, or in an
-    explicit `order` (the caller owns its completeness), all checked in one
-    pass of the cipher on uint32 lanes.  Each one scanned up to the first
-    match charges per_key_cost, so meter.accumulated_cost == keys_tested *
+    Keys are scanned in `random.Random(rng_seed).shuffle` order, all
+    checked in one pass of the cipher on uint32 lanes.  Each one scanned up
+    to the first match charges per_key_cost, so cost == keys_tested *
     per_key_cost holds exactly for exactly-representable costs.
     """
+    if not per_key_cost >= 0:
+        raise ValueError("per_key_cost must be a non-negative number")
     if not pairs or not all(0 <= block < 1 << cipher.block_bits for pair in pairs for block in pair):
         raise ValueError(f"pairs must be a non-empty list of {cipher.block_bits}-bit blocks")
-    if order is None:
-        order = list(range(1 << cipher.key_bits))
-        random.Random(rng_seed).shuffle(order)
-    elif not all(0 <= key < 1 << cipher.key_bits for key in order):
-        raise ValueError(f"order holds a key out of range for {cipher.key_bits} bits")
+    order = list(range(1 << cipher.key_bits))
+    random.Random(rng_seed).shuffle(order)
     subkeys = cipher.schedule(np.array(order, dtype=np.uint32))
     match = np.logical_and.reduce([cipher.encrypt_with_subkeys(subkeys, p) == c for p, c in pairs])
-    key, meter = _scan(order, match, per_key_cost)
-    return KeySearchResult(key, meter.step_count, meter)
+    return KeySearchResult(*_scan(order, match, per_key_cost))
 
 
 def state_search_candidates_tested(
@@ -362,7 +357,6 @@ def state_search_slope_experiment(
         statistic=slope,
         expected=1.5,
         tolerance=0.1,
-        detail="log2(mean cost) per state word bit",
     )
     return result, means
 
@@ -376,7 +370,6 @@ def keystream_bias_experiment(
         statistic=ones / nbits,
         expected=bias,
         tolerance=0.002,
-        detail=f"{nbits} bits",
     )
 
 
@@ -404,26 +397,30 @@ def scan_mean_words(word_bits: int, starts: int, seed: int) -> tuple[float, int]
 
 
 def meter_ledger_experiment(seed: int = 5) -> ExperimentResult:
-    """Charge-sum identities on real searches; zero tolerance."""
+    """Charge-sum identities on real searches; zero tolerance.
+
+    The statistic adds the gap between each search's summed charges and
+    its count times the per-step charge, plus one for each search that
+    recovers the wrong key or state.
+    """
     cipher = ToyCipher(key_bits=12)
     per_key = DEFAULT_BYTES_PER_KEY_BIT * cipher.key_bits
     secret = 0x5A5
     pairs = [(p, cipher.encrypt(secret, p)) for p in TRIAL_PLAINTEXTS]
     found = brute_force_search(cipher, pairs, per_key, rng_seed=seed)
-    key_gap = found.meter.accumulated_cost - found.keys_tested * per_key
-    step_gap = found.meter.step_count - found.keys_tested
+    key_gap = found.cost - found.keys_tested * per_key
 
     prng = StandInPrng.from_seed(8, seed)
-    hint = reduction_hint(prng.packed_state(), 8)
-    res = state_search(8, prng.next_words(16), hint, rng_seed=seed)
-    search_gap = res.meter.accumulated_cost - CHECKER_OPS * res.candidates_tested
+    truth = prng.packed_state()
+    res = state_search(8, prng.next_words(16), reduction_hint(truth, 8), rng_seed=seed)
+    search_gap = res.cost - CHECKER_OPS * res.candidates_tested
 
+    wrong = (found.key != secret) + (res.state_packed != truth)
     return ExperimentResult(
         name="meter ledger identities",
-        statistic=abs(key_gap) + abs(step_gap) + abs(search_gap),
+        statistic=abs(key_gap) + abs(search_gap) + wrong,
         expected=0.0,
         tolerance=0.0,
-        detail="accumulated cost equals steps times per-step cost, exactly",
     )
 
 

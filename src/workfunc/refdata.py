@@ -52,16 +52,15 @@ class Table2Cell:
     device_name: str
     unit_count: int
     printed_bytes_per_bit: float
-    note: str = ""
 
 
 TABLE2_CELLS = [
     Table2Cell("Core Duo", "mqq-160", "encrypt", "intel-core-duo", 1, 146e9),
     Table2Cell("Core Duo", "mqq-160", "decrypt", "intel-core-duo", 1, 11.3e9),
-    Table2Cell("Core Duo", "rsa-1024", "encrypt", "intel-core-duo", 1, 272e9, "per core"),
-    Table2Cell("Core Duo", "rsa-1024", "decrypt", "intel-core-duo", 1, 6.71e12, "per core"),
-    Table2Cell("Core Duo", "aes-128", "combined", "intel-core-duo", 1, 379e6, "per core"),
-    Table2Cell("Virtex-5", "mqq-160", "encrypt", "virtex-5-xc5vfx70t-2-277mhz", 4, 27.5e6, "4 chips"),
+    Table2Cell("Core Duo", "rsa-1024", "encrypt", "intel-core-duo", 1, 272e9),  # per core
+    Table2Cell("Core Duo", "rsa-1024", "decrypt", "intel-core-duo", 1, 6.71e12),  # per core
+    Table2Cell("Core Duo", "aes-128", "combined", "intel-core-duo", 1, 379e6),  # per core
+    Table2Cell("Virtex-5", "mqq-160", "encrypt", "virtex-5-xc5vfx70t-2-277mhz", 4, 27.5e6),  # 4 chips
     Table2Cell("Virtex-5", "mqq-160", "decrypt", "virtex-5-xc5vfx70t-2-249mhz", 1, 687e6),
     Table2Cell("Virtex-5", "rsa-1024", "combined", "virtex-5-xc5vlx30-3", 1, 6.9e12),
     Table2Cell("Virtex-5", "aes-128", "combined", "virtex-5-xc5vlx30-3", 1, 67.3e6),

@@ -1,8 +1,9 @@
 """Tabular reports with provenance columns and self-checking rebuilds.
 
 Published figures are re-derived from the device catalog and cost model,
-then compared against the printed values they reproduce.  Each row keeps
-a provenance pair (tag, source location) so output is auditable.
+then compared against the printed values they reproduce.  A report
+carries one provenance pair (tag, source location), which the renderers
+repeat on every row so output is auditable.
 """
 
 from __future__ import annotations
@@ -35,12 +36,10 @@ class Report:
     title: str
     columns: tuple[str, ...]
     rows: tuple[tuple[Cell, ...], ...]
-    provenance: tuple[tuple[str, str], ...]  # (tag, source location) per row
+    provenance: tuple[str, str]  # (tag, source location) of every row
     notes: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if len(self.provenance) != len(self.rows):
-            raise ValueError("one provenance pair per row")
         for row in self.rows:
             if len(row) != len(self.columns):
                 raise ValueError("row width must match columns")
@@ -75,10 +74,8 @@ def _cell_text(value: Cell) -> str:
 
 def render_text(report: Report) -> str:
     headers = list(report.columns) + ["source"]
-    body = [
-        [_cell_text(v) for v in row] + [f"{tag} {loc}".strip()]
-        for row, (tag, loc) in zip(report.rows, report.provenance)
-    ]
+    source = " ".join(report.provenance).strip()
+    body = [[_cell_text(v) for v in row] + [source] for row in report.rows]
     widths = [
         max(len(headers[i]), *(len(r[i]) for r in body)) if body else len(headers[i])
         for i in range(len(headers))
@@ -98,15 +95,14 @@ def render_csv(report: Report) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(list(report.columns) + ["provenance_tag", "provenance_source"])
-    for row, (tag, loc) in zip(report.rows, report.provenance):
-        writer.writerow([repr(v) if isinstance(v, float) else v for v in row] + [tag, loc])
+    for row in report.rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row] + list(report.provenance))
     return out.getvalue()
 
 
 def build_device_rate_report() -> Report:
     """Per-device resource rates against their published counterparts."""
     rows = []
-    provenance = []
     for device in default_catalog():
         printed = refdata.TABLE1_PRINTED[device.name]
         computed = resource_rate(device)
@@ -120,7 +116,6 @@ def build_device_rate_report() -> Report:
                 relative_deviation(computed, printed),
             )
         )
-        provenance.append(("printed", refdata.TABLE1_LOCATION))
     return Report(
         title="Device resource rates (bytes/s)",
         columns=(
@@ -132,7 +127,7 @@ def build_device_rate_report() -> Report:
             "deviation",
         ),
         rows=tuple(rows),
-        provenance=tuple(provenance),
+        provenance=("printed", refdata.TABLE1_LOCATION),
         notes=(f"tolerance {refdata.TABLE1_TOLERANCE:.3g} relative",),
     )
 
@@ -141,12 +136,9 @@ def build_cost_per_bit_report() -> Report:
     """Per-bit prices of published primitives against printed figures."""
     index = {d.name: d for d in default_catalog()}
     rows = []
-    provenance = []
     for cell in refdata.TABLE2_CELLS:
         record = refdata.throughput_for(cell)
-        computed = cost_per_bit(
-            Fleet(index[record.device_name], cell.unit_count), record
-        )
+        computed = cost_per_bit(Fleet(index[record.device_name], cell.unit_count), record)
         printed = cell.printed_bytes_per_bit
         rows.append(
             (
@@ -160,7 +152,6 @@ def build_cost_per_bit_report() -> Report:
                 relative_deviation(computed, printed),
             )
         )
-        provenance.append(("printed", refdata.TABLE2_LOCATION))
     return Report(
         title="Encryption prices (bytes/bit)",
         columns=(
@@ -174,7 +165,7 @@ def build_cost_per_bit_report() -> Report:
             "deviation",
         ),
         rows=tuple(rows),
-        provenance=tuple(provenance),
+        provenance=("printed", refdata.TABLE2_LOCATION),
         notes=(f"tolerance {refdata.TABLE2_TOLERANCE:.3g} relative",),
     )
 
@@ -188,7 +179,6 @@ def table3_estimate(row: "refdata.Table3Row") -> "Tf1Estimate":
 def build_state_search_report() -> Report:
     """Strength ladder for packed-state recovery, with printed durations."""
     rows = []
-    provenance = []
     for row in refdata.TABLE3_ROWS:
         estimate = table3_estimate(row)
         seconds = estimate.expected_seconds
@@ -205,7 +195,6 @@ def build_state_search_report() -> Report:
                 relative_deviation(seconds, row.expected_seconds),
             )
         )
-        provenance.append(("printed", refdata.TABLE3_LOCATION))
     return Report(
         title="Feedback-word state search costs",
         columns=(
@@ -220,7 +209,7 @@ def build_state_search_report() -> Report:
             "deviation",
         ),
         rows=tuple(rows),
-        provenance=tuple(provenance),
+        provenance=("printed", refdata.TABLE3_LOCATION),
         notes=(f"time tolerance {refdata.TABLE3_TIME_TOLERANCE:.3g} relative",),
     )
 
@@ -230,13 +219,11 @@ def build_break_suite_report() -> Report:
     catalog = {d.name: d for d in default_catalog()}
     gpu = catalog["ati-radeon-5870"]
     rows = []
-    provenance = []
 
     def add(label: str, key_bits: int, fleet, printed: str) -> None:
         est = break_time(brute_force_cost(BruteForceModel(key_bits)), fleet)
         rows.append((label, key_bits, est.total_cost, est.expected_seconds,
                      format_duration(est.expected_seconds), printed))
-        provenance.append(("printed", refdata.BREAK_SUITE_LOCATION))
 
     add("one gpu", 56, Fleet(gpu, 1), "132.5 s")
     add("one gpu", 64, Fleet(gpu, 1), "10.77 hours")
@@ -248,7 +235,7 @@ def build_break_suite_report() -> Report:
         columns=("fleet", "key_bits", "cost_bytes", "expected_seconds",
                  "computed_time", "printed_time"),
         rows=tuple(rows),
-        provenance=tuple(provenance),
+        provenance=("printed", refdata.BREAK_SUITE_LOCATION),
     )
 
 

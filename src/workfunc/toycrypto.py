@@ -100,20 +100,9 @@ class ToyCipher:
             left, right = right, left ^ self._round(right, s)
         return (left << self.half_bits) | right
 
-    def decrypt_with_subkeys(self, subkeys: Sequence[int], block: int) -> int:
-        left = block >> self.half_bits
-        right = block & self._half_mask
-        for s in reversed(subkeys):
-            left, right = right ^ self._round(left, s), left
-        return (left << self.half_bits) | right
-
     def encrypt(self, key: int, block: int) -> int:
         self._check_block(block)
         return self.encrypt_with_subkeys(self.subkeys(key), block)
-
-    def decrypt(self, key: int, block: int) -> int:
-        self._check_block(block)
-        return self.decrypt_with_subkeys(self.subkeys(key), block)
 
 
 class KeystreamGen:

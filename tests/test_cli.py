@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import os
 import subprocess
 import sys
@@ -49,6 +50,42 @@ def test_table_output_file(tmp_path, capsys):
     header, *rows = csv.reader(target.read_text().splitlines())
     assert header[-2:] == ["provenance_tag", "provenance_source"]
     assert len(rows) == 5
+
+
+# SHA-256 of every rendered report, text and CSV: a change to a table, the
+# catalog or an estimator's output, down to a float's last digit or a
+# column's padding, shows here
+RENDERED_REPORTS = {
+    ("table", "1"): "6c4dad41d38f8f4190adc06375189ee7a94605e577d0117890b2a80d54f70a4f",
+    ("table", "1", "--csv"): "090fb2ca2b1843b71c5c871b804acfbd7edfc4f277d1d0a4839e714a346583b7",
+    ("table", "2"): "b11c0d61dc9ecb8735d11fa316335c1315caffdebb13b6096b0a29af14a1fee0",
+    ("table", "2", "--csv"): "075f2b67159fe2c757a1256ff8efbf4c89b8d66b00a1e81e21bf78f121f90ccd",
+    ("table", "3"): "feca5b92db98eabfbf98995699e8d8154086f9aecfcae87efefe259bbb432334",
+    ("table", "3", "--csv"): "58e43a797594150608af60c57fc96abed744f98bd40f19f192782c084b2366c9",
+    ("catalog",): "5176fb055867b5a15cddbc4f92a4bbef5bd192345a5deca714f5dbef05337828",
+    ("catalog", "--csv"): "d51a5984c2c82377c08e083a98937185cbd67b9d3b50ff8c035629ec4bb39ca5",
+    ("brute_force",): "8064225265eb6738b48e222f19a51d34e1468a59af06fd2fd60846987dd211a1",
+    ("brute_force", "--csv"): "3333c10134562ac4bbaef953fbb5d5b80db61422f0377c15cfcd37f904e1729b",
+    ("dictionary",): "56b6ded4adbd33a94f4cb5a4c64f734b39e58bdcee8d1bbd6dbeab7f9cb8f433",
+    ("dictionary", "--csv"): "7eb87c870ff49940f797cc51478bf39ef45ccd700e6a248ad1d0a2e1e489291f",
+    ("tf1",): "388153bab6d83c5f150c5adb608212814ef0ee4adc87c91617ee3364a322192c",
+    ("tf1", "--csv"): "05dc92dbae8f20f4aef4a1e35b06810617fb603869795e439ebe914ccfb0e879",
+}
+ESTIMATE_SCENARIOS = {
+    "brute_force": "[brute_force]\nkey_bits = 96\nfleet = 65536 x ati-radeon-5870\ntarget_years = 2\n",
+    "dictionary": "[dictionary]\nkey_bits = 56\nepsilon = 6\n",
+    "tf1": "[tf1]\nword_bits = 32\n",
+}
+
+
+@pytest.mark.parametrize("report", list(RENDERED_REPORTS), ids=" ".join)
+def test_rendered_reports_are_byte_identical(tmp_path, capsys, report):
+    argv = list(report)
+    if report[0] in ESTIMATE_SCENARIOS:
+        argv[0] = write(tmp_path, "s.scenario", ESTIMATE_SCENARIOS[report[0]])
+        argv.insert(0, "estimate")
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == RENDERED_REPORTS[report]
 
 
 def test_usage_errors_exit_two():

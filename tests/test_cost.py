@@ -3,28 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from workfunc.cost import Budget, CostMeter, record_step
+from workfunc.cost import Budget
 from workfunc.game import BUDGET_QUERY, HALT, GameConfig, GameResult, LocalStep, Move, MoveClass, play
-
-
-def test_meter_accumulates():
-    m = CostMeter()
-    m = record_step(m, 10.0)
-    m = record_step(m, 0.0)
-    m = record_step(m, 2.5)
-    assert m.accumulated_cost == 12.5
-    assert m.step_count == 3
-
-
-def test_meter_rejects_negative_step():
-    with pytest.raises(ValueError):
-        record_step(CostMeter(), -1.0)
-
-
-def test_meter_is_immutable():
-    m = CostMeter()
-    record_step(m, 5.0)
-    assert m.accumulated_cost == 0.0 and m.step_count == 0
 
 
 def test_budget_fresh_and_invariants():
@@ -36,16 +16,6 @@ def test_budget_fresh_and_invariants():
         Budget(100.0, -1.0)
     with pytest.raises(ValueError):
         Budget(-1.0, 0.0)
-
-
-# integral costs add exactly in floats, so the meter's sum is exact
-@given(st.lists(st.integers(min_value=0, max_value=2**40), min_size=1, max_size=50))
-def test_ledger_identity_exact(costs):
-    meter = CostMeter()
-    for c in costs:
-        meter = record_step(meter, float(c))
-    assert meter.accumulated_cost == float(sum(costs))
-    assert meter.step_count == len(costs)
 
 
 # The budget is charged by the game engine: each case plays a strategy
@@ -121,7 +91,8 @@ class BudgetQueries:
 
 
 # integral step prices subtract exactly in floats: every reply, the ledger
-# and the meter agree to the last bit, and the budget ends exactly empty
+# and the plain sum of the step prices agree to the last bit, and the
+# budget ends exactly empty
 @given(st.integers(min_value=0, max_value=2**40), st.integers(min_value=0, max_value=49))
 def test_play_ledger_identity_exact(price, queries):
     steps = queries + 1  # the halt is a step too
@@ -133,9 +104,9 @@ def test_play_ledger_identity_exact(price, queries):
     assert [r.payload for r in replies[:-1]] == [
         repr(float(price * (steps - k))).encode() for k in range(1, steps)
     ]
-    meter = CostMeter()
+    summed = 0.0
     for _ in range(steps):
-        meter = record_step(meter, float(price))
+        summed += float(price)
     assert outcome.result is GameResult.LOST_CHALLENGE_FAILED
     assert outcome.final_budget == Budget(total, 0.0)
-    assert outcome.total_cost == outcome.transcript.charges_total == meter.accumulated_cost == total
+    assert outcome.total_cost == outcome.transcript.charges_total == summed == total

@@ -72,21 +72,21 @@ def test_device_spec_validation():
 def test_cost_per_bit_core_fraction():
     cpu = find_device("intel-core-duo", default_catalog())
     aes = ThroughputRecord("intel-core-duo", "aes-128", "combined", 1e9, core_fraction=0.5)
-    assert cost_per_bit(cpu, aes) == 0.5 * resource_rate(cpu) / 1e9
+    assert cost_per_bit(Fleet(cpu), aes) == 0.5 * resource_rate(cpu) / 1e9
 
 
 def test_cost_per_bit_rejects_name_mismatch():
     gpu = find_device("ati-radeon-5870", default_catalog())
     record = ThroughputRecord("intel-core-duo", "aes-128", "combined", 1e9)
     with pytest.raises(ValueError):
-        cost_per_bit(gpu, record)
+        cost_per_bit(Fleet(gpu), record)
 
 
 def test_cost_per_bit_fleet_uses_summed_rate():
     fpga = find_device("virtex-5-xc5vfx70t-2-277mhz", default_catalog())
     record = ThroughputRecord(fpga.name, "mqq-160", "encrypt", 44.27e9)
     assert cost_per_bit(Fleet(fpga, 4), record) == pytest.approx(
-        4 * cost_per_bit(fpga, record)
+        4 * cost_per_bit(Fleet(fpga), record)
     )
 
 

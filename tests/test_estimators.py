@@ -94,7 +94,6 @@ def test_dictionary_reference_point():
     assert stats.lookup_cost == 100 * stats.dictionary_bytes
     assert stats.per_key_cost == 2.0**6 * stats.lookup_cost
     assert stats.construction_cost == brute_force_cost(BruteForceModel(56))
-    assert stats.construction_is_search_bound
 
 
 def test_dictionary_upper_bound_switch():

@@ -1,11 +1,13 @@
 import math
 import random
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from workfunc import experiments
+from workfunc.cli import main
 from workfunc.experiments import (
     TRIAL_PLAINTEXTS,
     ExperimentResult,
@@ -16,7 +18,6 @@ from workfunc.experiments import (
     _packed_pairs,
     brute_force_keys_tested,
     brute_force_mean_experiment,
-    brute_force_search,
     cipher_table,
     keystream_bias_experiment,
     meter_ledger_experiment,
@@ -243,8 +244,11 @@ def test_vector_key_count_matches_scalar_search():
     assert [order[rank] for rank in ranks] == consistent
     tc = ToyCipher(key_bits)
     pairs = [(p, tc.encrypt(secret, p)) for p in TRIAL_PLAINTEXTS]
-    scalar = brute_force_search(tc, pairs, per_key_cost=1.0, order=order)
-    assert counts == [scalar.keys_tested]
+    scalar = next(
+        tested for tested, key in enumerate(order, 1)
+        if all(tc.encrypt(key, p) == c for p, c in pairs)
+    )
+    assert counts == [scalar]
     # the scalar cipher finds the same consistent keys as the packed table
     assert [
         key for key in range(size) if all(tc.encrypt(key, p) == c for p, c in pairs)
@@ -333,12 +337,31 @@ def test_meter_ledger_search_counts_are_frozen_at_seed_5(monkeypatch):
         monkeypatch.setattr(experiments, name, recorded)
     assert meter_ledger_experiment().statistic == 0.0
     key = found["brute_force_search"]
-    assert (key.key, key.keys_tested, key.meter.step_count) == (0x5A5, 878, 878)
-    assert key.meter.accumulated_cost == 878 * 1440.0
+    assert (key.key, key.keys_tested, key.cost) == (0x5A5, 878, 878 * 1440.0)
     state = found["state_search"]
-    assert (state.candidates_tested, state.meter.step_count) == (1826, 1826)
+    assert (state.candidates_tested, state.cost) == (1826, 1826 * 16.0)
     assert state.state_packed == StandInPrng.from_seed(8, 5).packed_state()
-    assert state.meter.accumulated_cost == 1826 * 16.0
+
+
+@pytest.mark.parametrize(
+    "name, wrong",
+    [
+        ("brute_force_search", {"key": 0x5A4}),
+        ("state_search", {"state_packed": 0}),
+    ],
+)
+def test_meter_ledger_counts_a_wrong_answer(monkeypatch, capsys, name, wrong):
+    # a search that recovers the wrong key or state, at an exact charge sum,
+    # fails the ledger line: the identities alone would not see it
+    search = getattr(experiments, name)
+    monkeypatch.setattr(
+        experiments, name, lambda *args, **kwargs: replace(search(*args, **kwargs), **wrong)
+    )
+    result = meter_ledger_experiment()
+    assert result.statistic == 1.0
+    assert not result.passed
+    assert main(["validate", "--quick"]) == 1
+    assert "FAIL meter ledger identities: 1 (expected 0 within 0)" in capsys.readouterr().out
 
 
 def test_validation_figures_are_frozen_at_seed_11():

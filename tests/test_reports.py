@@ -21,7 +21,7 @@ SAMPLE = Report(
     title="Sample",
     columns=("name", "value", "deviation"),
     rows=(("alpha", 0.1 + 0.2, 0.001), ("beta", 7, 0.5)),
-    provenance=(("printed", "Table 9"), ("derived", "")),
+    provenance=("printed", "Table 9"),
     notes=("just a fixture",),
 )
 
@@ -48,9 +48,7 @@ def test_relative_deviation():
 
 def test_report_shape_validation():
     with pytest.raises(ValueError):
-        Report("t", ("a",), (("x", "y"),), (("printed", "loc"),))
-    with pytest.raises(ValueError):
-        Report("t", ("a",), (("x",),), ())
+        Report("t", ("a",), (("x", "y"),), ("printed", "loc"))
 
 
 def test_render_text_layout():
@@ -61,13 +59,17 @@ def test_render_text_layout():
     assert set(lines[2]) <= {"-", " "}
     assert lines[3].startswith("alpha")
     assert lines[3].rstrip().endswith("printed Table 9")
+    assert lines[4].rstrip().endswith("printed Table 9")
+    # an empty source location leaves only the tag
+    derived = render_text(Report("t", ("a",), (("x",),), ("derived", "")))
+    assert derived.splitlines()[3].split() == ["x", "derived"]
     assert lines[-1] == "note: just a fixture"
 
 
 def test_csv_roundtrip_is_bit_exact():
     header, *lines = csv.reader(render_csv(SAMPLE).splitlines())
     assert header == list(SAMPLE.columns) + ["provenance_tag", "provenance_source"]
-    assert [tuple(line[-2:]) for line in lines] == list(SAMPLE.provenance)
+    assert [tuple(line[-2:]) for line in lines] == [SAMPLE.provenance] * len(SAMPLE.rows)
     for line, row in zip(lines, SAMPLE.rows, strict=True):
         # each cell reads back as its own type; floats survive via repr
         assert tuple(type(cell)(text) for text, cell in zip(line[:-2], row, strict=True)) == row
@@ -77,7 +79,7 @@ def test_device_rate_report_reproduces_published_rates():
     report = build_device_rate_report()
     assert len(report.rows) == 5
     assert report_failures(report, "deviation", refdata.TABLE1_TOLERANCE) == []
-    assert all(p == ("printed", refdata.TABLE1_LOCATION) for p in report.provenance)
+    assert report.provenance == ("printed", refdata.TABLE1_LOCATION)
 
 
 def test_cost_per_bit_report_reproduces_published_prices():
@@ -116,7 +118,7 @@ def test_report_failures_flags_bad_rows():
         title="t",
         columns=("name", "deviation"),
         rows=(("ok", 0.05), ("bad", 0.2), ("worse", float("inf")), ("nan", float("nan"))),
-        provenance=((" ", ""),) * 4,
+        provenance=(" ", ""),
     )
     lines = report_failures(report, "deviation", 0.1)
     assert len(lines) == 3

@@ -3,10 +3,15 @@
 Every public top-level function and class of `src/workfunc`, and every
 public method of such a class, must be referenced somewhere in `src/` or
 `perfbench/` outside its own definition. A reference is a name, an
-attribute, an imported name, or a string naming it (the benchmark tracer
-pins functions by name). A helper that only tests call fails here: port
-the tests to the behaviour it served and delete it, or list it below
-with the reason it stays.
+attribute or an imported name; in `perfbench/` a string naming it counts
+too, since the benchmark tracer pins functions by name. A string in
+`src/` is data (an operation label, a column title), not a reference.
+Every annotated field of a public class must be read as an attribute
+(`x.field`) somewhere in `src/` or `perfbench/`: a field that is only
+ever set, by keyword or by default, holds nothing a command uses, and a
+local variable of the same name is no read of it. A helper that only tests call
+fails here: port the tests to the behaviour it served and delete it, or
+list it below with the reason it stays.
 """
 
 import ast
@@ -37,15 +42,25 @@ def _public_definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name
 
 
-def _references(node: ast.AST, enclosing: frozenset, found: set) -> None:
-    """Add to `found` each name `node` refers to outside a definition of that name."""
+def _fields(tree: ast.Module):
+    """(qualified name, bare name) of each annotated field of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                    yield f"{node.name}.{item.target.id}", item.target.id
+
+
+def _references(node: ast.AST, enclosing: frozenset, found: set, strings: bool) -> None:
+    """Add to `found` each name `node` refers to outside a definition of
+    that name; string constants count only if `strings`."""
     if isinstance(node, ast.Name):
         names = [node.id]
     elif isinstance(node, ast.Attribute):
         names = [node.attr]
     elif isinstance(node, ast.alias):
         names = [node.name.rsplit(".", 1)[-1]]
-    elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+    elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
         names = [node.value]
     else:
         names = []
@@ -53,27 +68,45 @@ def _references(node: ast.AST, enclosing: frozenset, found: set) -> None:
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         enclosing = enclosing | {node.name}
     for child in ast.iter_child_nodes(node):
-        _references(child, enclosing, found)
+        _references(child, enclosing, found, strings)
 
 
-def _unreferenced() -> set[str]:
-    referenced: set[str] = set()
-    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")):
-        _references(ast.parse(path.read_text(encoding="utf-8")), frozenset(), referenced)
+def _trees():
+    """(tree, whether its strings are references) of each file in `src/` and `perfbench/`."""
+    for root, strings in (("src", False), ("perfbench", True)):
+        for path in sorted((ROOT / root).rglob("*.py")):
+            yield ast.parse(path.read_text(encoding="utf-8")), strings
+
+
+def _unreferenced(definitions, referenced: set[str]) -> set[str]:
+    """Qualified names of the `definitions(tree)` of `src/workfunc` not in `referenced`."""
     unreferenced = set()
     for path in sorted(PACKAGE.glob("*.py")):
-        for qualified, name in _public_definitions(ast.parse(path.read_text(encoding="utf-8"))):
+        for qualified, name in definitions(ast.parse(path.read_text(encoding="utf-8"))):
             if name not in referenced:
                 unreferenced.add(f"{path.stem}.{qualified}")
     return unreferenced
 
 
 def test_every_public_name_in_src_has_a_caller_outside_the_tests():
-    unreferenced = _unreferenced()
+    referenced: set[str] = set()
+    for tree, strings in _trees():
+        _references(tree, frozenset(), referenced, strings)
+    unreferenced = _unreferenced(_public_definitions, referenced)
     allowed = {name for name in unreferenced if name.rsplit(".", 1)[-1] in ALLOWED_TEST_ONLY}
     assert unreferenced - allowed == set()
     # an entry whose name gained a caller leaves the list
     assert {name.rsplit(".", 1)[-1] for name in allowed} == set(ALLOWED_TEST_ONLY)
+
+
+def test_every_field_of_a_public_class_is_read_outside_the_tests():
+    read = {
+        node.attr
+        for tree, _ in _trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    assert _unreferenced(_fields, read) == set()
 
 
 def test_package_defines_only_its_version():
