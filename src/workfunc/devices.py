@@ -115,11 +115,10 @@ def cost_per_bit(fleet: Fleet, record: ThroughputRecord) -> float:
 
 
 class CatalogError(ValueError):
-    """Malformed catalog input; carries the 1-based line number."""
+    """Malformed catalog input; the message starts with the 1-based line number."""
 
     def __init__(self, line_no: int, message: str):
         super().__init__(f"line {line_no}: {message}")
-        self.line_no = line_no
 
 
 _CATALOG_FIELDS = CATALOG_HEADER.split(",")

@@ -6,10 +6,11 @@ run the toy cipher's own key schedule and rounds, and the generator's own
 step, on arrays of keys or candidate states, so there is one
 implementation of each primitive.
 
-The searches, `brute_force_search` and `state_search`, check every
-candidate in one array pass and take the first match in a seeded
-shuffled order: what a candidate-by-candidate loop finds, at the same
-count.  Their cost is the plain sum of one charge per candidate scanned.
+The searches, `brute_force_search` and `state_search`, check a seeded
+shuffled order in array passes of `SCAN_CHUNK` candidates and stop at the
+first chunk with a match: what a candidate-by-candidate loop finds, at
+the same count.  Their cost is the plain sum of one charge per candidate
+scanned.
 
 A sweep runs many trials of such a search.  The targets' positions in a
 uniformly random order are a uniformly random subset of the ranks, so a
@@ -61,6 +62,8 @@ from .toycrypto import (
 
 # flat op count of checking one candidate state against the window
 CHECKER_OPS = 16
+# candidates a search checks per array pass
+SCAN_CHUNK = 1 << 16
 
 # fixed known plaintexts for key-search trials; two blocks pin the key
 TRIAL_PLAINTEXTS = (0x00000000, 0x00000001)
@@ -228,17 +231,21 @@ def _confirm_window(word_bits: int, high_bits, lows, observed) -> np.ndarray:
     return keep
 
 
-def _scan(order: Sequence[int], match: np.ndarray, charge: float) -> tuple[int, int, float]:
+def _scan(order: Sequence[int], matches, charge: float) -> tuple[int, int, float]:
     """The first candidate of `order` that matches, the count scanned up
     to it, and the sum of one `charge` per candidate scanned: summed, not
-    multiplied, so the ledger identity checks one against the other."""
-    if not match.any():
-        raise LookupError("no candidate in the scan order matches")
-    scanned = int(match.argmax()) + 1
-    cost = 0.0
-    for _ in range(scanned):
-        cost += charge
-    return order[scanned - 1], scanned, cost
+    multiplied, so the ledger identity checks one against the other.
+    `matches(chunk)` masks the matches in each `SCAN_CHUNK` slice of
+    `order`, up to the first slice with one."""
+    for start in range(0, len(order), SCAN_CHUNK):
+        match = matches(order[start : start + SCAN_CHUNK])
+        if match.any():
+            scanned = start + int(match.argmax()) + 1
+            cost = 0.0
+            for _ in range(scanned):
+                cost += charge
+            return order[scanned - 1], scanned, cost
+    raise LookupError("no candidate in the scan order matches")
 
 
 @dataclass(frozen=True)
@@ -254,9 +261,9 @@ def state_search(
     """Recover the generator state that produced `observed`.
 
     Candidates share the hinted high bits; their low ceil(1.5w) bits are
-    scanned in `random.Random(rng_seed).shuffle` order, all checked in one
-    lockstep pass (`_confirm_window`).  Each one scanned up to the first
-    match charges CHECKER_OPS (the checker is modeled at a flat op count).
+    scanned in `random.Random(rng_seed).shuffle` order, in lockstep passes
+    by chunk (`_scan`, `_confirm_window`).  Each one scanned up to the
+    first match charges CHECKER_OPS (a flat op count per check).
     """
     if not 1 <= word_bits <= MAX_WORD_BITS:
         raise ValueError(f"word_bits must be in [1, {MAX_WORD_BITS}]")
@@ -267,8 +274,10 @@ def state_search(
         raise ValueError(f"hint_high_bits must fit in {4 * word_bits - unknown} bits")
     order = list(range(1 << unknown))
     random.Random(rng_seed).shuffle(order)
-    match = _confirm_window(word_bits, hint_high_bits, order, observed)
-    low, tested, cost = _scan(order, match, CHECKER_OPS)
+
+    def matches(lows):
+        return _confirm_window(word_bits, hint_high_bits, lows, observed)
+    low, tested, cost = _scan(order, matches, CHECKER_OPS)
     return StateSearchResult((hint_high_bits << unknown) | low, tested, cost)
 
 
@@ -287,8 +296,8 @@ def brute_force_search(
 ) -> KeySearchResult:
     """Scan keys in seeded random order for one consistent with all pairs.
 
-    Keys are scanned in `random.Random(rng_seed).shuffle` order, all
-    checked in one pass of the cipher on uint32 lanes.  Each one scanned up
+    Keys are scanned in `random.Random(rng_seed).shuffle` order, in passes
+    of the cipher on uint32 lanes by chunk (`_scan`).  Each one scanned up
     to the first match charges per_key_cost, so cost == keys_tested *
     per_key_cost holds exactly for exactly-representable costs.
     """
@@ -298,9 +307,11 @@ def brute_force_search(
         raise ValueError(f"pairs must be a non-empty list of {cipher.block_bits}-bit blocks")
     order = list(range(1 << cipher.key_bits))
     random.Random(rng_seed).shuffle(order)
-    subkeys = cipher.schedule(np.array(order, dtype=np.uint32))
-    match = np.logical_and.reduce([cipher.encrypt_with_subkeys(subkeys, p) == c for p, c in pairs])
-    return KeySearchResult(*_scan(order, match, per_key_cost))
+
+    def matches(keys):
+        subkeys = cipher.schedule(np.array(keys, dtype=np.uint32))
+        return np.logical_and.reduce([cipher.encrypt_with_subkeys(subkeys, p) == c for p, c in pairs])
+    return KeySearchResult(*_scan(order, matches, per_key_cost))
 
 
 def state_search_candidates_tested(

@@ -1,15 +1,16 @@
 """Turn-based attacker-vs-environment game with budget charging.
 
+A step that keeps I bytes of machinery busy costs I bytes, and a run
+costs the plain sum of its step costs, charged to one float budget
+(`play`).
+
 The attacker is one or more machines scheduled round-robin.  A machine
 is a strategy whose `step(ctx)` returns one action per turn: an attacker
 `Move`, a `SpawnBatch`, a `LocalStep` or `HALT`.  A move is its class and
 payload; the class fixes its player (`PLAYER`).  `ctx` offers `reply`,
 the answer to that machine's own last move (None before its first move),
-`work_tape`, private scratch space whose length is priced into every
-step, and `shared`, the scratch space of the machine's overlap region
-(None outside one).  Each step is charged to a shared budget before it
-takes effect (an overdraft charges what is left and ends the game), and
-every attacker move gets exactly one reply, from the engine or the
+and `work_tape`, private scratch space whose length is priced into every
+step.  Every attacker move gets exactly one reply, from the engine or the
 environment.  The transcript is the one record of the moves, in order:
 a list by default, or a `TranscriptWriter` that writes each move's line
 as it is recorded, so that a game's memory does not grow with its
@@ -33,8 +34,6 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional, Sequence
-
-from .cost import Budget
 
 BUDGET_QUERY = b"budget?"
 
@@ -113,18 +112,10 @@ HALT = Move(MoveClass.STRUCTURAL_REQUEST, b"halt")
 
 @dataclass(frozen=True)
 class MachineSpec:
-    """What it costs to know a machine: its full description.
-
-    The engine never interprets the description; it only prices it.
-    Machines sharing an overlap_region see one common scratch buffer.
-    """
+    """What it costs to know a machine: its full description, which the
+    engine never interprets, only prices."""
 
     description: bytes
-    overlap_region: Optional[str] = None
-
-    @property
-    def description_bytes(self) -> int:
-        return len(self.description)
 
 
 # Actions a strategy may return from step() besides a Move.
@@ -143,13 +134,15 @@ class LocalStep:
 
 @dataclass(frozen=True)
 class GameConfig:
-    budget: Budget
+    budget: float  # the initial budget
     rng_seed: int = 0
     challenge_trials: int = 0
     win_threshold: float = 0.01
     per_step_information: Optional[float] = None
 
     def __post_init__(self):
+        if not self.budget >= 0:
+            raise ValueError("budget must be non-negative")
         if self.challenge_trials < 0:
             raise ValueError("challenge_trials must be non-negative")
         if not 0 < self.win_threshold < 1:
@@ -171,16 +164,15 @@ class GameTranscript:
     its `len` is the number of moves so far.  By default it is a list, so
     a move's transcript index is its list position; a `TranscriptWriter`
     writes each move's line instead and keeps only the count.  Local
-    (non-move) steps appear in the per-machine aggregates only;
-    charges_total covers every deduction, so budget.initial -
-    budget.remaining == charges_total exactly.  `play` charges the
-    ledger as each step is priced.
+    (non-move) steps appear only in `steps_by_machine`, the step count of
+    each machine.  `play` adds each step's charge to charges_total as it
+    is priced, so config.budget - budget_remaining == charges_total holds
+    exactly as long as the charges are exactly representable.
     """
 
     def __init__(self, entries=None):
         self.entries = [] if entries is None else entries
         self.steps_by_machine: dict[int, int] = {}
-        self.cost_by_machine: dict[int, float] = {}
         self.charges_total = 0.0
 
 
@@ -191,19 +183,18 @@ class GameOutcome:
     total_cost: float
     successes: int
     trials: int
-    final_budget: Budget
+    budget_remaining: float
     p_value: Optional[float] = None
 
 
 class MachineContext:
-    """What a strategy sees: the reply to its own last move, its scratch
-    space and its overlap region's shared data."""
+    """What a strategy sees: the reply to its own last move and its
+    scratch space."""
 
-    def __init__(self, machine_id: int, shared):
+    def __init__(self, machine_id: int):
         self.machine_id = machine_id
         self.reply: Optional[Move] = None
         self.work_tape = bytearray()
-        self.shared = shared
 
 
 class _Machine:
@@ -213,13 +204,10 @@ class _Machine:
 
     __slots__ = ("price", "strategy", "ctx", "alive")
 
-    def __init__(self, machine_id: int, spec: MachineSpec, strategy, regions):
-        shared = None
-        if spec.overlap_region is not None:
-            shared = regions.setdefault(spec.overlap_region, bytearray())
-        self.price = float(spec.description_bytes)
+    def __init__(self, machine_id: int, spec: MachineSpec, strategy):
+        self.price = float(len(spec.description))
         self.strategy = strategy
-        self.ctx = MachineContext(machine_id, shared)
+        self.ctx = MachineContext(machine_id)
         self.alive = True
 
 
@@ -428,12 +416,11 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
     if hasattr(environment, "start"):
         environment.start(random.Random(f"{config.rng_seed}:environment"))
 
-    regions: dict[str, bytearray] = {}
     root_spec = getattr(strategy, "spec", None) or MachineSpec(b"attacker")
-    machines = [_Machine(0, root_spec, strategy, regions)]
-    remaining = config.budget.remaining
+    machines = [_Machine(0, root_spec, strategy)]
+    remaining = config.budget
     flat_price = config.per_step_information
-    steps_by, cost_by = transcript.steps_by_machine, transcript.cost_by_machine
+    steps_by = transcript.steps_by_machine
     successes = 0
     trials = 0
     result: Optional[GameResult] = None
@@ -451,7 +438,7 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
         if is_move or not isinstance(action, SpawnBatch):
             step_cost = machine.price + work_len if flat_price is None else flat_price
         elif action.strategies:
-            step_cost = float(len(action.strategies) * action.spec.description_bytes)
+            step_cost = float(len(action.strategies) * len(action.spec.description))
         else:
             raise ProtocolFault("spawn batch must recruit at least one machine", transcript)
 
@@ -461,7 +448,6 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
         remaining -= step_cost
         machine_id = ctx.machine_id
         steps_by[machine_id] = steps_by.get(machine_id, 0) + 1
-        cost_by[machine_id] = cost_by.get(machine_id, 0.0) + step_cost
         transcript.charges_total += step_cost
         if result is not None:
             break
@@ -485,7 +471,7 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
             move = Move(structural_request, payload)
             engine_reply = f"{len(machines)}:{count}".encode()
             for child in action.strategies:
-                machines.append(_Machine(len(machines), action.spec, child, regions))
+                machines.append(_Machine(len(machines), action.spec, child))
         else:
             raise ProtocolFault(f"strategy returned unknown action {action!r}", transcript)
 
@@ -513,10 +499,10 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
     return GameOutcome(
         result=result,
         transcript=transcript,
-        total_cost=config.budget.remaining - remaining,
+        total_cost=config.budget - remaining,
         successes=successes,
         trials=trials,
-        final_budget=Budget(config.budget.initial, remaining),
+        budget_remaining=remaining,
         p_value=p_value,
     )
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .cost import Budget
 from .game import HALT, GameConfig, GameOutcome, MachineSpec, Move, MoveClass, frame, play, unframe
 from .toycrypto import KeystreamGen
 
@@ -145,15 +144,15 @@ def run_otp_challenge(
     trials: int,
     rng_seed: int = 0,
     plaintext_bytes: int = DEFAULT_PLAINTEXT_BYTES,
-    budget: Optional[Budget] = None,
+    budget: float = 1e15,
     win_threshold: float = 0.01,
     per_step_information: Optional[float] = None,
     entries=None,
 ) -> GameOutcome:
-    """Play the full distinguishing game; the outcome carries successes.
-    `entries` is the move sink `play` records into (a list by default)."""
-    if budget is None:
-        budget = Budget.fresh(1e15)
+    """Play the full distinguishing game from the float `budget`, each step
+    charged at the distinguisher's description bytes (`game.play`); the
+    outcome carries successes.  `entries` is the move sink `play` records
+    into (a list by default)."""
     config = GameConfig(
         budget=budget,
         rng_seed=rng_seed,

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .devices import DeviceSpec, Fleet, ThroughputRecord
-from .estimators import SECONDS_PER_DAY, SECONDS_PER_MONTH, SECONDS_PER_YEAR
+from .estimators import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_MONTH, SECONDS_PER_YEAR
 
 # --- device survey (Table 1) -----------------------------------------------
 
@@ -83,6 +83,17 @@ def throughput_for(cell: Table2Cell) -> ThroughputRecord:
 # --- exhaustive search reproduction (survey narrative) -----------------------
 
 BREAK_SUITE_LOCATION = "2.3.2"
+
+# printed mean break times in seconds, by (fleet, key bits)
+BREAK_SUITE_PRINTED = {
+    ("one gpu", 56): 132.5,
+    ("one gpu", 64): 10.77 * SECONDS_PER_HOUR,
+    ("gpu fleet of 65536", 84): 10.1 * SECONDS_PER_DAY,
+    ("gpu fleet of 65536", 96): 120.8 * SECONDS_PER_YEAR,
+    ("tianhe-1a", 84): 86.8 * SECONDS_PER_DAY,
+}
+# the 84-bit fleet's 10.1 days is 7 % above the model; the rest agree within 0.05 %
+BREAK_SUITE_TOLERANCE = 0.10
 
 # one Tianhe-1 cluster: printed aggregate rate
 TIANHE_PRINTED_RATE = 1.3e22

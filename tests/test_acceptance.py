@@ -159,7 +159,7 @@ def test_criterion_7_game_engine_properties():
         # budget ledger exactness on a full game
         outcome = run_otp_challenge(KeystreamGen(0.6, seed="ledger"), 100, rng_seed=5)
         assert outcome.transcript.charges_total == outcome.total_cost
-        assert outcome.final_budget.remaining == 1e15 - outcome.total_cost
+        assert outcome.budget_remaining == 1e15 - outcome.total_cost
 
         # power and size at alpha = 0.01, 20 frozen seeds per bias
         biased_wins = sum(

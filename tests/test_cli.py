@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 import workfunc
-from workfunc import cli
+from workfunc import cli, refdata
 from workfunc.cli import main
-from workfunc.cost import Budget
 from workfunc.devices import CATALOG_HEADER
 from workfunc.game import Move, MoveClass, ProtocolFault, export_transcript
 from workfunc.otp import run_otp_challenge
@@ -321,7 +320,7 @@ def test_streamed_transcript_equals_in_memory_export(tmp_path, capsys, bias, pla
         KeystreamGen(bias, f"{seed}:keystream"),
         trials,
         rng_seed=seed,
-        budget=Budget.fresh(budget),
+        budget=budget,
         plaintext_bytes=plaintext_bytes,
     )
     expected = export_transcript(outcome)
@@ -446,6 +445,16 @@ def test_validate_quick_passes(capsys):
     assert all(line.startswith("PASS") for line in lines)
     assert any("brute-force mean" in line for line in lines)
     assert any("meter ledger" in line for line in lines)
+    assert "PASS Exhaustive search wall times (printed figures attached)" in lines
+
+
+def test_validate_fails_on_a_break_time_far_from_its_printed_figure(capsys, monkeypatch):
+    # the 56-bit single-gpu time is 132.5 s; print it ten times too long
+    monkeypatch.setitem(refdata.BREAK_SUITE_PRINTED, ("one gpu", 56), 1325.0)
+    assert main(["validate", "--quick"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL Exhaustive search wall times (printed figures attached)" in lines
+    assert "     one gpu: deviation 0.9 exceeds 0.1" in lines
 
 
 def test_catalog_listing(capsys, tmp_path):

@@ -3,19 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from workfunc.cost import Budget
 from workfunc.game import BUDGET_QUERY, HALT, GameConfig, GameResult, LocalStep, Move, MoveClass, play
-
-
-def test_budget_fresh_and_invariants():
-    b = Budget.fresh(100.0)
-    assert b.initial == b.remaining == 100.0
-    with pytest.raises(ValueError):
-        Budget(100.0, 101.0)
-    with pytest.raises(ValueError):
-        Budget(100.0, -1.0)
-    with pytest.raises(ValueError):
-        Budget(-1.0, 0.0)
 
 
 # The budget is charged by the game engine: each case plays a strategy
@@ -39,34 +27,34 @@ def play_steps(budget, price, local_steps=1):
 
 
 def test_play_deducts_each_step():
-    outcome = play_steps(Budget.fresh(100.0), 30.0)
+    outcome = play_steps(100.0, 30.0)
     assert outcome.result is GameResult.LOST_CHALLENGE_FAILED  # no challenge was played
-    assert outcome.final_budget == Budget(100.0, 40.0)
+    assert outcome.budget_remaining == 40.0
     assert outcome.total_cost == outcome.transcript.charges_total == 60.0
 
 
 def test_exact_exhaustion_stays_solvent():
-    outcome = play_steps(Budget.fresh(100.0), 50.0)
+    outcome = play_steps(100.0, 50.0)
     assert outcome.result is GameResult.LOST_CHALLENGE_FAILED
-    assert outcome.final_budget == Budget(100.0, 0.0)
+    assert outcome.budget_remaining == 0.0
     assert outcome.transcript.steps_by_machine == {0: 2}
 
 
 def test_overdraft_charges_the_remainder_and_keeps_initial():
-    outcome = play_steps(Budget.fresh(100.0), 100.0000001)
+    outcome = play_steps(100.0, 100.0000001)
     assert outcome.result is GameResult.LOST_BUDGET_DEPLETED
-    assert outcome.final_budget == Budget(100.0, 0.0)
+    assert outcome.budget_remaining == 0.0
     assert outcome.total_cost == outcome.transcript.charges_total == 100.0
     assert outcome.transcript.steps_by_machine == {0: 1}
     assert outcome.transcript.entries == []
 
 
 def test_zero_budget_is_legal_and_free_steps_pass():
-    free = play_steps(Budget.fresh(0.0), 0.0)
+    free = play_steps(0.0, 0.0)
     assert free.result is GameResult.LOST_CHALLENGE_FAILED
-    assert free.final_budget == Budget(0.0, 0.0)
+    assert free.budget_remaining == 0.0
     assert free.transcript.steps_by_machine == {0: 2}
-    priced = play_steps(Budget.fresh(0.0), 1.0)
+    priced = play_steps(0.0, 1.0)
     assert priced.result is GameResult.LOST_BUDGET_DEPLETED
     assert priced.total_cost == 0.0
 
@@ -74,7 +62,7 @@ def test_zero_budget_is_legal_and_free_steps_pass():
 def test_step_price_must_be_a_non_negative_number():
     for price in (-0.5, math.nan):
         with pytest.raises(ValueError, match="per_step_information"):
-            GameConfig(budget=Budget.fresh(1.0), per_step_information=price)
+            GameConfig(budget=1.0, per_step_information=price)
 
 
 class BudgetQueries:
@@ -98,7 +86,7 @@ def test_play_ledger_identity_exact(price, queries):
     steps = queries + 1  # the halt is a step too
     total = float(price * steps)
     outcome = play(
-        BudgetQueries(queries), None, GameConfig(budget=Budget.fresh(total), per_step_information=float(price))
+        BudgetQueries(queries), None, GameConfig(budget=total, per_step_information=float(price))
     )
     replies = outcome.transcript.entries[1::2]
     assert [r.payload for r in replies[:-1]] == [
@@ -108,5 +96,5 @@ def test_play_ledger_identity_exact(price, queries):
     for _ in range(steps):
         summed += float(price)
     assert outcome.result is GameResult.LOST_CHALLENGE_FAILED
-    assert outcome.final_budget == Budget(total, 0.0)
+    assert outcome.budget_remaining == 0.0
     assert outcome.total_cost == outcome.transcript.charges_total == summed == total

@@ -343,6 +343,23 @@ def test_meter_ledger_search_counts_are_frozen_at_seed_5(monkeypatch):
     assert state.state_packed == StandInPrng.from_seed(8, 5).packed_state()
 
 
+# the match ranks 878 (key) and 1826 (state) at seed 5 fall first, last and
+# inside a chunk across these sizes, and in a later chunk than the first
+@pytest.mark.parametrize("chunk", [1, 97, 877, 878, 1825, 1826, 4096])
+def test_search_results_do_not_depend_on_the_scan_chunk(monkeypatch, chunk):
+    cipher = ToyCipher(key_bits=12)
+    pairs = [(p, cipher.encrypt(0x5A5, p)) for p in TRIAL_PLAINTEXTS]
+    prng = StandInPrng.from_seed(8, 5)
+    hint = reduction_hint(prng.packed_state(), 8)
+    observed = prng.next_words(16)
+    monkeypatch.setattr(experiments, "SCAN_CHUNK", chunk)
+    key = experiments.brute_force_search(cipher, pairs, 1440.0, rng_seed=5)
+    assert (key.key, key.keys_tested, key.cost) == (0x5A5, 878, 878 * 1440.0)
+    state = state_search(8, observed, hint, rng_seed=5)
+    assert (state.candidates_tested, state.cost) == (1826, 1826 * 16.0)
+    assert state.state_packed == StandInPrng.from_seed(8, 5).packed_state()
+
+
 @pytest.mark.parametrize(
     "name, wrong",
     [

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import workfunc
-from workfunc.cost import Budget
 from workfunc.game import (
     BUDGET_QUERY,
     HALT,
@@ -68,7 +67,7 @@ class RandomEchoEnv:
 
 
 def config(budget, **kw):
-    return GameConfig(budget=Budget.fresh(budget), **kw)
+    return GameConfig(budget=budget, **kw)
 
 
 def test_frame_unframe_roundtrip():
@@ -268,6 +267,9 @@ def test_adjudication_at_the_trial_cap_is_fast():
 
 
 def test_config_validation():
+    for budget in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="budget"):
+            config(budget)
     with pytest.raises(ValueError):
         config(10.0, challenge_trials=-1)
     with pytest.raises(ValueError):
@@ -283,9 +285,8 @@ def test_ledger_exact_on_scripted_game():
     assert outcome.result is GameResult.LOST_CHALLENGE_FAILED
     assert outcome.total_cost == 32.0
     assert outcome.transcript.charges_total == 32.0
-    assert outcome.final_budget.remaining == 968.0
+    assert outcome.budget_remaining == 968.0
     assert outcome.transcript.steps_by_machine == {0: 4}
-    assert outcome.transcript.cost_by_machine == {0: 32.0}
     # budget reply reflects the balance after that step's own deduction
     query_reply = outcome.transcript.entries[1]
     assert float(query_reply.payload) == 984.0
@@ -312,21 +313,14 @@ def test_budget_depletion_charges_remainder():
     assert outcome.result is GameResult.LOST_BUDGET_DEPLETED
     assert outcome.total_cost == 20.0
     assert outcome.transcript.charges_total == 20.0
-    assert outcome.final_budget.remaining == 0.0
-
-
-def test_partly_spent_budget_keeps_its_initial():
-    outcome = play(Script([LocalStep()]), SuccessEnv(), GameConfig(budget=Budget(100.0, 60.0)))
-    assert outcome.total_cost == 16.0  # spent from the 60 remaining
-    assert outcome.final_budget == Budget(100.0, 44.0)
-    assert outcome.transcript.charges_total == 16.0
+    assert outcome.budget_remaining == 0.0
 
 
 def test_exact_exhaustion_is_not_depletion():
     outcome = play(Script([LocalStep()]), SuccessEnv(), config(16.0))
     assert outcome.result is GameResult.LOST_CHALLENGE_FAILED
     assert outcome.total_cost == 16.0
-    assert outcome.final_budget.remaining == 0.0
+    assert outcome.budget_remaining == 0.0
 
 
 def test_zero_budget_opens_depleted():
@@ -353,14 +347,14 @@ def test_halt_move_ends_its_machine():
 
 def test_spawn_reply_and_child_scheduling():
     child = Script([])
-    strategy = Script([SpawnBatch(MachineSpec(b"worker!!"), [child])])
+    strategy = Script([SpawnBatch(MachineSpec(b"worker"), [child])])
     outcome = play(strategy, SuccessEnv(), config(100.0))
     reply = outcome.transcript.entries[1]
     assert reply.payload == b"1:1"
-    assert set(outcome.transcript.steps_by_machine) == {0, 1}
-    # spawn is priced at count * description bytes, not the root's step price
-    assert outcome.transcript.cost_by_machine[0] == 8.0 + 8.0  # spawn + halt
-    assert outcome.transcript.cost_by_machine[1] == 8.0  # child halt
+    assert outcome.transcript.steps_by_machine == {0: 2, 1: 1}
+    # spawn is priced at count * description bytes, not the root's 8-byte
+    # step price, and the child steps at its own 6-byte spec
+    assert outcome.transcript.charges_total == 6.0 + 8.0 + 6.0  # spawn + root halt + child halt
 
 
 def test_reply_answers_the_machines_own_last_move():
@@ -406,21 +400,14 @@ def test_reply_answers_the_machines_own_last_move():
     assert payloads("b") == [None, None, b"re:b"]
 
 
-def test_spawn_batch_shares_one_region():
-    seen = []
-
-    class Pool:
-        def step(self, ctx):
-            seen.append(id(ctx.shared))
-            ctx.shared.extend(b"m")
-            return HALT
-
-    spec = MachineSpec(b"worker", overlap_region="pool")
-    strategy = Script([SpawnBatch(spec, [Pool(), Pool()])])
+def test_spawn_batch_pricing_and_empty_batch_fault():
+    spec = MachineSpec(b"worker")
+    strategy = Script([SpawnBatch(spec, [Script([]), Script([])])])
     outcome = play(strategy, SuccessEnv(), config(100.0))
     assert outcome.transcript.entries[1].payload == b"1:2"
-    assert len(seen) == 2 and seen[0] == seen[1]
-    assert outcome.transcript.cost_by_machine[0] == 12.0 + 8.0  # 2 * 6-byte spec + halt
+    assert outcome.transcript.steps_by_machine == {0: 2, 1: 1, 2: 1}
+    # 2 * 6-byte spec + root halt + two 6-byte child halts
+    assert outcome.transcript.charges_total == 12.0 + 8.0 + 2 * 6.0
     with pytest.raises(ProtocolFault):
         play(Script([SpawnBatch(spec, [])]), SuccessEnv(), config(100.0))
 
@@ -661,26 +648,29 @@ def test_game_command_does_not_import_numpy(tmp_path):
 
 
 class SliceScanner:
-    """Scans keys index, index+width, ... until the target; flags via shared."""
+    """Scans keys index, index+width, ... until the target; flags the find
+    in a buffer that all the scanners share."""
 
-    def __init__(self, target, index, width):
+    def __init__(self, target, index, width, found):
         self.target = target
         self.next_key = index
         self.width = width
+        self.found = found
 
     def step(self, ctx):
-        if ctx.shared:
+        if self.found:
             return HALT
         if self.next_key == self.target:
-            ctx.shared.extend(b"found")
+            self.found.extend(b"found")
             return HALT
         self.next_key += self.width
         return LocalStep()
 
 
 def fleet_scan_outcome(width, target=700):
-    spec = MachineSpec(b"w", overlap_region="scan-flag")
-    workers = [SliceScanner(target, i, width) for i in range(width)]
+    spec = MachineSpec(b"w")
+    found = bytearray()
+    workers = [SliceScanner(target, i, width, found) for i in range(width)]
     root = Script([SpawnBatch(spec, workers)])
     cfg = config(1e6, per_step_information=1.0)
     return play(root, SuccessEnv(), cfg)

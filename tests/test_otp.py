@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from workfunc.cost import Budget
 from workfunc.game import (
     GameResult,
     MachineContext,
@@ -122,7 +121,7 @@ def test_wrong_guess_fails():
 def test_distinguisher_validation_and_spec_price():
     with pytest.raises(ValueError):
         OtpDistinguisher(10, plaintext_bytes=0)
-    assert OtpDistinguisher(10).spec.description_bytes == 24
+    assert len(OtpDistinguisher(10).spec.description) == 24
 
 
 def test_monobit_deviation():
@@ -157,7 +156,7 @@ def test_exact_monobit_tie_goes_to_candidate_zero():
 def test_distinguisher_needs_a_ciphertext_reply():
     for reply in (None, Move(MoveClass.DENIAL, b"no")):
         strategy = OtpDistinguisher(1)
-        ctx = MachineContext(0, None)
+        ctx = MachineContext(0)
         assert strategy.step(ctx).kind is MoveClass.ENCRYPTION_REQUEST
         ctx.reply = reply
         with pytest.raises(RuntimeError, match="ciphertext response missing"):
@@ -169,7 +168,7 @@ def test_distinguisher_needs_a_ciphertext_reply():
 )
 def test_distinguisher_needs_one_framed_ciphertext_block(payload):
     strategy = OtpDistinguisher(1)
-    ctx = MachineContext(0, None)
+    ctx = MachineContext(0)
     strategy.step(ctx)
     ctx.reply = Move(MoveClass.RESPONSE, payload)
     with pytest.raises(RuntimeError, match="ciphertext response malformed"):
@@ -201,7 +200,7 @@ def test_fifty_trial_cost_ledger():
     # 50 encryption steps + 50 challenge steps, each priced at the 24-byte spec
     assert outcome.total_cost == 2400.0
     assert outcome.transcript.charges_total == 2400.0
-    assert outcome.final_budget.remaining == 1e15 - 2400.0
+    assert outcome.budget_remaining == 1e15 - 2400.0
     assert outcome.successes == 50
     assert outcome.p_value == pytest.approx(2.0**-50)
     assert outcome.result is GameResult.WON
@@ -240,8 +239,8 @@ def test_small_plaintexts_still_distinguish_constant_pad():
 
 def test_budget_depletion_mid_game():
     outcome = run_otp_challenge(
-        KeystreamGen(1.0, seed=0), trials=50, rng_seed=1, budget=Budget.fresh(100.0)
+        KeystreamGen(1.0, seed=0), trials=50, rng_seed=1, budget=100.0
     )
     assert outcome.result is GameResult.LOST_BUDGET_DEPLETED
-    assert outcome.final_budget.remaining == 0.0
+    assert outcome.budget_remaining == 0.0
     assert outcome.total_cost == 100.0

@@ -111,6 +111,12 @@ def test_break_suite_report_times():
     assert report.rows[0][time_idx] == report.rows[0][printed_idx] == "132.5 s"
     assert report.rows[1][time_idx] == "10.77 hours"
     assert report.rows[3][time_idx] == "120.8 years"
+    # every row is checked against its printed time: the 84-bit fleet row
+    # is 9.421 days against a printed 10.1, the others within 0.05 %
+    deviations = [row[report.columns.index("deviation")] for row in report.rows]
+    assert deviations[2] == pytest.approx(1 - 9.421 / 10.1, abs=1e-3)
+    assert max(deviations[:2] + deviations[3:]) < 5e-4
+    assert report_failures(report, "deviation", refdata.BREAK_SUITE_TOLERANCE) == []
 
 
 def test_report_failures_flags_bad_rows():

@@ -6,12 +6,13 @@ public method of such a class, must be referenced somewhere in `src/` or
 attribute or an imported name; in `perfbench/` a string naming it counts
 too, since the benchmark tracer pins functions by name. A string in
 `src/` is data (an operation label, a column title), not a reference.
-Every annotated field of a public class must be read as an attribute
+Every annotated field of a public class, and every public attribute that
+a public class sets on `self` in `__init__`, must be read as an attribute
 (`x.field`) somewhere in `src/` or `perfbench/`: a field that is only
-ever set, by keyword or by default, holds nothing a command uses, and a
-local variable of the same name is no read of it. A helper that only tests call
-fails here: port the tests to the behaviour it served and delete it, or
-list it below with the reason it stays.
+ever set, by keyword, by default or by `+=`, holds nothing a command
+uses, and a local variable of the same name is no read of it. A helper
+that only tests call fails here: port the tests to the behaviour it
+served and delete it, or list it below with the reason it stays.
 """
 
 import ast
@@ -28,6 +29,12 @@ ALLOWED_TEST_ONLY = {
     "scan_for_zero": "the scalar reference that the lockstep scan_mean_words is tested against",
 }
 
+# field name -> why it stays although nothing in `src/` or `perfbench/` reads it
+ALLOWED_UNREAD_FIELDS = {
+    "charges_total": "the second computation of the ledger identity "
+    "config.budget - budget_remaining == charges_total",
+}
+
 
 def _public_definitions(tree: ast.Module):
     """(qualified name, bare name) of each public top-level def, class and method."""
@@ -42,13 +49,37 @@ def _public_definitions(tree: ast.Module):
                     yield f"{node.name}.{item.name}", item.name
 
 
+def _self_attributes(init: ast.FunctionDef):
+    """Public attribute names that `init` sets on `self`."""
+    for node in ast.walk(init):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for part in ast.walk(target):
+                if (
+                    isinstance(part, ast.Attribute)
+                    and isinstance(part.value, ast.Name)
+                    and part.value.id == "self"
+                    and not part.attr.startswith("_")
+                ):
+                    yield part.attr
+
+
 def _fields(tree: ast.Module):
-    """(qualified name, bare name) of each annotated field of a public class."""
+    """(qualified name, bare name) of each annotated field of a public class
+    and each public attribute its `__init__` sets on `self`."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
             for item in node.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                     yield f"{node.name}.{item.target.id}", item.target.id
+                elif isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    for name in _self_attributes(item):
+                        yield f"{node.name}.{name}", name
 
 
 def _references(node: ast.AST, enclosing: frozenset, found: set, strings: bool) -> None:
@@ -106,7 +137,11 @@ def test_every_field_of_a_public_class_is_read_outside_the_tests():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
-    assert _unreferenced(_fields, read) == set()
+    unread = _unreferenced(_fields, read)
+    allowed = {name for name in unread if name.rsplit(".", 1)[-1] in ALLOWED_UNREAD_FIELDS}
+    assert unread - allowed == set()
+    # an entry whose field gained a read leaves the list
+    assert {name.rsplit(".", 1)[-1] for name in allowed} == set(ALLOWED_UNREAD_FIELDS)
 
 
 def test_package_defines_only_its_version():
