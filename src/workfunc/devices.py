@@ -10,7 +10,6 @@ that matter for pricing are therefore the transistor count and the clock.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 BITS_PER_TRANSISTOR = 8.0
@@ -23,7 +22,6 @@ def normalize_name(name: str) -> str:
     return "-".join(name.strip().lower().split())
 
 
-@dataclass(frozen=True)
 class DeviceSpec:
     """One device model.
 
@@ -32,54 +30,58 @@ class DeviceSpec:
     clock_hz.
     """
 
-    name: str
-    transistor_count: int
-    clock_hz: float
-    component_count: int = 1
-    bits_per_transistor: float = BITS_PER_TRANSISTOR
+    __slots__ = ("name", "transistor_count", "clock_hz", "component_count", "bits_per_transistor")
 
-    def __post_init__(self):
-        if self.transistor_count <= 0:
-            raise ValueError(f"{self.name}: transistor_count must be positive")
-        if self.clock_hz <= 0:
-            raise ValueError(f"{self.name}: clock_hz must be positive")
-        if self.component_count <= 0:
-            raise ValueError(f"{self.name}: component_count must be positive")
-        if self.bits_per_transistor <= 0:
-            raise ValueError(f"{self.name}: bits_per_transistor must be positive")
+    def __init__(self, name: str, transistor_count: int, clock_hz: float, component_count: int = 1,
+                 bits_per_transistor: float = BITS_PER_TRANSISTOR):
+        if transistor_count <= 0:
+            raise ValueError(f"{name}: transistor_count must be positive")
+        if clock_hz <= 0:
+            raise ValueError(f"{name}: clock_hz must be positive")
+        if component_count <= 0:
+            raise ValueError(f"{name}: component_count must be positive")
+        if bits_per_transistor <= 0:
+            raise ValueError(f"{name}: bits_per_transistor must be positive")
+        self.name = name
+        self.transistor_count = transistor_count
+        self.clock_hz = clock_hz
+        self.component_count = component_count
+        self.bits_per_transistor = bits_per_transistor
 
 
-@dataclass(frozen=True)
 class Fleet:
     """unit_count copies of one device running in parallel."""
 
-    device: DeviceSpec
-    unit_count: int = 1
+    __slots__ = ("device", "unit_count")
 
-    def __post_init__(self):
-        if self.unit_count < 1:
+    def __init__(self, device: DeviceSpec, unit_count: int = 1):
+        if unit_count < 1:
             raise ValueError("unit_count must be at least 1")
+        self.device = device
+        self.unit_count = unit_count
 
 
-@dataclass(frozen=True)
 class ThroughputRecord:
     """Published throughput of an algorithm on a named device.
 
-    core_fraction scales the device rate when the figure was measured on a
-    fraction of the device (0.5 for one core of a dual-core part).
+    operation is "encrypt", "decrypt" or "combined".  core_fraction scales
+    the device rate when the figure was measured on a fraction of the
+    device (0.5 for one core of a dual-core part).
     """
 
-    device_name: str
-    algorithm: str
-    operation: str  # "encrypt" | "decrypt" | "combined"
-    throughput_bits_per_s: float
-    core_fraction: float = 1.0
+    __slots__ = ("device_name", "algorithm", "operation", "throughput_bits_per_s", "core_fraction")
 
-    def __post_init__(self):
-        if self.throughput_bits_per_s <= 0:
+    def __init__(self, device_name: str, algorithm: str, operation: str, throughput_bits_per_s: float,
+                 core_fraction: float = 1.0):
+        if throughput_bits_per_s <= 0:
             raise ValueError("throughput must be positive")
-        if not 0 < self.core_fraction <= 1:
+        if not 0 < core_fraction <= 1:
             raise ValueError("core_fraction must be in (0, 1]")
+        self.device_name = device_name
+        self.algorithm = algorithm
+        self.operation = operation
+        self.throughput_bits_per_s = throughput_bits_per_s
+        self.core_fraction = core_fraction
 
 
 def i_dev_bytes(spec: DeviceSpec) -> float:

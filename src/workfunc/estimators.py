@@ -9,8 +9,7 @@ check; one extra encryption layer triples it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 from .devices import Fleet, fleet_rate
 
@@ -37,16 +36,16 @@ def _rate_of(fleet: FleetLike) -> float:
     return fleet_rate(fleet)
 
 
-@dataclass(frozen=True)
 class BruteForceModel:
-    key_bits: int
-    bytes_per_key_bit: float = DEFAULT_BYTES_PER_KEY_BIT
+    __slots__ = ("key_bits", "bytes_per_key_bit")
 
-    def __post_init__(self):
-        if self.key_bits < 1:
+    def __init__(self, key_bits: int, bytes_per_key_bit: float = DEFAULT_BYTES_PER_KEY_BIT):
+        if key_bits < 1:
             raise ValueError("key_bits must be at least 1")
-        if self.bytes_per_key_bit <= 0:
+        if bytes_per_key_bit <= 0:
             raise ValueError("bytes_per_key_bit must be positive")
+        self.key_bits = key_bits
+        self.bytes_per_key_bit = bytes_per_key_bit
 
 
 def brute_force_cost(model: BruteForceModel) -> float:
@@ -57,8 +56,7 @@ def brute_force_cost(model: BruteForceModel) -> float:
     return model.bytes_per_key_bit * model.key_bits * 2.0 ** (model.key_bits - 1)
 
 
-@dataclass(frozen=True)
-class AttackEstimate:
+class AttackEstimate(NamedTuple):
     total_cost: float
     fleet_rate: float
     expected_seconds: float
@@ -88,7 +86,6 @@ def progress_years(speedup: float, annual_factor: float = HARDWARE_PROGRESS_PER_
     return math.log(speedup) / math.log(annual_factor)
 
 
-@dataclass(frozen=True)
 class DictionaryModel:
     """Precomputed-dictionary attack sizing.
 
@@ -99,25 +96,26 @@ class DictionaryModel:
     upper_bound flag switches to the 3k(k - epsilon) bit-comparison bound.
     """
 
-    key_bits: int
-    epsilon: int
-    plaintext_blocks: int = 3
-    steps_per_comparison: int = 2
-    upper_bound: bool = False
+    __slots__ = ("key_bits", "epsilon", "plaintext_blocks", "steps_per_comparison", "upper_bound")
 
-    def __post_init__(self):
-        if self.key_bits < 1:
+    def __init__(self, key_bits: int, epsilon: int, plaintext_blocks: int = 3,
+                 steps_per_comparison: int = 2, upper_bound: bool = False):
+        if key_bits < 1:
             raise ValueError("key_bits must be at least 1")
-        if not 0 <= self.epsilon < self.key_bits:
+        if not 0 <= epsilon < key_bits:
             raise ValueError("epsilon must be in [0, key_bits)")
-        if self.plaintext_blocks < 1:
+        if plaintext_blocks < 1:
             raise ValueError("plaintext_blocks must be at least 1")
-        if self.steps_per_comparison < 1:
+        if steps_per_comparison < 1:
             raise ValueError("steps_per_comparison must be at least 1")
+        self.key_bits = key_bits
+        self.epsilon = epsilon
+        self.plaintext_blocks = plaintext_blocks
+        self.steps_per_comparison = steps_per_comparison
+        self.upper_bound = upper_bound
 
 
-@dataclass(frozen=True)
-class DictionaryStats:
+class DictionaryStats(NamedTuple):
     entries: float
     entry_bits: int
     dictionary_bytes: float
@@ -161,7 +159,6 @@ def dictionary_stats(model: DictionaryModel) -> DictionaryStats:
     )
 
 
-@dataclass(frozen=True)
 class Tf1Model:
     """Word-based stream generator with a 4w-bit state.
 
@@ -172,21 +169,22 @@ class Tf1Model:
     convention; the geometric mean from a random start is 2**w).
     """
 
-    word_bits: int
-    bytes_per_strength_bit: float = DEFAULT_BYTES_PER_KEY_BIT
-    scan_words_per_second: float = 1e9
+    __slots__ = ("word_bits", "bytes_per_strength_bit", "scan_words_per_second")
 
-    def __post_init__(self):
-        if self.word_bits < 1:
+    def __init__(self, word_bits: int, bytes_per_strength_bit: float = DEFAULT_BYTES_PER_KEY_BIT,
+                 scan_words_per_second: float = 1e9):
+        if word_bits < 1:
             raise ValueError("word_bits must be at least 1")
-        if self.bytes_per_strength_bit <= 0:
+        if bytes_per_strength_bit <= 0:
             raise ValueError("bytes_per_strength_bit must be positive")
-        if self.scan_words_per_second <= 0:
+        if scan_words_per_second <= 0:
             raise ValueError("scan rate must be positive")
+        self.word_bits = word_bits
+        self.bytes_per_strength_bit = bytes_per_strength_bit
+        self.scan_words_per_second = scan_words_per_second
 
 
-@dataclass(frozen=True)
-class Tf1Estimate:
+class Tf1Estimate(NamedTuple):
     word_bits: int
     intended_strength_bits: int
     effective_strength_bits: float

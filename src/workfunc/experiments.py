@@ -39,9 +39,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from statistics import fmean
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,8 +80,7 @@ def cipher_table(key_bits: int, block: int) -> np.ndarray:
     return cipher.encrypt_with_subkeys(cipher.schedule(keys), block)
 
 
-@dataclass(frozen=True)
-class ExperimentResult:
+class ExperimentResult(NamedTuple):
     name: str
     statistic: float
     expected: float
@@ -248,8 +246,7 @@ def _scan(order: Sequence[int], matches, charge: float) -> tuple[int, int, float
     raise LookupError("no candidate in the scan order matches")
 
 
-@dataclass(frozen=True)
-class StateSearchResult:
+class StateSearchResult(NamedTuple):
     state_packed: int
     candidates_tested: int
     cost: float
@@ -281,8 +278,7 @@ def state_search(
     return StateSearchResult((hint_high_bits << unknown) | low, tested, cost)
 
 
-@dataclass(frozen=True)
-class KeySearchResult:
+class KeySearchResult(NamedTuple):
     key: int
     keys_tested: int
     cost: float

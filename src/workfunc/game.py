@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 BUDGET_QUERY = b"budget?"
 
@@ -98,8 +97,7 @@ def unframe(buffer: bytes) -> list[bytes]:
     return parts
 
 
-@dataclass(frozen=True)
-class Move:
+class Move(NamedTuple):
     """One move of either player; its class fixes which (`PLAYER`)."""
 
     kind: MoveClass
@@ -110,8 +108,7 @@ class Move:
 HALT = Move(MoveClass.STRUCTURAL_REQUEST, b"halt")
 
 
-@dataclass(frozen=True)
-class MachineSpec:
+class MachineSpec(NamedTuple):
     """What it costs to know a machine: its full description, which the
     engine never interprets, only prices."""
 
@@ -119,36 +116,35 @@ class MachineSpec:
 
 
 # Actions a strategy may return from step() besides a Move.
-@dataclass(frozen=True)
-class SpawnBatch:
+class SpawnBatch(NamedTuple):
     """One structural request recruiting several copies of one spec."""
 
     spec: MachineSpec
     strategies: Sequence[object]
 
 
-@dataclass(frozen=True)
 class LocalStep:
     pass
 
 
-@dataclass(frozen=True)
 class GameConfig:
-    budget: float  # the initial budget
-    rng_seed: int = 0
-    challenge_trials: int = 0
-    win_threshold: float = 0.01
-    per_step_information: Optional[float] = None
+    __slots__ = ("budget", "rng_seed", "challenge_trials", "win_threshold", "per_step_information")
 
-    def __post_init__(self):
-        if not self.budget >= 0:
+    def __init__(self, budget: float, rng_seed: int = 0, challenge_trials: int = 0,
+                 win_threshold: float = 0.01, per_step_information: Optional[float] = None):
+        if not budget >= 0:
             raise ValueError("budget must be non-negative")
-        if self.challenge_trials < 0:
+        if challenge_trials < 0:
             raise ValueError("challenge_trials must be non-negative")
-        if not 0 < self.win_threshold < 1:
+        if not 0 < win_threshold < 1:
             raise ValueError("win_threshold must be in (0, 1)")
-        if self.per_step_information is not None and not self.per_step_information >= 0:
+        if per_step_information is not None and not per_step_information >= 0:
             raise ValueError("per_step_information must be non-negative")
+        self.budget = budget  # the initial budget
+        self.rng_seed = rng_seed
+        self.challenge_trials = challenge_trials
+        self.win_threshold = win_threshold
+        self.per_step_information = per_step_information
 
 
 class GameResult(Enum):
@@ -176,8 +172,7 @@ class GameTranscript:
         self.charges_total = 0.0
 
 
-@dataclass(frozen=True)
-class GameOutcome:
+class GameOutcome(NamedTuple):
     result: GameResult
     transcript: GameTranscript
     total_cost: float

@@ -7,7 +7,7 @@ recomputes.  Locations name where the figure appears in that source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .devices import DeviceSpec, Fleet, ThroughputRecord
 from .estimators import SECONDS_PER_DAY, SECONDS_PER_HOUR, SECONDS_PER_MONTH, SECONDS_PER_YEAR
@@ -44,8 +44,7 @@ THROUGHPUTS = [
 ]
 
 
-@dataclass(frozen=True)
-class Table2Cell:
+class Table2Cell(NamedTuple):
     row: str  # platform label
     algorithm: str
     operation: str
@@ -106,8 +105,7 @@ TIANHE_COMPOSITION = [
 # --- word generator table (Table 3) ------------------------------------------
 
 
-@dataclass(frozen=True)
-class Table3Row:
+class Table3Row(NamedTuple):
     word_bits: int
     cluster_units: int  # reference GPUs working the state search
     printed_values: float  # words scanned to the zero (2**(w-1) convention)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field
 
 from . import refdata
 from .devices import Fleet, cost_per_bit, default_catalog, find_device, resource_rate
@@ -31,18 +30,19 @@ from .estimators import (
 Cell = int | float | str
 
 
-@dataclass(frozen=True)
 class Report:
-    title: str
-    columns: tuple[str, ...]
-    rows: tuple[tuple[Cell, ...], ...]
-    provenance: tuple[str, str]  # (tag, source location) of every row
-    notes: tuple[str, ...] = field(default=())
+    __slots__ = ("title", "columns", "rows", "provenance", "notes")
 
-    def __post_init__(self) -> None:
-        for row in self.rows:
-            if len(row) != len(self.columns):
+    def __init__(self, title: str, columns: tuple[str, ...], rows: tuple[tuple[Cell, ...], ...],
+                 provenance: tuple[str, str], notes: tuple[str, ...] = ()):
+        for row in rows:
+            if len(row) != len(columns):
                 raise ValueError("row width must match columns")
+        self.title = title
+        self.columns = columns
+        self.rows = rows
+        self.provenance = provenance  # (tag, source location) of every row
+        self.notes = notes
 
 
 def relative_deviation(computed: float, printed: float) -> float:

@@ -20,8 +20,7 @@ from __future__ import annotations
 import configparser
 import math
 import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .devices import EXACT_COUNT_LIMIT, DeviceSpec, Fleet, find_device
 from .otp import DEFAULT_PLAINTEXT_BYTES
@@ -60,8 +59,7 @@ def scenario_bool(key: str, raw: str) -> bool:
 _PARSERS = {int: scenario_int, float: scenario_float, bool: scenario_bool}
 
 
-@dataclass(frozen=True)
-class Key:
+class Key(NamedTuple):
     """One scenario key: its type, its bounds and whether it is required.
 
     A number lies between `lo` and `hi`; `ends` marks each end closed with
@@ -139,8 +137,7 @@ SCHEMA: dict[str, dict[str, Key]] = {
 KINDS = tuple(SCHEMA)
 
 
-@dataclass(frozen=True)
-class Scenario:
+class Scenario(NamedTuple):
     kind: str
     params: Mapping[str, object]
 

@@ -1,7 +1,6 @@
 import math
 import random
 import statistics
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -372,7 +371,7 @@ def test_meter_ledger_counts_a_wrong_answer(monkeypatch, capsys, name, wrong):
     # fails the ledger line: the identities alone would not see it
     search = getattr(experiments, name)
     monkeypatch.setattr(
-        experiments, name, lambda *args, **kwargs: replace(search(*args, **kwargs), **wrong)
+        experiments, name, lambda *args, **kwargs: search(*args, **kwargs)._replace(**wrong)
     )
     result = meter_ledger_experiment()
     assert result.statistic == 1.0
