@@ -449,12 +449,13 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
 
         if is_move:
             move = action
-            if PLAYER.get(move.kind) is not attacker:
-                raise ProtocolFault(f"strategy played {move.kind}, not an attacker move", transcript)
+            kind = move.kind  # a named tuple's field read costs more than a local's
+            if PLAYER.get(kind) is not attacker:
+                raise ProtocolFault(f"strategy played {kind}, not an attacker move", transcript)
             engine_reply = None  # the environment answers
-            if move.kind is info_request and move.payload == BUDGET_QUERY:
+            if kind is info_request and move.payload == BUDGET_QUERY:
                 engine_reply = repr(remaining).encode()
-            elif move.kind is structural_request:
+            elif kind is structural_request:
                 engine_reply = b"ok"
                 if move.payload == HALT.payload:
                     machine.alive = False
@@ -463,7 +464,8 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
         elif isinstance(action, SpawnBatch):
             count = len(action.strategies)
             payload = frame(action.spec.description) + frame(count.to_bytes(4, "big"))
-            move = Move(structural_request, payload)
+            kind = structural_request
+            move = Move(kind, payload)
             engine_reply = f"{len(machines)}:{count}".encode()
             for child in action.strategies:
                 machines.append(_Machine(len(machines), action.spec, child))
@@ -480,7 +482,7 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
         moves.append(reply)
         ctx.reply = reply
 
-        if move.kind is challenge and reply.kind is response:
+        if kind is challenge and reply.kind is response:
             trials += 1
             if reply.payload[:1] == b"\x01":
                 successes += 1
