@@ -17,16 +17,13 @@ from workfunc.experiments import ExperimentResult
 from workfunc.game import GameConfig, GameOutcome, GameResult, GameTranscript, Move, MoveClass
 from workfunc.reports import Report
 
-GPU = DeviceSpec("gpu", 100, 1e9)
+def refuses(build, message, name):
+    return pytest.param(build, ValueError, message, id=name)
 
 
-def refuses(build, message, id):
-    return pytest.param(build, ValueError, message, id=id)
-
-
-def frozen(record, field, id):
+def frozen(record, field, name):
     assign = lambda: setattr(record, field, getattr(record, field))  # noqa: E731
-    return pytest.param(assign, AttributeError, None, id=id)
+    return pytest.param(assign, AttributeError, None, id=name)
 
 
 RECORD_CHECKS = [
@@ -36,7 +33,7 @@ RECORD_CHECKS = [
             "device-components"),
     refuses(lambda: DeviceSpec("d", 1, 1e9, bits_per_transistor=0),
             "d: bits_per_transistor must be positive", "device-bits"),
-    refuses(lambda: Fleet(GPU, 0), "unit_count must be at least 1", "fleet-units"),
+    refuses(lambda: Fleet(DeviceSpec("gpu", 100, 1e9), 0), "unit_count must be at least 1", "fleet-units"),
     refuses(lambda: ThroughputRecord("gpu", "aes", "encrypt", 0), "throughput must be positive",
             "throughput-zero"),
     refuses(lambda: ThroughputRecord("gpu", "aes", "encrypt", 1e9, core_fraction=0),
