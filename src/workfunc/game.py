@@ -4,25 +4,27 @@ A step that keeps I bytes of machinery busy costs I bytes, and a run
 costs the plain sum of its step costs, charged to one float budget
 (`play`).
 
-The attacker is one or more machines scheduled round-robin.  A machine
-is a strategy whose `step(ctx)` returns one action per turn: an attacker
-`Move`, a `SpawnBatch`, a `LocalStep` or `HALT`.  A move is its class and
-payload; the class fixes its player (`PLAYER`).  `ctx` offers `reply`,
-the answer to that machine's own last move (None before its first move),
-and `work_tape`, private scratch space whose length is priced into every
-step.  Every attacker move gets exactly one reply, from the engine or the
-environment.  The transcript is the one record of the moves, in order:
-a list by default, or a `TranscriptWriter` that writes each move's line
-as it is recorded, so that a game's memory does not grow with its
-trials.  Challenge moves are adjudicated at the end with a
+The attacker is one machine: a strategy whose `step(ctx)` returns one
+action per turn, an attacker `Move`, a `LocalStep` or `HALT`.  A fleet is
+one machine whose description is the fleet's, so N devices that each
+test a key per step are one machine of N times the bytes that tests N
+keys per `LocalStep`, charged what the N devices are.  A move is its
+class and payload; the class fixes its player (`PLAYER`).  `ctx` offers
+`reply`, the answer to the strategy's last move (None before its first
+move), and `work_tape`, private scratch space whose length is priced
+into every step.  Every attacker move gets exactly one reply, from the
+engine or the environment.  The transcript is the one record of the
+moves, in order: a list by default, or a `TranscriptWriter` that writes
+each move's line as it is recorded, so that a game's memory does not
+grow with its trials.  Challenge moves are adjudicated at the end with a
 one-sided exact binomial test against chance 1/2.
 
 Engine-side conventions, fixed for transcript stability:
   * payloads travel length-prefixed (4-byte big-endian length),
   * the engine itself answers budget queries (InfoRequest b"budget?")
-    and structural requests (spawn, and `HALT`, StructuralRequest
-    b"halt", which ends its machine); everything else goes to the
-    environment object,
+    and structural requests: `HALT` (StructuralRequest b"halt") ends the
+    game with the reply b"ok", and any other structural request gets a
+    Denial; everything else goes to the environment object,
   * a Response to a Challenge counts as a success iff its payload starts
     with byte 0x01.
 """
@@ -32,7 +34,7 @@ from __future__ import annotations
 import math
 import random
 from enum import Enum
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 BUDGET_QUERY = b"budget?"
 
@@ -104,8 +106,10 @@ class Move(NamedTuple):
     payload: bytes = b""
 
 
-# the move that ends the machine playing it; the engine answers b"ok"
+# the move that ends the game, and the engine's answers to structural requests
 HALT = Move(MoveClass.STRUCTURAL_REQUEST, b"halt")
+_HALT_REPLY = Move(MoveClass.RESPONSE, b"ok")
+_UNSUPPORTED = Move(MoveClass.DENIAL, b"unsupported structural request")
 
 
 class MachineSpec(NamedTuple):
@@ -115,16 +119,8 @@ class MachineSpec(NamedTuple):
     description: bytes
 
 
-# Actions a strategy may return from step() besides a Move.
-class SpawnBatch(NamedTuple):
-    """One structural request recruiting several copies of one spec."""
-
-    spec: MachineSpec
-    strategies: Sequence[object]
-
-
 class LocalStep:
-    pass
+    """The action of a step of local work, which plays no move."""
 
 
 class GameConfig:
@@ -134,6 +130,8 @@ class GameConfig:
                  win_threshold: float = 0.01, per_step_information: Optional[float] = None):
         if not budget >= 0:
             raise ValueError("budget must be non-negative")
+        if budget == math.inf:  # the cost would read inf - inf
+            raise ValueError("budget must be finite")
         if challenge_trials < 0:
             raise ValueError("challenge_trials must be non-negative")
         if not 0 < win_threshold < 1:
@@ -160,15 +158,16 @@ class GameTranscript:
     its `len` is the number of moves so far.  By default it is a list, so
     a move's transcript index is its list position; a `TranscriptWriter`
     writes each move's line instead and keeps only the count.  Local
-    (non-move) steps appear only in `steps_by_machine`, the step count of
-    each machine.  `play` adds each step's charge to charges_total as it
+    (non-move) steps appear only in `steps_by_machine`, which holds the
+    step count of the one machine under key 0 (the benchmark tracer sums
+    its values).  `play` adds each step's charge to charges_total as it
     is priced, so config.budget - budget_remaining == charges_total holds
     exactly as long as the charges are exactly representable.
     """
 
     def __init__(self, entries=None):
         self.entries = [] if entries is None else entries
-        self.steps_by_machine: dict[int, int] = {}
+        self.steps_by_machine: dict[int, int] = {0: 0}
         self.charges_total = 0.0
 
 
@@ -183,27 +182,12 @@ class GameOutcome(NamedTuple):
 
 
 class MachineContext:
-    """What a strategy sees: the reply to its own last move and its
-    scratch space."""
+    """What the strategy sees: the reply to its last move and its scratch
+    space."""
 
-    def __init__(self, machine_id: int):
-        self.machine_id = machine_id
+    def __init__(self):
         self.reply: Optional[Move] = None
         self.work_tape = bytearray()
-
-
-class _Machine:
-    """A strategy with its step price before scratch space (its spec's
-    description bytes, as a float), context and liveness; only its own
-    `HALT` move clears `alive`."""
-
-    __slots__ = ("price", "strategy", "ctx", "alive")
-
-    def __init__(self, machine_id: int, spec: MachineSpec, strategy):
-        self.price = float(len(spec.description))
-        self.strategy = strategy
-        self.ctx = MachineContext(machine_id)
-        self.alive = True
 
 
 # Up to this many trials the tail is the exact count, correctly rounded;
@@ -377,42 +361,32 @@ def wins_challenge(successes: int, trials: int, alpha: float) -> bool:
     return _adjudicate(successes, trials, alpha)[1]
 
 
-def _schedule(machines: list[_Machine]) -> Iterator[_Machine]:
-    """Round-robin turns: each round visits, in spawn order, the machines
-    alive at its start; the game ends when none is left."""
-    while True:
-        live = [m for m in machines if m.alive]
-        if not live:
-            return
-        yield from live
-
-
 def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome:
-    """Run one game to completion, one machine turn at a time.
+    """Run one game to completion, one step of the strategy at a time.
 
-    The root machine runs `strategy` under its `.spec` (8-byte
-    b"attacker" when it has none).  A turn prices the step and charges it
-    before it takes effect: a step dearer than the remaining budget
-    charges the remainder and ends the game `LostBudgetDepleted`, and one
-    that exactly exhausts it is paid in full.  Then it acts: the move and
-    its one reply, from the engine or the environment, are appended to
-    the transcript's `entries`, and the reply becomes the machine's
-    `ctx.reply`.  `entries` is a list unless a sink such as a
+    Each step is priced at the strategy's `.spec` (8-byte b"attacker"
+    when it has none) plus its work tape, or at the config's
+    `per_step_information`, and charged before it takes effect: a step
+    dearer than the remaining budget charges the remainder and ends the
+    game `LostBudgetDepleted`, and one that exactly exhausts it is paid in
+    full.  Then it acts: the move and its one reply, from the engine or
+    the environment, are appended to the transcript's `entries`, and the
+    reply becomes `ctx.reply`.  `HALT` or the last challenge trial ends
+    the game.  `entries` is a list unless a sink such as a
     `TranscriptWriter` is given; the engine itself keeps no move but the
-    last reply of each machine, so with a writer the game's memory does
-    not grow with its trials.  Turns come from `_schedule`, so a machine
-    spawned mid-round first acts in the next round.  Determinism: with a
-    fixed (strategy, environment, config) the move sequence and outcome
-    are bit-identical; all randomness flows from config.rng_seed through
-    the environment's seeded generator.
+    last reply, so with a writer the game's memory does not grow with its
+    trials.  Determinism: with a fixed (strategy, environment, config)
+    the move sequence and outcome are bit-identical; all randomness flows
+    from config.rng_seed through the environment's seeded generator.
     """
     transcript = GameTranscript(entries)
     moves = transcript.entries
     if hasattr(environment, "start"):
         environment.start(random.Random(f"{config.rng_seed}:environment"))
 
-    root_spec = getattr(strategy, "spec", None) or MachineSpec(b"attacker")
-    machines = [_Machine(0, root_spec, strategy)]
+    spec = strategy.spec if hasattr(strategy, "spec") else MachineSpec(b"attacker")
+    price = float(len(spec.description))
+    ctx = MachineContext()
     remaining = config.budget
     flat_price = config.per_step_information
     steps_by = transcript.steps_by_machine
@@ -424,59 +398,33 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
     info_request, structural_request = MoveClass.INFO_REQUEST, MoveClass.STRUCTURAL_REQUEST
     challenge, response = MoveClass.CHALLENGE, MoveClass.RESPONSE
 
-    for machine in _schedule(machines):
-        ctx = machine.ctx
+    while True:
         work_len = len(ctx.work_tape)
-        action = machine.strategy.step(ctx)
-
-        is_move = isinstance(action, Move)
-        if is_move or not isinstance(action, SpawnBatch):
-            step_cost = machine.price + work_len if flat_price is None else flat_price
-        elif action.strategies:
-            step_cost = float(len(action.strategies) * len(action.spec.description))
-        else:
-            raise ProtocolFault("spawn batch must recruit at least one machine", transcript)
-
+        action = strategy.step(ctx)
+        step_cost = price + work_len if flat_price is None else flat_price
         if step_cost > remaining:  # an overdraft charges what is left and ends the game
             step_cost = remaining
             result = GameResult.LOST_BUDGET_DEPLETED
         remaining -= step_cost
-        machine_id = ctx.machine_id
-        steps_by[machine_id] = steps_by.get(machine_id, 0) + 1
+        steps_by[0] += 1
         transcript.charges_total += step_cost
         if result is not None:
             break
 
-        if is_move:
-            move = action
-            kind = move.kind  # a named tuple's field read costs more than a local's
-            if PLAYER.get(kind) is not attacker:
-                raise ProtocolFault(f"strategy played {kind}, not an attacker move", transcript)
-            engine_reply = None  # the environment answers
-            if kind is info_request and move.payload == BUDGET_QUERY:
-                engine_reply = repr(remaining).encode()
-            elif kind is structural_request:
-                engine_reply = b"ok"
-                if move.payload == HALT.payload:
-                    machine.alive = False
-        elif isinstance(action, LocalStep):
-            continue
-        elif isinstance(action, SpawnBatch):
-            count = len(action.strategies)
-            payload = frame(action.spec.description) + frame(count.to_bytes(4, "big"))
-            kind = structural_request
-            move = Move(kind, payload)
-            engine_reply = f"{len(machines)}:{count}".encode()
-            for child in action.strategies:
-                machines.append(_Machine(len(machines), action.spec, child))
-        else:
+        if not isinstance(action, Move):
+            if isinstance(action, LocalStep):
+                continue
             raise ProtocolFault(f"strategy returned unknown action {action!r}", transcript)
-
-        moves.append(move)
-        if engine_reply is not None:
-            reply = Move(response, engine_reply)
+        kind = action.kind  # a named tuple's field read costs more than a local's
+        if PLAYER.get(kind) is not attacker:
+            raise ProtocolFault(f"strategy played {kind}, not an attacker move", transcript)
+        moves.append(action)
+        if kind is info_request and action.payload == BUDGET_QUERY:
+            reply = Move(response, repr(remaining).encode())
+        elif kind is structural_request:
+            reply = _HALT_REPLY if action.payload == HALT.payload else _UNSUPPORTED
         else:
-            reply = environment.respond(move)
+            reply = environment.respond(action)
             if not isinstance(reply, Move) or PLAYER.get(reply.kind) is not environment_player:
                 raise ProtocolFault("environment must answer with one Response or Denial", transcript)
         moves.append(reply)
@@ -488,6 +436,8 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
                 successes += 1
             if trials == config.challenge_trials:
                 break
+        elif reply is _HALT_REPLY:
+            break
 
     # one tail evaluation per game: a budget loss still reports its p-value
     p_value, won = _adjudicate(successes, trials, config.win_threshold)

@@ -27,56 +27,40 @@ TABLE1_TOLERANCE = 0.005
 
 # --- encryption workload pricing (Table 2) ----------------------------------
 
-# Benchmarked throughputs feeding Table 2.  CPU figures come from cycle
-# counts on one 2.6 GHz Core Duo; the per-core figures (RSA, AES) carry
-# core_fraction 0.5.  FPGA figures are whole-device, the MQQ encryptor
-# spanning four chips.
-THROUGHPUTS = [
-    ThroughputRecord("intel-core-duo", "mqq-160", "encrypt", 5.19e6),
-    ThroughputRecord("intel-core-duo", "mqq-160", "decrypt", 67.0e6),
-    ThroughputRecord("intel-core-duo", "rsa-1024", "encrypt", 1.39e6, core_fraction=0.5),
-    ThroughputRecord("intel-core-duo", "rsa-1024", "decrypt", 56.4e3, core_fraction=0.5),
-    ThroughputRecord("intel-core-duo", "aes-128", "combined", 1e9, core_fraction=0.5),
-    ThroughputRecord("virtex-5-xc5vfx70t-2-277mhz", "mqq-160", "encrypt", 44.27e9),
-    ThroughputRecord("virtex-5-xc5vfx70t-2-249mhz", "mqq-160", "decrypt", 399.04e6),
-    ThroughputRecord("virtex-5-xc5vlx30-3", "rsa-1024", "combined", 40e3),
-    ThroughputRecord("virtex-5-xc5vlx30-3", "aes-128", "combined", 4.1e9),
-]
-
 
 class Table2Cell(NamedTuple):
     row: str  # platform label
-    algorithm: str
-    operation: str
-    device_name: str
+    record: ThroughputRecord
     unit_count: int
     printed_bytes_per_bit: float
 
 
+# Benchmarked throughputs feeding Table 2.  CPU figures come from cycle
+# counts on one 2.6 GHz Core Duo; the per-core figures (RSA, AES) carry
+# core_fraction 0.5.  FPGA figures are whole-device, the MQQ encryptor
+# spanning four chips.
 TABLE2_CELLS = [
-    Table2Cell("Core Duo", "mqq-160", "encrypt", "intel-core-duo", 1, 146e9),
-    Table2Cell("Core Duo", "mqq-160", "decrypt", "intel-core-duo", 1, 11.3e9),
-    Table2Cell("Core Duo", "rsa-1024", "encrypt", "intel-core-duo", 1, 272e9),  # per core
-    Table2Cell("Core Duo", "rsa-1024", "decrypt", "intel-core-duo", 1, 6.71e12),  # per core
-    Table2Cell("Core Duo", "aes-128", "combined", "intel-core-duo", 1, 379e6),  # per core
-    Table2Cell("Virtex-5", "mqq-160", "encrypt", "virtex-5-xc5vfx70t-2-277mhz", 4, 27.5e6),  # 4 chips
-    Table2Cell("Virtex-5", "mqq-160", "decrypt", "virtex-5-xc5vfx70t-2-249mhz", 1, 687e6),
-    Table2Cell("Virtex-5", "rsa-1024", "combined", "virtex-5-xc5vlx30-3", 1, 6.9e12),
-    Table2Cell("Virtex-5", "aes-128", "combined", "virtex-5-xc5vlx30-3", 1, 67.3e6),
+    Table2Cell("Core Duo", ThroughputRecord("intel-core-duo", "mqq-160", "encrypt", 5.19e6),
+               1, 146e9),
+    Table2Cell("Core Duo", ThroughputRecord("intel-core-duo", "mqq-160", "decrypt", 67.0e6),
+               1, 11.3e9),
+    Table2Cell("Core Duo", ThroughputRecord("intel-core-duo", "rsa-1024", "encrypt", 1.39e6, core_fraction=0.5),
+               1, 272e9),  # per core
+    Table2Cell("Core Duo", ThroughputRecord("intel-core-duo", "rsa-1024", "decrypt", 56.4e3, core_fraction=0.5),
+               1, 6.71e12),  # per core
+    Table2Cell("Core Duo", ThroughputRecord("intel-core-duo", "aes-128", "combined", 1e9, core_fraction=0.5),
+               1, 379e6),  # per core
+    Table2Cell("Virtex-5", ThroughputRecord("virtex-5-xc5vfx70t-2-277mhz", "mqq-160", "encrypt", 44.27e9),
+               4, 27.5e6),  # 4 chips
+    Table2Cell("Virtex-5", ThroughputRecord("virtex-5-xc5vfx70t-2-249mhz", "mqq-160", "decrypt", 399.04e6),
+               1, 687e6),
+    Table2Cell("Virtex-5", ThroughputRecord("virtex-5-xc5vlx30-3", "rsa-1024", "combined", 40e3),
+               1, 6.9e12),
+    Table2Cell("Virtex-5", ThroughputRecord("virtex-5-xc5vlx30-3", "aes-128", "combined", 4.1e9),
+               1, 67.3e6),
 ]
 TABLE2_LOCATION = "Table 2"
 TABLE2_TOLERANCE = 0.015
-
-
-def throughput_for(cell: Table2Cell) -> ThroughputRecord:
-    for record in THROUGHPUTS:
-        if (
-            record.device_name == cell.device_name
-            and record.algorithm == cell.algorithm
-            and record.operation == cell.operation
-        ):
-            return record
-    raise KeyError(f"no throughput record for {cell}")
 
 
 # --- exhaustive search reproduction (survey narrative) -----------------------

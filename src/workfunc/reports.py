@@ -137,7 +137,7 @@ def build_cost_per_bit_report() -> Report:
     index = {d.name: d for d in default_catalog()}
     rows = []
     for cell in refdata.TABLE2_CELLS:
-        record = refdata.throughput_for(cell)
+        record = cell.record
         computed = cost_per_bit(Fleet(index[record.device_name], cell.unit_count), record)
         printed = cell.printed_bytes_per_bit
         rows.append(

@@ -5,7 +5,7 @@ import statistics
 import numpy as np
 import pytest
 
-from workfunc import experiments
+from workfunc import experiments, toycrypto
 from workfunc.cli import main
 from workfunc.experiments import (
     TRIAL_PLAINTEXTS,
@@ -28,6 +28,7 @@ from workfunc.experiments import (
 )
 from workfunc.toycrypto import (
     MAX_WORD_BITS,
+    KeystreamGen,
     ScanLimitError,
     StandInPrng,
     ToyCipher,
@@ -397,3 +398,47 @@ def test_quick_validation_is_all_green():
     assert len(results) == 5
     for result in results:
         assert result.passed, f"{result.name}: {result.statistic} vs {result.expected}"
+
+
+def _search_twice_the_space(monkeypatch):
+    counts = experiments.brute_force_keys_tested
+    monkeypatch.setattr(experiments, "brute_force_keys_tested", lambda k, n, seed: counts(k + 1, n, seed))
+
+
+def _schedule_ignoring_key_bit_0(monkeypatch):
+    schedule = ToyCipher.schedule
+    monkeypatch.setattr(ToyCipher, "schedule", lambda self, key: schedule(self, key & 0xFFFFFFFE))
+
+
+def _state_space_of_2w_bits(monkeypatch):
+    for module in (toycrypto, experiments):
+        monkeypatch.setattr(module, "reduction_unknown_bits", lambda word_bits: 2 * word_bits)
+
+
+def _keystream_at_bias_half(monkeypatch):
+    monkeypatch.setattr(experiments, "KeystreamGen", lambda bias, seed: KeystreamGen(0.5, seed))
+
+
+def _slope(seed):
+    return state_search_slope_experiment(trials_list=(100, 60, 40), seed=seed)[0]
+
+
+@pytest.mark.parametrize(
+    "misprice, line, statistic",
+    [
+        (_search_twice_the_space, lambda: brute_force_mean_experiment(12, 1000, 23), 4107),
+        (_schedule_ignoring_key_bit_0, lambda: brute_force_mean_experiment(12, 1000, 23), 1345),
+        (_schedule_ignoring_key_bit_0, lambda: brute_force_mean_experiment(16, 1000, 27), 21773),
+        (_state_space_of_2w_bits, lambda: _slope(11), 1.93),
+        (_keystream_at_bias_half, lambda: keystream_bias_experiment(nbits=200_000), 0.498),
+    ],
+    ids=["key-space-doubled", "twin-keys-k12", "twin-keys-k16", "state-space-2w", "keystream-unbiased"],
+)
+def test_each_misprice_fails_its_line(monkeypatch, misprice, line, statistic):
+    """Power: each line passes on the model as built and fails at the same
+    seed, band and trial count when the model is wrong in a named way."""
+    assert line().passed
+    misprice(monkeypatch)
+    result = line()
+    assert result.statistic == pytest.approx(statistic, rel=0.005)
+    assert result.passed is False

@@ -21,7 +21,6 @@ from workfunc.game import (
     PLAYER,
     MoveClass,
     ProtocolFault,
-    SpawnBatch,
     TranscriptWriter,
     binomial_tail_probability,
     export_transcript,
@@ -329,10 +328,16 @@ def test_zero_budget_opens_depleted():
     assert outcome.total_cost == 0.0
 
 
-def test_structural_request_gets_engine_ok():
+def test_unsupported_structural_request_is_denied():
+    # HALT is the one structural request the engine grants; the game goes on
     strategy = Script([Move(MoveClass.STRUCTURAL_REQUEST, b"lease ram")])
     outcome = play(strategy, SuccessEnv(), config(100.0))
-    assert outcome.transcript.entries[1].payload == b"ok"
+    assert outcome.transcript.entries[1:] == [
+        Move(MoveClass.DENIAL, b"unsupported structural request"),
+        HALT,
+        Move(MoveClass.RESPONSE, b"ok"),
+    ]
+    assert outcome.transcript.steps_by_machine == {0: 2}
 
 
 def test_halt_move_ends_its_machine():
@@ -345,71 +350,33 @@ def test_halt_move_ends_its_machine():
     assert outcome.trials == 0
 
 
-def test_spawn_reply_and_child_scheduling():
-    child = Script([])
-    strategy = Script([SpawnBatch(MachineSpec(b"worker"), [child])])
-    outcome = play(strategy, SuccessEnv(), config(100.0))
-    reply = outcome.transcript.entries[1]
-    assert reply.payload == b"1:1"
-    assert outcome.transcript.steps_by_machine == {0: 2, 1: 1}
-    # spawn is priced at count * description bytes, not the root's 8-byte
-    # step price, and the child steps at its own 6-byte spec
-    assert outcome.transcript.charges_total == 6.0 + 8.0 + 6.0  # spawn + root halt + child halt
-
-
 def test_reply_answers_the_machines_own_last_move():
-    seen = {}
+    seen = []
 
     class Recorder:
-        def __init__(self, name, actions):
-            self.name = name
+        def __init__(self, actions):
             self.actions = list(actions)
 
         def step(self, ctx):
-            seen.setdefault(self.name, []).append(ctx.reply)
+            seen.append(ctx.reply)
             return self.actions.pop(0) if self.actions else HALT
 
     class EchoEnv:
         def respond(self, move):
             return Move(MoveClass.RESPONSE, b"re:" + move.payload)
 
-    workers = [
-        Recorder("a", [Move(MoveClass.ENCRYPTION_REQUEST, b"a")]),
-        Recorder("b", [LocalStep(), Move(MoveClass.ENCRYPTION_REQUEST, b"b")]),
-    ]
     root = Recorder(
-        "root",
         [
             Move(MoveClass.INFO_REQUEST, BUDGET_QUERY),
             Move(MoveClass.ENCRYPTION_REQUEST, b"x"),
             LocalStep(),
-            SpawnBatch(MachineSpec(b"w"), workers),
-        ],
+        ]
     )
     outcome = play(root, EchoEnv(), config(1000.0))
-
-    def payloads(name):
-        return [None if r is None else r.payload for r in seen[name]]
-
     # the engine answers the budget query, the environment the encryption
     # request, and the local step leaves that answer in place
-    assert payloads("root") == [None, b"992.0", b"re:x", b"re:x", b"1:2"]
-    assert seen["root"][1] is outcome.transcript.entries[1]
-    # each spawned machine sees only the replies to its own moves
-    assert payloads("a") == [None, b"re:a"]
-    assert payloads("b") == [None, None, b"re:b"]
-
-
-def test_spawn_batch_pricing_and_empty_batch_fault():
-    spec = MachineSpec(b"worker")
-    strategy = Script([SpawnBatch(spec, [Script([]), Script([])])])
-    outcome = play(strategy, SuccessEnv(), config(100.0))
-    assert outcome.transcript.entries[1].payload == b"1:2"
-    assert outcome.transcript.steps_by_machine == {0: 2, 1: 1, 2: 1}
-    # 2 * 6-byte spec + root halt + two 6-byte child halts
-    assert outcome.transcript.charges_total == 12.0 + 8.0 + 2 * 6.0
-    with pytest.raises(ProtocolFault):
-        play(Script([SpawnBatch(spec, [])]), SuccessEnv(), config(100.0))
+    assert [None if r is None else r.payload for r in seen] == [None, b"992.0", b"re:x", b"re:x"]
+    assert seen[1] is outcome.transcript.entries[1]
 
 
 def test_environment_must_answer_with_one_response_move():
@@ -647,60 +614,33 @@ def test_game_command_does_not_import_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-class SliceScanner:
-    """Scans keys index, index+width, ... until the target; flags the find
-    in a buffer that all the scanners share."""
+class KeyScanner:
+    """One machine that tests `width` keys per step, from key 0 up, and
+    halts at the step that tests `target`.  Its description is `width`
+    bytes: a fleet of `width` one-byte testers, described as one machine."""
 
-    def __init__(self, target, index, width, found):
+    def __init__(self, target, width):
         self.target = target
-        self.next_key = index
         self.width = width
-        self.found = found
+        self.next_key = 0
+        self.spec = MachineSpec(b"k" * width)
 
     def step(self, ctx):
-        if self.found:
-            return HALT
-        if self.next_key == self.target:
-            self.found.extend(b"found")
+        if self.next_key <= self.target < self.next_key + self.width:
             return HALT
         self.next_key += self.width
         return LocalStep()
 
 
-def fleet_scan_outcome(width, target=700):
-    spec = MachineSpec(b"w")
-    found = bytearray()
-    workers = [SliceScanner(target, i, width, found) for i in range(width)]
-    root = Script([SpawnBatch(spec, workers)])
-    cfg = config(1e6, per_step_information=1.0)
-    return play(root, SuccessEnv(), cfg)
-
-
-def test_fleet_scan_round_robin_mechanics():
-    # single scanner: 700 probes then the find-and-halt step
-    solo = fleet_scan_outcome(1)
-    assert solo.transcript.steps_by_machine == {0: 2, 1: 701}
-    assert solo.total_cost == 1.0 + 1.0 + 701.0  # spawn(1x1B) + root halt + scans
-
-    # four scanners: the owner needs 700/4 probes; peers stop one round later
-    quad = fleet_scan_outcome(4)
-    assert quad.transcript.steps_by_machine == {0: 2, 1: 176, 2: 176, 3: 176, 4: 176}
-    assert quad.total_cost == 4.0 + 1.0 + 4 * 176.0
-    assert quad.result is solo.result is GameResult.LOST_CHALLENGE_FAILED
-
-    # wall-clock rounds (max steps of any machine) shrink by nearly 4x
-    assert 701 / 176 == pytest.approx(4.0, rel=0.02)
-
-
-def test_mass_spawn_batch():
-    class Stop:
-        def step(self, ctx):
-            return HALT
-
-    stop = Stop()
-    spec = MachineSpec(b"d")
-    root = Script([SpawnBatch(spec, [stop] * 65536)])
-    outcome = play(root, SuccessEnv(), config(1e7, per_step_information=0.0))
-    assert outcome.transcript.entries[1].payload == b"1:65536"
-    assert outcome.total_cost == 65536.0
-    assert len(outcome.transcript.steps_by_machine) == 65537
+def test_fleet_scan_on_one_machine():
+    # each step is charged the fleet's width in bytes, and four testers
+    # take a quarter of one tester's steps, within one
+    steps = {}
+    for width in (1, 4):
+        outcome = play(KeyScanner(700, width), SuccessEnv(), config(1e6))
+        steps[width] = outcome.transcript.steps_by_machine[0]
+        assert outcome.transcript.steps_by_machine == {0: steps[width]}
+        assert outcome.total_cost == outcome.transcript.charges_total == steps[width] * float(width)
+        assert outcome.result is GameResult.LOST_CHALLENGE_FAILED
+    assert steps == {1: 701, 4: 176}  # the misses, then the find-and-halt step
+    assert abs(steps[4] - steps[1] / 4) <= 1

@@ -156,7 +156,7 @@ def test_exact_monobit_tie_goes_to_candidate_zero():
 def test_distinguisher_needs_a_ciphertext_reply():
     for reply in (None, Move(MoveClass.DENIAL, b"no")):
         strategy = OtpDistinguisher(1)
-        ctx = MachineContext(0)
+        ctx = MachineContext()
         assert strategy.step(ctx).kind is MoveClass.ENCRYPTION_REQUEST
         ctx.reply = reply
         with pytest.raises(RuntimeError, match="ciphertext response missing"):
@@ -168,7 +168,7 @@ def test_distinguisher_needs_a_ciphertext_reply():
 )
 def test_distinguisher_needs_one_framed_ciphertext_block(payload):
     strategy = OtpDistinguisher(1)
-    ctx = MachineContext(0)
+    ctx = MachineContext()
     strategy.step(ctx)
     ctx.reply = Move(MoveClass.RESPONSE, payload)
     with pytest.raises(RuntimeError, match="ciphertext response malformed"):
