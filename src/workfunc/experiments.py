@@ -6,10 +6,12 @@ run the toy cipher's own key schedule and rounds, and the generator's own
 step, on arrays of keys or candidate states, so there is one
 implementation of each primitive.
 
-The searches, `brute_force_search` and `state_search`, check a seeded
-shuffled order in array passes of `SCAN_CHUNK` candidates and stop at the
-first chunk with a match: what a candidate-by-candidate loop finds, at
-the same count.  Their cost is the plain sum of one charge per candidate
+The searches, `brute_force_search` and `state_search`, check the
+candidates in a seeded random order (`scan_order`, a Feistel permutation
+of the candidate indices built chunk by chunk) in array passes of
+`SCAN_CHUNK` candidates, and stop at the first chunk with a match: what a
+candidate-by-candidate loop finds, at the same count, with no chunk after
+the match built.  Their cost is the plain sum of one charge per candidate
 scanned.
 
 A sweep runs many trials of such a search.  The targets' positions in a
@@ -63,21 +65,61 @@ from .toycrypto import (
 CHECKER_OPS = 16
 # candidates a search checks per array pass
 SCAN_CHUNK = 1 << 16
+# widest candidate space `scan_order` permutes, and its Feistel rounds
+MAX_SCAN_BITS = 32
+SCAN_ROUNDS = 6
+# keystream bits the bias line draws per call
+KEYSTREAM_CALL_BITS = 1 << 14
 
 # fixed known plaintexts for key-search trials; two blocks pin the key
 TRIAL_PLAINTEXTS = (0x00000000, 0x00000001)
 
 
-def cipher_table(key_bits: int, block: int) -> np.ndarray:
-    """Ciphertext of `block` under every key, as one vectorized sweep.
+def cipher_table(key_bits: int, blocks: int | Sequence[int]):
+    """Ciphertext of a block under every key, as one vectorized sweep; for
+    a sequence of blocks, a list of such tables, one per block.
 
-    The keys are uint32 lanes: the schedule's product wraps mod 2**32,
-    which is the cipher's own reduction, so every value is the scalar
-    cipher's.
+    The keys are uint32 lanes, scheduled once for all the blocks: the
+    schedule's product wraps mod 2**32, which is the cipher's own
+    reduction, so every value is the scalar cipher's.
     """
     cipher = ToyCipher(key_bits)
-    keys = np.arange(1 << key_bits, dtype=np.uint32)
-    return cipher.encrypt_with_subkeys(cipher.schedule(keys), block)
+    subkeys = cipher.schedule(np.arange(1 << key_bits, dtype=np.uint32))
+    if isinstance(blocks, int):
+        return cipher.encrypt_with_subkeys(subkeys, blocks)
+    return [cipher.encrypt_with_subkeys(subkeys, block) for block in blocks]
+
+
+def scan_order(bits: int, seed: int | str = 0) -> Iterator[np.ndarray]:
+    """A seeded permutation of [0, 2**bits), yielded as uint64 chunks in
+    scan order.
+
+    Chunk i holds the images of the indices [i * SCAN_CHUNK, (i + 1) *
+    SCAN_CHUNK) under a balanced Feistel network of SCAN_ROUNDS rounds,
+    whose round function is a multiply-add-shift hash of the right half
+    with a seeded odd multiplier and offset from `random.Random(seed)`.
+    So a chunk needs none of the chunks before it, and a scan that stops
+    early builds none after.  An odd width runs the network on bits + 1
+    and drops the images of 2**bits or more, which keeps the order a
+    permutation; its chunks hold about half SCAN_CHUNK values.
+    """
+    if not 1 <= bits <= MAX_SCAN_BITS:
+        raise ValueError(f"bits must be in [1, {MAX_SCAN_BITS}]")
+    half = (bits + 1) // 2
+    domain = 1 << 2 * half
+    rng = random.Random(seed)
+    rounds = [
+        (np.uint64(rng.getrandbits(64) | 1), np.uint64(rng.getrandbits(64)))
+        for _ in range(SCAN_ROUNDS)
+    ]
+    width, mask, shift = np.uint64(half), np.uint64((1 << half) - 1), np.uint64(64 - half)
+    for start in range(0, domain, SCAN_CHUNK):
+        index = np.arange(start, min(start + SCAN_CHUNK, domain), dtype=np.uint64)
+        left, right = index >> width, index & mask
+        for multiplier, offset in rounds:
+            left, right = right, left ^ ((right * multiplier + offset) >> shift)
+        order = left << width | right
+        yield order if domain == 1 << bits else order[order < np.uint64(1 << bits)]
 
 
 class ExperimentResult(NamedTuple):
@@ -111,8 +153,7 @@ def _packed_pairs(key_bits: int) -> np.ndarray:
     """Each key's ciphertexts of the two trial plaintexts, packed into one
     uint64 as `t1 << 32 | t2`: keys with equal entries are the keys that
     no known pair tells apart."""
-    t1 = cipher_table(key_bits, TRIAL_PLAINTEXTS[0])
-    t2 = cipher_table(key_bits, TRIAL_PLAINTEXTS[1])
+    t1, t2 = cipher_table(key_bits, TRIAL_PLAINTEXTS)
     return t1.astype(np.uint64) << np.uint64(32) | t2
 
 
@@ -229,20 +270,23 @@ def _confirm_window(word_bits: int, high_bits, lows, observed) -> np.ndarray:
     return keep
 
 
-def _scan(order: Sequence[int], matches, charge: float) -> tuple[int, int, float]:
+def _scan(order: Iterator[np.ndarray], matches, charge: float) -> tuple[int, int, float]:
     """The first candidate of `order` that matches, the count scanned up
     to it, and the sum of one `charge` per candidate scanned: summed, not
     multiplied, so the ledger identity checks one against the other.
-    `matches(chunk)` masks the matches in each `SCAN_CHUNK` slice of
-    `order`, up to the first slice with one."""
-    for start in range(0, len(order), SCAN_CHUNK):
-        match = matches(order[start : start + SCAN_CHUNK])
+    `matches(chunk)` masks the matches in each chunk of `order`, up to
+    the first chunk with one; no later chunk is drawn."""
+    scanned = 0
+    for chunk in order:
+        match = matches(chunk)
         if match.any():
-            scanned = start + int(match.argmax()) + 1
+            first = int(match.argmax())
+            scanned += first + 1
             cost = 0.0
             for _ in range(scanned):
                 cost += charge
-            return order[scanned - 1], scanned, cost
+            return int(chunk[first]), scanned, cost
+        scanned += len(chunk)
     raise LookupError("no candidate in the scan order matches")
 
 
@@ -258,8 +302,8 @@ def state_search(
     """Recover the generator state that produced `observed`.
 
     Candidates share the hinted high bits; their low ceil(1.5w) bits are
-    scanned in `random.Random(rng_seed).shuffle` order, in lockstep passes
-    by chunk (`_scan`, `_confirm_window`).  Each one scanned up to the
+    scanned in `scan_order(ceil(1.5w), rng_seed)`, in lockstep passes by
+    chunk (`_scan`, `_confirm_window`).  Each one scanned up to the
     first match charges CHECKER_OPS (a flat op count per check).
     """
     if not 1 <= word_bits <= MAX_WORD_BITS:
@@ -269,12 +313,10 @@ def state_search(
     unknown = reduction_unknown_bits(word_bits)
     if not 0 <= hint_high_bits < 1 << (4 * word_bits - unknown):
         raise ValueError(f"hint_high_bits must fit in {4 * word_bits - unknown} bits")
-    order = list(range(1 << unknown))
-    random.Random(rng_seed).shuffle(order)
 
     def matches(lows):
         return _confirm_window(word_bits, hint_high_bits, lows, observed)
-    low, tested, cost = _scan(order, matches, CHECKER_OPS)
+    low, tested, cost = _scan(scan_order(unknown, rng_seed), matches, CHECKER_OPS)
     return StateSearchResult((hint_high_bits << unknown) | low, tested, cost)
 
 
@@ -292,8 +334,8 @@ def brute_force_search(
 ) -> KeySearchResult:
     """Scan keys in seeded random order for one consistent with all pairs.
 
-    Keys are scanned in `random.Random(rng_seed).shuffle` order, in passes
-    of the cipher on uint32 lanes by chunk (`_scan`).  Each one scanned up
+    Keys are scanned in `scan_order(key_bits, rng_seed)`, in passes of the
+    cipher on uint32 lanes by chunk (`_scan`).  Each one scanned up
     to the first match charges per_key_cost, so cost == keys_tested *
     per_key_cost holds exactly for exactly-representable costs.
     """
@@ -301,13 +343,11 @@ def brute_force_search(
         raise ValueError("per_key_cost must be a non-negative number")
     if not pairs or not all(0 <= block < 1 << cipher.block_bits for pair in pairs for block in pair):
         raise ValueError(f"pairs must be a non-empty list of {cipher.block_bits}-bit blocks")
-    order = list(range(1 << cipher.key_bits))
-    random.Random(rng_seed).shuffle(order)
 
     def matches(keys):
-        subkeys = cipher.schedule(np.array(keys, dtype=np.uint32))
+        subkeys = cipher.schedule(keys.astype(np.uint32))
         return np.logical_and.reduce([cipher.encrypt_with_subkeys(subkeys, p) == c for p, c in pairs])
-    return KeySearchResult(*_scan(order, matches, per_key_cost))
+    return KeySearchResult(*_scan(scan_order(cipher.key_bits, rng_seed), matches, per_key_cost))
 
 
 def state_search_candidates_tested(
@@ -322,16 +362,23 @@ def state_search_candidates_tested(
     must pin each trial's state uniquely.  The count is where the one
     true candidate falls in a uniform scan order (`_first_rank`):
     `state_search`'s count, in distribution.
+
+    A trial draws its four state words, `integers(2**w, size=4)`, then
+    its rank, `integers(size)`.  For a power-of-two range below 2**32
+    numpy's `integers` keeps the top bits of one 32-bit draw, and the bit
+    generator's 32-bit draws run on across calls, so one call of five
+    full-range 32-bit draws per trial, shifted right, makes every trial's
+    draws: the same values, and the same final generator state, as the
+    trial-by-trial loop.
     """
     rng = np.random.default_rng(seed)
-    size = 1 << reduction_unknown_bits(word_bits)
-    counts, truths = [], []
-    for _ in range(trials):
-        truths.append(rng.integers(1 << word_bits, size=4))
-        counts.append(_first_rank(rng, size, 1))
-    truth = np.array(truths, dtype=np.uint64).reshape(trials, 4).T
-    observed = np.stack([*_lockstep_outputs(word_bits, truth.astype(np.uint32), window)], -1)
-    packed = pack_state(truth, word_bits)
+    unknown = reduction_unknown_bits(word_bits)
+    size = 1 << unknown
+    draws = rng.integers(0, 2**32 - 1, endpoint=True, dtype=np.uint32, size=(trials, 5))
+    counts = ((draws[:, 4] >> np.uint32(32 - unknown)) + 1).tolist()
+    truth = (draws[:, :4] >> np.uint32(32 - word_bits)).T
+    observed = np.stack([*_lockstep_outputs(word_bits, truth, window)], -1)
+    packed = pack_state(truth.astype(np.uint64), word_bits)
     highs = reduction_hint(packed, word_bits)
     lows = _first_word_survivors(word_bits, highs, observed[:, 0])
     confirmed = _confirm_window(word_bits, highs, lows, observed)
@@ -371,7 +418,13 @@ def state_search_slope_experiment(
 def keystream_bias_experiment(
     bias: float = 0.6, nbits: int = 1_000_000, seed: int = 20
 ) -> ExperimentResult:
-    ones = KeystreamGen(bias, seed).next_bits(nbits).bit_count()
+    # consecutive calls draw consecutive bits, so calls of KEYSTREAM_CALL_BITS
+    # count the ones of one nbits call, on ints and bytes that stay in cache
+    stream = KeystreamGen(bias, seed)
+    ones = sum(
+        stream.next_bits(min(KEYSTREAM_CALL_BITS, nbits - start)).bit_count()
+        for start in range(0, nbits, KEYSTREAM_CALL_BITS)
+    )
     return ExperimentResult(
         name=f"keystream ones fraction at bias {bias}",
         statistic=ones / nbits,

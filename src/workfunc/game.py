@@ -130,8 +130,8 @@ class GameConfig:
                  win_threshold: float = 0.01, per_step_information: Optional[float] = None):
         if not budget >= 0:
             raise ValueError("budget must be non-negative")
-        if budget == math.inf:  # the cost would read inf - inf
-            raise ValueError("budget must be finite")
+        if not budget < 2**53:  # a whole-byte charge must register exactly
+            raise ValueError("budget must be below 2**53")
         if challenge_trials < 0:
             raise ValueError("challenge_trials must be non-negative")
         if not 0 < win_threshold < 1:

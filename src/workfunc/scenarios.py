@@ -126,8 +126,9 @@ SCHEMA: dict[str, dict[str, Key]] = {
         "seed": Key(int, -(2**63), 2**63 - 1, required=True),
         "bias": Key(float, 0, 1, required=True),
         "trials": Key(int, 1, 1_000_000, required=True),
-        # zero is a legal budget: the game then opens already depleted
-        "budget": Key(float, 0, math.inf, "[)", required=True),
+        # zero is a legal budget: the game then opens already depleted; from
+        # 2**53 up a whole-byte charge no longer registers in the float budget
+        "budget": Key(float, 0, 2**53, "[)", required=True),
         "plaintext_bytes": Key(int, 1, 65536),
         "win_threshold": Key(float, 0, 1, "()"),
         "per_step_information": _POSITIVE,

@@ -289,6 +289,19 @@ def test_game_zero_budget_is_a_loss_not_a_fault(tmp_path, capsys):
     assert transcript.exists()
 
 
+def test_game_budget_is_below_2_53(tmp_path, capsys):
+    # from 2**53 up a byte's charge would not register: 1e17 read total_cost
+    # 6400.0 against 4800.0 charged, and 1e300 read 0.0
+    for budget in (1e17, 2.0**53, 1e300):
+        scenario = write(tmp_path, "rich.scenario", game_scenario(1, 0.6, 100, budget))
+        assert main(["game", scenario, "--transcript", str(tmp_path / "rich.t")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("bad scenario: budget must be in [0, 9007199254740992)"), err
+    scenario = write(tmp_path, "rich.scenario", game_scenario(1, 0.6, 100, 2.0**53 - 1))
+    assert main(["game", scenario, "--transcript", str(tmp_path / "rich.t")]) == 0
+    assert "total_cost 4800.0\n" in capsys.readouterr().out
+
+
 def test_game_validates_parameters(tmp_path, capsys):
     bad_bias = write(
         tmp_path,

@@ -22,6 +22,7 @@ from workfunc.experiments import (
     meter_ledger_experiment,
     run_validation,
     scan_mean_words,
+    scan_order,
     state_search,
     state_search_candidates_tested,
     state_search_slope_experiment,
@@ -54,6 +55,72 @@ def test_cipher_table_matches_scalar_cipher():
         for block in (*TRIAL_PLAINTEXTS, 0xFFFFFFFF):
             table = cipher_table(key_bits, block)
             assert table.tolist() == [tc.encrypt(key, block) for key in keys]
+
+
+def test_cipher_table_schedules_the_keys_once_for_several_blocks(monkeypatch):
+    blocks = (*TRIAL_PLAINTEXTS, 0xFFFFFFFF)
+    singles = {key_bits: [cipher_table(key_bits, block) for block in blocks] for key_bits in (1, 12)}
+    calls = []
+    schedule = ToyCipher.schedule
+
+    def counted(self, key):
+        calls.append(key.size)
+        return schedule(self, key)
+
+    monkeypatch.setattr(ToyCipher, "schedule", counted)
+    for key_bits in (1, 12):
+        tables = cipher_table(key_bits, blocks)
+        assert [table.tolist() for table in tables] == [single.tolist() for single in singles[key_bits]]
+    assert calls == [2, 1 << 12]
+
+
+@pytest.mark.parametrize("seed", [3, "scan"])
+def test_scan_order_is_a_permutation_at_every_width(seed):
+    for bits in range(1, 23):
+        order = np.concatenate(list(scan_order(bits, seed)))
+        assert order.dtype == np.uint64 and order.size == 1 << bits
+        seen = np.zeros(1 << bits, dtype=bool)
+        seen[order] = True
+        assert seen.all(), bits
+
+
+def test_scan_order_is_seeded_and_refuses_other_widths():
+    orders = [np.concatenate(list(scan_order(12, seed))).tolist() for seed in (3, 4, "3")]
+    assert orders[0] == np.concatenate(list(scan_order(12, 3))).tolist()
+    assert len({tuple(order) for order in orders}) == 3
+    assert orders[0] != sorted(orders[0])
+    for bits in (0, 33):
+        with pytest.raises(ValueError, match="bits must be in"):
+            next(scan_order(bits, 0))
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 1000, 1 << 16])
+def test_scan_order_does_not_depend_on_the_chunk(monkeypatch, chunk):
+    widths = (1, 2, 5, 10, 11)
+    expected = {bits: np.concatenate(list(scan_order(bits, 7))).tolist() for bits in widths}
+    monkeypatch.setattr(experiments, "SCAN_CHUNK", chunk)
+    for bits in widths:
+        parts = list(scan_order(bits, 7))
+        assert max(part.size for part in parts) <= chunk
+        assert np.concatenate(parts).tolist() == expected[bits]
+
+
+def test_search_builds_no_chunk_after_its_match(monkeypatch):
+    # the seed-5 meter-ledger key search matches at rank 3699 of 4096
+    drawn = []
+    order = experiments.scan_order
+
+    def counted(bits, seed):
+        for chunk in order(bits, seed):
+            drawn.append(chunk.size)
+            yield chunk
+
+    monkeypatch.setattr(experiments, "scan_order", counted)
+    monkeypatch.setattr(experiments, "SCAN_CHUNK", 97)
+    cipher = ToyCipher(key_bits=12)
+    pairs = [(p, cipher.encrypt(0x5A5, p)) for p in TRIAL_PLAINTEXTS]
+    assert experiments.brute_force_search(cipher, pairs, 1.0, rng_seed=5).keys_tested == 3699
+    assert drawn == [97] * math.ceil(3699 / 97)
 
 
 def test_first_word_survivors_match_scalar_generator():
@@ -123,6 +190,42 @@ def test_numpy_draw_identities_the_key_search_relies_on(n):
             block = fast.integers(n, size=count).tolist()
             assert block == [int(slow.integers(n)) for _ in range(count)]
             assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("word_bits", range(1, MAX_WORD_BITS + 1))
+def test_numpy_draw_identity_the_state_sweep_relies_on(word_bits):
+    # five full-range 32-bit draws per trial, shifted right, are the
+    # trial's integers(2**w, size=4) state words and its integers(size)
+    # rank, and leave the generator where the trial-by-trial loop does
+    size_bits = reduction_unknown_bits(word_bits)
+    for seed in range(20):
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        draws = fast.integers(0, 2**32 - 1, endpoint=True, dtype=np.uint32, size=(57, 5))
+        for row in draws.tolist():
+            words = slow.integers(1 << word_bits, size=4).tolist()
+            assert [word >> (32 - word_bits) for word in row[:4]] == words
+            assert (row[4] >> (32 - size_bits)) + 1 == _first_rank(slow, 1 << size_bits, 1)
+        assert fast.bit_generator.state == slow.bit_generator.state
+
+
+@pytest.mark.parametrize("word_bits", [4, 8, 12, 16])
+def test_state_sweep_replays_the_per_trial_draws(monkeypatch, word_bits):
+    truths = []
+
+    def recorded(state, w):
+        truths.append(state.T.tolist())
+        return toycrypto.pack_state(state, w)
+
+    monkeypatch.setattr(experiments, "pack_state", recorded)
+    size = 1 << reduction_unknown_bits(word_bits)
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        words, ranks = [], []
+        for _ in range(57):
+            words.append(rng.integers(1 << word_bits, size=4).tolist())
+            ranks.append(_first_rank(rng, size, 1))
+        assert state_search_candidates_tested(word_bits, 57, seed) == ranks
+        assert truths.pop() == words
 
 
 def _per_trial_keys_tested(key_bits, trials, seed):
@@ -292,6 +395,12 @@ def test_keystream_bias_experiment():
     assert result.statistic == pytest.approx(0.6, abs=0.002)
 
 
+@pytest.mark.parametrize("nbits", [1, 2**14 - 1, 2**14, 2**14 + 1, 200_000])
+def test_keystream_bias_counts_the_ones_of_one_call(nbits):
+    ones = KeystreamGen(0.6, 20).next_bits(nbits).bit_count()
+    assert keystream_bias_experiment(nbits=nbits).statistic == ones / nbits
+
+
 def test_scan_mean_words_frozen_points():
     mean10, capped10 = scan_mean_words(10, 400, seed=3)
     assert capped10 == 0
@@ -337,15 +446,16 @@ def test_meter_ledger_search_counts_are_frozen_at_seed_5(monkeypatch):
         monkeypatch.setattr(experiments, name, recorded)
     assert meter_ledger_experiment().statistic == 0.0
     key = found["brute_force_search"]
-    assert (key.key, key.keys_tested, key.cost) == (0x5A5, 878, 878 * 1440.0)
+    assert (key.key, key.keys_tested, key.cost) == (0x5A5, 3699, 3699 * 1440.0)
     state = found["state_search"]
-    assert (state.candidates_tested, state.cost) == (1826, 1826 * 16.0)
+    assert (state.candidates_tested, state.cost) == (635, 635 * 16.0)
     assert state.state_packed == StandInPrng.from_seed(8, 5).packed_state()
 
 
-# the match ranks 878 (key) and 1826 (state) at seed 5 fall first, last and
-# inside a chunk across these sizes, and in a later chunk than the first
-@pytest.mark.parametrize("chunk", [1, 97, 877, 878, 1825, 1826, 4096])
+# the match ranks 3699 (key) and 635 (state) at seed 5 fall first, last and
+# inside a chunk across these sizes, and in a later chunk than the first;
+# 877, 878, 1825 and 1826 put both inside a chunk
+@pytest.mark.parametrize("chunk", [1, 97, 634, 635, 877, 878, 1825, 1826, 3698, 3699, 4096])
 def test_search_results_do_not_depend_on_the_scan_chunk(monkeypatch, chunk):
     cipher = ToyCipher(key_bits=12)
     pairs = [(p, cipher.encrypt(0x5A5, p)) for p in TRIAL_PLAINTEXTS]
@@ -354,9 +464,9 @@ def test_search_results_do_not_depend_on_the_scan_chunk(monkeypatch, chunk):
     observed = prng.next_words(16)
     monkeypatch.setattr(experiments, "SCAN_CHUNK", chunk)
     key = experiments.brute_force_search(cipher, pairs, 1440.0, rng_seed=5)
-    assert (key.key, key.keys_tested, key.cost) == (0x5A5, 878, 878 * 1440.0)
+    assert (key.key, key.keys_tested, key.cost) == (0x5A5, 3699, 3699 * 1440.0)
     state = state_search(8, observed, hint, rng_seed=5)
-    assert (state.candidates_tested, state.cost) == (1826, 1826 * 16.0)
+    assert (state.candidates_tested, state.cost) == (635, 635 * 16.0)
     assert state.state_packed == StandInPrng.from_seed(8, 5).packed_state()
 
 

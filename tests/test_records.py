@@ -55,7 +55,8 @@ RECORD_CHECKS = [
     refuses(lambda: Tf1Model(8, scan_words_per_second=0), "scan rate must be positive", "tf1-scan-rate"),
     refuses(lambda: GameConfig(-1.0), "budget must be non-negative", "config-budget-negative"),
     refuses(lambda: GameConfig(math.nan), "budget must be non-negative", "config-budget-nan"),
-    refuses(lambda: GameConfig(math.inf), "budget must be finite", "config-budget-inf"),
+    refuses(lambda: GameConfig(math.inf), "budget must be below 2**53", "config-budget-inf"),
+    refuses(lambda: GameConfig(2.0**53), "budget must be below 2**53", "config-budget-2-53"),
     refuses(lambda: GameConfig(1.0, challenge_trials=-1), "challenge_trials must be non-negative",
             "config-trials"),
     refuses(lambda: GameConfig(1.0, win_threshold=0), "win_threshold must be in (0, 1)",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from workfunc import experiments
-from workfunc.experiments import CHECKER_OPS, brute_force_search, state_search
+from workfunc.experiments import CHECKER_OPS, brute_force_search, scan_order, state_search
 from workfunc.toycrypto import (
     MAX_KEY_BITS,
     MAX_WORD_BITS,
@@ -295,12 +295,16 @@ def test_brute_force_search_identifies_exactly():
         assert found.key == planted
 
 
+def _scan_order_ints(bits, rng_seed):
+    """`scan_order` one candidate at a time, as Python ints."""
+    for chunk in scan_order(bits, rng_seed):
+        yield from chunk.tolist()
+
+
 def _scalar_key_search(cipher, pairs, per_key_cost, rng_seed):
     """The key search one candidate at a time, with the scalar cipher."""
-    order = list(range(1 << cipher.key_bits))
-    random.Random(rng_seed).shuffle(order)
     cost = 0.0
-    for tested, key in enumerate(order, 1):
+    for tested, key in enumerate(_scan_order_ints(cipher.key_bits, rng_seed), 1):
         cost += per_key_cost
         if all(cipher.encrypt(key, p) == c for p, c in pairs):
             return key, tested, cost
@@ -310,10 +314,8 @@ def _scalar_key_search(cipher, pairs, per_key_cost, rng_seed):
 def _scalar_state_search(word_bits, observed, hint, rng_seed):
     """The state search one candidate at a time, stepping `arx_step` on ints."""
     unknown = reduction_unknown_bits(word_bits)
-    order = list(range(1 << unknown))
-    random.Random(rng_seed).shuffle(order)
     cost = 0.0
-    for tested, low in enumerate(order, 1):
+    for tested, low in enumerate(_scan_order_ints(unknown, rng_seed), 1):
         cost += CHECKER_OPS
         packed = (hint << unknown) | low
         state = unpack_state(packed, word_bits)
