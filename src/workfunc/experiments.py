@@ -16,7 +16,7 @@ scanned.
 
 A sweep runs many trials of such a search.  The targets' positions in a
 uniformly random order are a uniformly random subset of the ranks, so a
-trial draws that subset (`_first_rank`) instead of shuffling the whole
+trial draws that subset (`_first_rank`) instead of ordering the whole
 candidate space: the count has exactly the search's distribution, at a
 cost per trial that does not grow with the space.  The key sweep draws
 all its trials in one call.  Two numpy identities keep that draw
@@ -34,7 +34,8 @@ word: the 2**(ceil(1.5w) - w) candidates that survive the first word are
 listed directly.  Every trial's observed window, and then its survivors'
 outputs over that window, come from one lockstep `arx_step` pass each
 (`_lockstep_outputs`), and the sweep checks that the window pins each
-trial's state uniquely.
+trial's state uniquely.  Its trials' states and ranks, too, are drawn in
+one call, equal to the trial-by-trial draws.
 """
 
 from __future__ import annotations
