@@ -31,11 +31,11 @@ The state sweep scans no candidate space either.  The generator's
 first output word is (a' + c') mod 2**w, and the hint fixes a', so for
 each value of c's unknown low bits exactly one d meets the observed first
 word: the 2**(ceil(1.5w) - w) candidates that survive the first word are
-listed directly.  Every trial's observed window, and then its survivors'
-outputs over that window, come from one lockstep `arx_step` pass each
-(`_lockstep_outputs`), and the sweep checks that the window pins each
-trial's state uniquely.  Its trials' states and ranks, too, are drawn in
-one call, equal to the trial-by-trial draws.
+listed directly.  One `arx_step` of every trial's true state gives its
+first word; the true state is then one of its survivors, and a single
+lockstep pass (`_lockstep_outputs`) steps all survivors through the
+window, checking that only the true one emits it.  Its trials' states
+and ranks, too, are drawn in one call, equal to the trial-by-trial draws.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ SCAN_CHUNK = 1 << 16
 # widest candidate space `scan_order` permutes, and its Feistel rounds
 MAX_SCAN_BITS = 32
 SCAN_ROUNDS = 6
-# keystream bits the bias line draws per call
+# keystream bits whose twister words the bias line draws at a time
 KEYSTREAM_CALL_BITS = 1 << 14
 
 # fixed known plaintexts for key-search trials; two blocks pin the key
@@ -210,20 +210,23 @@ def brute_force_mean_experiment(key_bits: int, trials: int, seed: int) -> Experi
     )
 
 
-def _hint_words(word_bits: int, high_bits) -> tuple:
-    """The words a and b and the high part of c that a hint pins, as uint32.
+def _candidate_states(word_bits: int, high_bits, lows) -> tuple:
+    """The four uint32 state words of the candidates with the hinted high
+    bits and the given low bits.
 
-    `high_bits` is one hint or a 1-D sequence of hints; each word comes
+    `high_bits` is one hint or a 1-D sequence of hints; a, b and c come
     back with a trailing axis, so one hint broadcasts against a row of
-    low bits and a sequence of hints against one row per hint.  The
+    lows and a sequence of hints against one row of lows per hint.  The
     ceil(1.5w) unknown low bits cover d and the low part of c but never
     reach a or b, since w <= ceil(1.5w) <= 2w; uint32 holds every word
     sum because w <= MAX_WORD_BITS = 16.
     """
+    w = word_bits
     high = np.asarray(high_bits, dtype=np.uint64)
-    packed = high << np.uint64(reduction_unknown_bits(word_bits))
-    a, b, c_high, _ = unpack_state(packed, word_bits)
-    return tuple(word.astype(np.uint32)[..., None] for word in (a, b, c_high))
+    a, b, c_high, _ = unpack_state(high << np.uint64(reduction_unknown_bits(w)), w)
+    a, b, c_high = (word.astype(np.uint32)[..., None] for word in (a, b, c_high))
+    lows = np.asarray(lows, dtype=np.uint32)
+    return a, b, c_high | (lows >> w), lows & ((1 << w) - 1)
 
 
 def _first_word_survivors(word_bits: int, high_bits, first_words) -> np.ndarray:
@@ -238,7 +241,7 @@ def _first_word_survivors(word_bits: int, high_bits, first_words) -> np.ndarray:
     """
     w = word_bits
     mask = (1 << w) - 1
-    a, b, c_high = _hint_words(w, high_bits)
+    a, b, c_high, _ = _candidate_states(w, high_bits, 0)
     words = np.asarray(first_words, dtype=np.uint32)[..., None]
     t = ((words - ((a + rotl(b, 1, w)) & mask)) & mask) ^ 1
     j = np.arange(1 << (reduction_unknown_bits(w) - w), dtype=np.uint32)
@@ -254,19 +257,13 @@ def _lockstep_outputs(word_bits: int, state, count: int) -> Iterator[np.ndarray]
 
 
 def _confirm_window(word_bits: int, high_bits, lows, observed) -> np.ndarray:
-    """True where a candidate state emits the whole observed window.
-
-    Takes one hint, a row of lows and one window, or one hint, one row of
-    lows and one window per trial (`high_bits` 1-D, `lows` and `observed`
-    2-D).  All candidates step in lockstep (`_lockstep_outputs`).
-    """
-    w = word_bits
-    lows = np.asarray(lows, dtype=np.uint32)
+    """True where a candidate state (`_candidate_states`) emits the whole
+    observed window: one window, or one per row of lows.  All candidates
+    step in lockstep (`_lockstep_outputs`)."""
     observed = np.asarray(observed, dtype=np.uint32)
-    a, b, c_high = _hint_words(w, high_bits)
-    state = (a, b, c_high | (lows >> w), lows & ((1 << w) - 1))
-    keep = np.ones(lows.shape, dtype=bool)
-    for i, output in enumerate(_lockstep_outputs(w, state, observed.shape[-1])):
+    state = _candidate_states(word_bits, high_bits, lows)
+    keep = np.ones(np.shape(lows), dtype=bool)
+    for i, output in enumerate(_lockstep_outputs(word_bits, state, observed.shape[-1])):
         keep &= output == observed[..., i, None]
     return keep
 
@@ -358,11 +355,11 @@ def state_search_candidates_tested(
 
     No candidate space is swept: the 2**(ceil(1.5w) - w) candidates whose
     first output equals the first observed word are listed directly
-    (`_first_word_survivors`), and those of every trial are stepped in
-    one lockstep pass through the whole window (`_confirm_window`), which
-    must pin each trial's state uniquely.  The count is where the one
-    true candidate falls in a uniform scan order (`_first_rank`):
-    `state_search`'s count, in distribution.
+    (`_first_word_survivors`).  The true state must be the survivor in
+    column `low >> w`, and in one lockstep pass through the window no
+    other survivor of its trial may emit its outputs.  The count is
+    where the true candidate falls in a uniform scan order
+    (`_first_rank`): `state_search`'s count, in distribution.
 
     A trial draws its four state words, `integers(2**w, size=4)`, then
     its rank, `integers(size)`.  For a power-of-two range below 2**32
@@ -374,19 +371,23 @@ def state_search_candidates_tested(
     """
     rng = np.random.default_rng(seed)
     unknown = reduction_unknown_bits(word_bits)
-    size = 1 << unknown
     draws = rng.integers(0, 2**32 - 1, endpoint=True, dtype=np.uint32, size=(trials, 5))
     counts = ((draws[:, 4] >> np.uint32(32 - unknown)) + 1).tolist()
     truth = (draws[:, :4] >> np.uint32(32 - word_bits)).T
-    observed = np.stack([*_lockstep_outputs(word_bits, truth, window)], -1)
     packed = pack_state(truth.astype(np.uint64), word_bits)
     highs = reduction_hint(packed, word_bits)
-    lows = _first_word_survivors(word_bits, highs, observed[:, 0])
-    confirmed = _confirm_window(word_bits, highs, lows, observed)
-    for low, row, keep in zip((packed & np.uint64(size - 1)).tolist(), lows, confirmed):
-        full = row[keep].tolist()
-        if full != [low]:
-            raise AssertionError(f"window does not pin the state uniquely: {full}")
+    lows = _first_word_survivors(word_bits, highs, arx_step(truth, word_bits)[1])
+    true_lows = packed & np.uint64((1 << unknown) - 1)
+    trial, column = np.arange(trials), true_lows >> np.uint64(word_bits)
+    if not np.array_equal(lows[trial, column], true_lows):
+        raise AssertionError("a true state is not among its first-word survivors")
+    keep = np.ones(lows.shape, dtype=bool)
+    for output in _lockstep_outputs(word_bits, _candidate_states(word_bits, highs, lows), window):
+        keep &= output == output[trial, column][:, None]
+    ambiguous = np.flatnonzero(np.count_nonzero(keep, axis=1) > 1)
+    if ambiguous.size:
+        full = lows[ambiguous[0]][keep[ambiguous[0]]].tolist()
+        raise AssertionError(f"window does not pin the state uniquely: {full}")
     return counts
 
 
@@ -416,16 +417,30 @@ def state_search_slope_experiment(
     return result, means
 
 
+def _twister(stream: KeystreamGen) -> np.random.MT19937:
+    """numpy's twister, whose draws are the words `stream` would use next."""
+    _, (*key, pos), _ = stream._rng.getstate()
+    twister = np.random.MT19937()
+    twister.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
+    return twister
+
+
 def keystream_bias_experiment(
     bias: float = 0.6, nbits: int = 1_000_000, seed: int = 20
 ) -> ExperimentResult:
-    # consecutive calls draw consecutive bits, so calls of KEYSTREAM_CALL_BITS
-    # count the ones of one nbits call, on ints and bytes that stay in cache
+    """The ones fraction of one `KeystreamGen(bias, seed).next_bits(nbits)`
+    call, counted in numpy.  `run_validation` keeps seed 20 whatever its
+    seed: the 0.002 tolerance is 1.83 standard errors of the quick line's
+    200,000-bit mean at bias 0.6, which an arbitrary seed fails about
+    6.8 % of the time (two-sided)."""
+    # the stream's twister words, two per bit, for KEYSTREAM_CALL_BITS bits
+    # at a time: all 2 * nbits at once raised validate --quick's peak RSS 6 %
     stream = KeystreamGen(bias, seed)
-    ones = sum(
-        stream.next_bits(min(KEYSTREAM_CALL_BITS, nbits - start)).bit_count()
-        for start in range(0, nbits, KEYSTREAM_CALL_BITS)
-    )
+    twister = _twister(stream)
+    ones = 0
+    for start in range(0, nbits, KEYSTREAM_CALL_BITS):
+        words = twister.random_raw(2 * min(KEYSTREAM_CALL_BITS, nbits - start))
+        ones += int(np.count_nonzero(stream.draw_is_one(words[0::2], words[1::2])))
     return ExperimentResult(
         name=f"keystream ones fraction at bias {bias}",
         statistic=ones / nbits,

@@ -115,8 +115,10 @@ class KeystreamGen:
     consecutive 32-bit Mersenne Twister words, and `getrandbits(64 * n)`
     consumes the same 2n words in the same order, least significant
     first.  A draw is below `bias` exactly when `k < ceil(bias * 2**53)`
-    (scaling by a power of two is exact), and the top byte of `w0`, which
-    is the top byte of `k`, decides that for all but one byte value.
+    (scaling by a power of two is exact): `draw_is_one`, the rule that
+    `next_bits` and `experiments.keystream_bias_experiment` both use.
+    `next_bits` reads it off the top byte of `w0`, the top byte of `k`,
+    for all but one byte value, and calls `draw_is_one` on that one.
     The generator ends in the state n `random()` calls leave; the test
     suite pins both against a `random()` oracle.
     """
@@ -135,6 +137,10 @@ class KeystreamGen:
             for byte in range(256)
         )
 
+    def draw_is_one(self, w0, w1):
+        """Whether words w0, w1 draw a 1: on ints, or on uint64 arrays."""
+        return ((w0 >> 5) << 26 | (w1 >> 6)) < self._threshold
+
     def next_bits(self, n: int) -> int:
         """n bits packed big-endian into an int."""
         if n <= 0:
@@ -148,8 +154,7 @@ class KeystreamGen:
         while tie >= 0:
             w0 = int.from_bytes(data[8 * tie : 8 * tie + 4], "little")
             w1 = int.from_bytes(data[8 * tie + 4 : 8 * tie + 8], "little")
-            k = (w0 >> 5) << 26 | (w1 >> 6)
-            bits[tie] = ord("1") if k < self._threshold else ord("0")
+            bits[tie] = ord("1") if self.draw_is_one(w0, w1) else ord("0")
             tie = bits.find(b"?", tie + 1)
         return int(bits, 2)
 

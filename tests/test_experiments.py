@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import statistics
 
 import numpy as np
@@ -15,6 +16,7 @@ from workfunc.experiments import (
     _first_word_survivors,
     _lockstep_outputs,
     _packed_pairs,
+    _twister,
     brute_force_keys_tested,
     brute_force_mean_experiment,
     cipher_table,
@@ -314,13 +316,59 @@ def test_lockstep_windows_equal_the_scalar_generator():
         assert np.stack([*_lockstep_outputs(w, words, 20)], -1).tolist() == windows
 
 
-def test_state_search_uniqueness_check_stays_live():
+def test_state_search_uniqueness_check_stays_live(monkeypatch):
     # a one-word window leaves 2**(ceil(1.5w) - w) candidates per trial
     with pytest.raises(AssertionError, match="does not pin the state uniquely"):
         state_search_candidates_tested(8, 3, seed=0, window=1)
     # at w = 3 the default window cannot tell two states apart
     with pytest.raises(AssertionError, match=r"uniquely: \[0, 22\]$"):
         state_search_candidates_tested(3, 50, seed=1)
+    # survivors that leave out the true state: flipping d's low bit keeps
+    # each row's shape and columns but moves every entry off the truth
+    survivors = experiments._first_word_survivors
+    monkeypatch.setattr(
+        experiments, "_first_word_survivors", lambda *args: survivors(*args) ^ np.uint32(1)
+    )
+    for word_bits in (4, 8, 12):
+        with pytest.raises(AssertionError, match="not among its first-word survivors"):
+            state_search_candidates_tested(word_bits, 5, seed=0)
+
+
+def _first_unpinned_window(word_bits, trials, seed, window):
+    """The trial-by-trial sweep's uniqueness check, over the whole low-bit
+    space: the candidates that emit the first trial's window whose window
+    does not pin its state, or None."""
+    unknown = reduction_unknown_bits(word_bits)
+    lows = np.arange(1 << unknown)
+    rng = np.random.default_rng(seed)
+    for _ in range(trials):
+        state = tuple(rng.integers(1 << word_bits, size=4).tolist())
+        _first_rank(rng, 1 << unknown, 1)
+        packed = toycrypto.pack_state(state, word_bits)
+        observed = StandInPrng(word_bits, state).next_words(window)
+        hint = reduction_hint(packed, word_bits)
+        kept = lows[_confirm_window(word_bits, hint, lows, observed)].tolist()
+        if kept != [packed & ((1 << unknown) - 1)]:
+            return kept
+    return None
+
+
+@pytest.mark.parametrize("word_bits", [3, 4, 5])
+def test_one_pass_state_sweep_refuses_what_the_full_window_check_refuses(word_bits):
+    # each trial's survivors must be checked against its own true state,
+    # wherever its column falls: some of these trials are pinned and some
+    # are not, at columns other than 0
+    refused = 0
+    for seed in range(12):
+        for window in (2, 16):
+            expected = _first_unpinned_window(word_bits, 20, seed, window)
+            if expected is None:
+                state_search_candidates_tested(word_bits, 20, seed, window)
+                continue
+            refused += 1
+            with pytest.raises(AssertionError, match=rf"uniquely: {re.escape(str(expected))}$"):
+                state_search_candidates_tested(word_bits, 20, seed, window)
+    assert 0 < refused < 24
 
 
 def test_experiment_result_pass_boundary():
@@ -399,6 +447,30 @@ def test_keystream_bias_experiment():
 def test_keystream_bias_counts_the_ones_of_one_call(nbits):
     ones = KeystreamGen(0.6, 20).next_bits(nbits).bit_count()
     assert keystream_bias_experiment(nbits=nbits).statistic == ones / nbits
+
+
+def _packed_draws(stream, words):
+    bits = stream.draw_is_one(words[0::2], words[1::2])
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.size % 8)
+
+
+@pytest.mark.parametrize("seed", [20, "tie"])
+@pytest.mark.parametrize("bias", [0.0, 0.3, 0.5, 0.6, 1.0])
+def test_twister_hand_off_draws_the_keystream_bits(seed, bias):
+    """numpy's twister, seeded from a keystream's state, draws the words
+    `next_bits` consumes: `draw_is_one` on them gives its bits, and the
+    twister ends where a twin's generator does.  Bias 0.6 with seed "tie"
+    reaches the undecided top byte (test_toycrypto).  A stream that has
+    drawn 5 bits hands off mid-block, at twister position 10, not 624."""
+    for drawn in (0, 5):
+        for n in (1, 2**14 - 1, 2**14, 2**14 + 1, 200_000):
+            stream, twin = KeystreamGen(bias, seed), KeystreamGen(bias, seed)
+            assert stream.next_bits(drawn) == twin.next_bits(drawn)
+            twister = _twister(stream)
+            assert _packed_draws(stream, twister.random_raw(2 * n)) == twin.next_bits(n), n
+            _, (*key, pos), _ = twin._rng.getstate()
+            assert twister.state["state"]["key"].tolist() == key, (drawn, n)
+            assert twister.state["state"]["pos"] == pos, (drawn, n)
 
 
 def test_scan_mean_words_frozen_points():

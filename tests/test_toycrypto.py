@@ -122,6 +122,18 @@ def test_keystream_bits_match_random_oracle():
                 assert gen._rng.getstate() == oracle.getstate(), (seed, bias, n)
 
 
+def test_draw_is_one_on_ints_matches_the_random_oracle():
+    """`draw_is_one` on two twister words is `random() < bias` on the draw
+    `random()` makes of the same two words."""
+    biases = (0.0, 2**-60, 1 / 3, 0.5, 0.5 + 2**-53, 0.6, 1 - 2**-53, 1.0)
+    for seed in (0, "oracle"):
+        for bias in biases:
+            stream, words, oracle = KeystreamGen(bias), random.Random(seed), random.Random(seed)
+            for _ in range(2000):
+                w0, w1 = words.getrandbits(32), words.getrandbits(32)
+                assert stream.draw_is_one(w0, w1) == (oracle.random() < bias), (seed, bias)
+
+
 def test_keystream_oracle_reaches_the_undecided_top_byte():
     """At bias 0.6 the threshold ceil(bias * 2**53) has nonzero low 45 bits,
     so draws whose top byte equals its top byte are settled on the full
