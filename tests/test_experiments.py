@@ -336,8 +336,8 @@ def test_state_search_uniqueness_check_stays_live(monkeypatch):
 
 def _first_unpinned_window(word_bits, trials, seed, window):
     """The trial-by-trial sweep's uniqueness check, over the whole low-bit
-    space: the candidates that emit the first trial's window whose window
-    does not pin its state, or None."""
+    space: the candidates that emit the window of the first trial whose
+    window does not pin its state, or None when every window does."""
     unknown = reduction_unknown_bits(word_bits)
     lows = np.arange(1 << unknown)
     rng = np.random.default_rng(seed)
