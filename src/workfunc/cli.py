@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager
 from typing import Optional, Sequence
 
 from . import refdata
@@ -60,16 +60,21 @@ EXIT_PROTOCOL_FAULT = 4
 
 
 class _Unwritable(Exception):
-    """An output path that cannot be opened for writing; `main` reports it."""
+    """An output path that cannot be opened, written or closed; `main` reports it."""
 
 
+@contextmanager
 def _output(path: Optional[str]):
     """The text file at `path`, opened for writing, or stdout when there is
-    none; either way for use in a `with` block."""
+    none.  An `OSError` in opening the file, in the `with` block or in
+    closing the file becomes `_Unwritable`: the blocks that use it only
+    compute and write, so such an error is a failed write."""
     if not path:
-        return nullcontext(sys.stdout)
+        yield sys.stdout
+        return
     try:
-        return open(path, "w", encoding="utf-8")
+        with open(path, "w", encoding="utf-8") as handle:
+            yield handle
     except OSError as exc:
         raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
 
@@ -88,16 +93,16 @@ def _table_report(number: int) -> tuple[Report, list[str]]:
     """Table `number` (4: the break-time suite, only `validate` checks it) and its rows out of tolerance."""
     if number == 1:
         report = build_device_rate_report()
-        bad = report_failures(report, "deviation", refdata.TABLE1_TOLERANCE)
+        bad = report_failures(report, refdata.TABLE1_TOLERANCE)
     elif number == 2:
         report = build_cost_per_bit_report()
-        bad = report_failures(report, "deviation", refdata.TABLE2_TOLERANCE)
+        bad = report_failures(report, refdata.TABLE2_TOLERANCE)
     elif number == 3:
         report = build_state_search_report()
-        bad = report_failures(report, "deviation", refdata.TABLE3_TIME_TOLERANCE)
+        bad = report_failures(report, refdata.TABLE3_TIME_TOLERANCE)
     else:
         report = build_break_suite_report()
-        bad = report_failures(report, "deviation", refdata.BREAK_SUITE_TOLERANCE)
+        bad = report_failures(report, refdata.BREAK_SUITE_TOLERANCE)
     return report, bad
 
 

@@ -19,12 +19,8 @@ uniformly random order are a uniformly random subset of the ranks, so a
 trial draws that subset (`_first_rank`) instead of ordering the whole
 candidate space: the count has exactly the search's distribution, at a
 cost per trial that does not grow with the space.  The key sweep draws
-all its trials in one call.  Two numpy identities keep that draw
-sequence equal to one trial at a time, value for value and generator
-state for state: a one-member subset `choice(size, 1, replace=False)` is
-one `integers(size)` draw, and `integers(size, size=n)` is n scalar
-`integers(size)` draws.  A trial whose secret has more than one
-consistent key draws a true subset, so the block is replayed up to it
+every trial's secret and rank in one call, and a secret that shares its
+known pairs with other keys gets its rank redrawn after that call
 (`brute_force_keys_tested`).
 
 The state sweep scans no candidate space either.  The generator's
@@ -35,7 +31,7 @@ listed directly.  One `arx_step` of every trial's true state gives its
 first word; the true state is then one of its survivors, and a single
 lockstep pass (`_lockstep_outputs`) steps all survivors through the
 window, checking that only the true one emits it.  Its trials' states
-and ranks, too, are drawn in one call, equal to the trial-by-trial draws.
+and ranks are drawn in one call, equal to the trial-by-trial draws.
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ from .estimators import DEFAULT_BYTES_PER_KEY_BIT
 from .toycrypto import (
     MAX_WORD_BITS,
     KeystreamGen,
-    SCAN_CAP_MARGIN_BITS,
     StandInPrng,
     ToyCipher,
     arx_step,
@@ -76,9 +71,9 @@ KEYSTREAM_CALL_BITS = 1 << 14
 TRIAL_PLAINTEXTS = (0x00000000, 0x00000001)
 
 
-def cipher_table(key_bits: int, blocks: int | Sequence[int]):
-    """Ciphertext of a block under every key, as one vectorized sweep; for
-    a sequence of blocks, a list of such tables, one per block.
+def cipher_table(key_bits: int, blocks: Sequence[int]) -> list[np.ndarray]:
+    """The ciphertext of each block under every key: one table per block,
+    as one vectorized sweep.
 
     The keys are uint32 lanes, scheduled once for all the blocks: the
     schedule's product wraps mod 2**32, which is the cipher's own
@@ -86,8 +81,6 @@ def cipher_table(key_bits: int, blocks: int | Sequence[int]):
     """
     cipher = ToyCipher(key_bits)
     subkeys = cipher.schedule(np.arange(1 << key_bits, dtype=np.uint32))
-    if isinstance(blocks, int):
-        return cipher.encrypt_with_subkeys(subkeys, blocks)
     return [cipher.encrypt_with_subkeys(subkeys, block) for block in blocks]
 
 
@@ -141,12 +134,8 @@ def _first_rank(rng: np.random.Generator, size: int, m: int) -> int:
     In a uniformly random scan order the targets' positions are a
     uniformly random m-subset of [0, size), so the count is that subset's
     smallest member plus one.  numpy draws a small subset of a large range
-    without touching the rest of it; for m = 1 that is one
-    `integers(size)` draw, the same value from the same generator state
-    as `choice(size, 1, replace=False)`, at a fraction of the call cost.
+    without touching the rest of it.
     """
-    if m == 1:
-        return int(rng.integers(size)) + 1
     return int(rng.choice(size, size=m, replace=False).min()) + 1
 
 
@@ -167,36 +156,22 @@ def brute_force_keys_tested(key_bits: int, trials: int, seed: int) -> list[int]:
     scan order (`_first_rank`): the scalar search's count, in
     distribution.
 
-    A trial draws its secret, then its rank; with m = 1 both are single
-    `integers(size)` draws, so one `integers(size, size=(n, 2))` call
-    makes n trials' draws in the order a trial-by-trial loop makes them.
-    A secret with m > 1 draws an m-subset instead, so the block stops
-    short of it: the generator goes back to the block's start state and
-    redraws the trials before it and the tied secret, `_first_rank`
-    draws that trial's rank, and the next block starts after it.  The
-    counts and the final generator state are those of the trial-by-trial
-    loop.
+    One `integers(size, size=(trials, 2))` call draws every trial's
+    secret and its rank, the first of one target.  A secret with m > 1
+    consistent keys is tied: its trial's rank is the first of m, so it is
+    redrawn by `_first_rank`, tied trial by tied trial, after that call.
     """
     pairs = _packed_pairs(key_bits)
     table = np.sort(pairs)
     rng = np.random.default_rng(seed)
     size = 1 << key_bits
-    counts: list[int] = []
-    while len(counts) < trials:
-        start = rng.bit_generator.state
-        draws = rng.integers(size, size=(trials - len(counts), 2))
-        targets = pairs[draws[:, 0]]
-        m = table.searchsorted(targets, "right") - table.searchsorted(targets, "left")
-        tied = np.flatnonzero(m > 1)
-        if not tied.size:
-            counts += (draws[:, 1] + 1).tolist()
-            break
-        first = int(tied[0])
-        rng.bit_generator.state = start
-        rng.integers(size, size=2 * first + 1)  # the trials before it, and its secret
-        counts += (draws[:first, 1] + 1).tolist()
-        counts.append(_first_rank(rng, size, int(m[first])))
-    return counts
+    draws = rng.integers(size, size=(trials, 2))
+    targets = pairs[draws[:, 0]]
+    m = table.searchsorted(targets, "right") - table.searchsorted(targets, "left")
+    counts = draws[:, 1] + 1
+    for trial in np.flatnonzero(m > 1):
+        counts[trial] = _first_rank(rng, size, int(m[trial]))
+    return counts.tolist()
 
 
 def brute_force_mean_experiment(key_bits: int, trials: int, seed: int) -> ExperimentResult:
@@ -358,8 +333,8 @@ def state_search_candidates_tested(
     (`_first_word_survivors`).  The true state must be the survivor in
     column `low >> w`, and in one lockstep pass through the window no
     other survivor of its trial may emit its outputs.  The count is
-    where the true candidate falls in a uniform scan order
-    (`_first_rank`): `state_search`'s count, in distribution.
+    where the true candidate falls in a uniform scan order, a uniform
+    rank in [1, size]: `state_search`'s count, in distribution.
 
     A trial draws its four state words, `integers(2**w, size=4)`, then
     its rank, `integers(size)`.  For a power-of-two range below 2**32
@@ -447,29 +422,6 @@ def keystream_bias_experiment(
         expected=bias,
         tolerance=0.002,
     )
-
-
-def scan_mean_words(word_bits: int, starts: int, seed: int) -> tuple[float, int]:
-    """Mean words to the first zero output over random starts.
-
-    All starts step in lockstep, one `arx_step` on uint32 arrays per word,
-    and a start leaves the arrays at its first zero word.  Starts with no
-    zero word within the scan cap of `scan_for_zero` (orbits trapped in
-    zero-free cycles) are excluded and counted separately; they are rare.
-    """
-    w = word_bits
-    seeded = [StandInPrng.from_seed(w, f"{seed}:{i}").state for i in range(starts)]
-    state = tuple(np.array(seeded, dtype=np.uint32).reshape(starts, 4).T)
-    found = []
-    for count in range(1, (1 << (w + SCAN_CAP_MARGIN_BITS)) + 1):
-        if not state[0].size:
-            break
-        state, output = arx_step(state, w)
-        hit = output == 0
-        if hit.any():
-            found += [count] * int(np.count_nonzero(hit))
-            state = tuple(word[~hit] for word in state)
-    return fmean(found), int(state[0].size)
 
 
 def meter_ledger_experiment(seed: int = 5) -> ExperimentResult:

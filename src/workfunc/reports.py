@@ -236,9 +236,9 @@ def build_break_suite_report() -> Report:
     )
 
 
-def report_failures(report: Report, deviation_column: str, tolerance: float) -> list[str]:
-    """Rows whose deviation column exceeds tolerance, as readable lines."""
-    idx = report.columns.index(deviation_column)
+def report_failures(report: Report, tolerance: float) -> list[str]:
+    """Rows whose "deviation" column exceeds tolerance, as readable lines."""
+    idx = report.columns.index("deviation")
     bad = []
     for row in report.rows:
         dev = row[idx]

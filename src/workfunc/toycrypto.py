@@ -225,26 +225,6 @@ def unpack_state(packed: int, word_bits: int) -> tuple[int, int, int, int]:
     return (a, b, c, d)
 
 
-class ScanLimitError(RuntimeError):
-    """No zero output word within the scan cap of 2**(w+4) words."""
-
-
-SCAN_CAP_MARGIN_BITS = 4
-
-
-def scan_for_zero(prng: StandInPrng) -> int:
-    """Advance until the output word is zero; return words consumed.
-
-    The generator is left in the state right after the zero word.  Some
-    orbits never emit a zero (small zero-free cycles exist), hence the cap.
-    """
-    cap = 1 << (prng.word_bits + SCAN_CAP_MARGIN_BITS)
-    for count in range(1, cap + 1):
-        if prng.next_word() == 0:
-            return count
-    raise ScanLimitError(f"no zero output within {cap} words")
-
-
 def reduction_unknown_bits(word_bits: int) -> int:
     """Size of the reduced candidate space: ceil(1.5 w) unknown state bits."""
     return -(-3 * word_bits // 2)

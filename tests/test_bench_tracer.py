@@ -3,13 +3,14 @@
 `perfbench/spans.py` replaces functions by name from outside the package,
 so renaming or removing one of them breaks a traced benchmark run. These
 tests install and remove the tracer's wrappers the same way that run
-does, and play one game under them, so such a change fails here first.
+does, and play one game and one quick validation under them, so such a
+change fails here first.
 """
 
 import importlib.util
 from pathlib import Path
 
-from workfunc import cli, game, otp
+from workfunc import cli, experiments, game, otp, toycrypto
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -46,3 +47,20 @@ def test_benchmark_tracer_counts_a_streamed_game(tmp_path, capsys):
     assert tracer.counts["game.play.steps_charged"] == 100
     assert tracer.counts["game.adjudicate.calls"] == 1
     assert tracer.counts["game.export.bytes"] == transcript.stat().st_size
+
+
+def test_benchmark_tracer_counts_a_quick_validation(capsys):
+    """Every `experiments` and `toycrypto` layer the validate-quick workload
+    reads is still wrapped and counted, and unwrapped afterwards."""
+    spans = _load_spans()
+    owners = (experiments, toycrypto, toycrypto.KeystreamGen, toycrypto.StandInPrng)
+    before = [dict(vars(owner)) for owner in owners]
+    with spans.instrumented(spans.Tracer()) as tracer:
+        assert cli.main(["validate", "--quick", "--seed", "11"]) == 0
+    assert [dict(vars(owner)) for owner in owners] == before  # restored
+    assert "PASS meter ledger identities" in capsys.readouterr().out
+    assert tracer.counts["experiments.cipher_table.keys"] == 69_632  # 2**12 + 2**16
+    assert tracer.counts["experiments.key_sampling.trials"] == 2_000
+    assert tracer.counts["experiments.state_sweep.trials"] == 200
+    assert tracer.counts["toycrypto.scalar_search.steps"] == 4_334  # 3699 keys + 635 states
+    assert tracer.counts["reports.tables.rows"] == 24

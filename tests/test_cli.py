@@ -1,4 +1,5 @@
 import csv
+import errno
 import hashlib
 import os
 import subprocess
@@ -415,6 +416,44 @@ def test_unwritable_transcript_leaves_no_traceback(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr.startswith("cannot write ")
     assert "Traceback" not in proc.stderr
+
+
+class _FullDisk:
+    """A file on a full disk: `write` or `close`, as `failing` says, raises
+    ENOSPC, as a buffered write to /dev/full does at its flush."""
+
+    def __init__(self, failing):
+        self.failing = failing
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def write(self, text):
+        if self.failing == "write":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return len(text)
+
+    def close(self):
+        if self.failing == "close":
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("failing", ["write", "close"])
+@pytest.mark.parametrize("command", ["table", "game"])
+def test_a_failed_write_exits_two(tmp_path, capsys, monkeypatch, command, failing):
+    path = str(tmp_path / "out")
+    argv = {
+        "table": ["table", "1", "--output", path],
+        "game": ["game", write(tmp_path, "won.scenario", GAME_WON), "--transcript", path],
+    }[command]
+    monkeypatch.setattr(cli, "open", lambda *args, **kwargs: _FullDisk(failing), raising=False)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"cannot write {path}: No space left on device\n"
 
 
 def test_game_protocol_fault_ends_the_streamed_transcript(tmp_path, capsys, monkeypatch):

@@ -1,7 +1,6 @@
 import math
 import random
 import re
-import statistics
 
 import numpy as np
 import pytest
@@ -23,7 +22,6 @@ from workfunc.experiments import (
     keystream_bias_experiment,
     meter_ledger_experiment,
     run_validation,
-    scan_mean_words,
     scan_order,
     state_search,
     state_search_candidates_tested,
@@ -32,12 +30,10 @@ from workfunc.experiments import (
 from workfunc.toycrypto import (
     MAX_WORD_BITS,
     KeystreamGen,
-    ScanLimitError,
     StandInPrng,
     ToyCipher,
     reduction_hint,
     reduction_unknown_bits,
-    scan_for_zero,
     unpack_state,
 )
 
@@ -54,14 +50,14 @@ def test_cipher_table_matches_scalar_cipher():
         assert [tuple(int(s[key]) for s in schedule) for key in keys] == [
             tc.subkeys(key) for key in keys
         ]
-        for block in (*TRIAL_PLAINTEXTS, 0xFFFFFFFF):
-            table = cipher_table(key_bits, block)
+        blocks = (*TRIAL_PLAINTEXTS, 0xFFFFFFFF)
+        for block, table in zip(blocks, cipher_table(key_bits, blocks), strict=True):
             assert table.tolist() == [tc.encrypt(key, block) for key in keys]
 
 
 def test_cipher_table_schedules_the_keys_once_for_several_blocks(monkeypatch):
     blocks = (*TRIAL_PLAINTEXTS, 0xFFFFFFFF)
-    singles = {key_bits: [cipher_table(key_bits, block) for block in blocks] for key_bits in (1, 12)}
+    singles = {key_bits: [cipher_table(key_bits, [block])[0] for block in blocks] for key_bits in (1, 12)}
     calls = []
     schedule = ToyCipher.schedule
 
@@ -178,22 +174,6 @@ def test_first_rank_has_the_exact_first_target_distribution():
                 assert abs(np.mean(counts > t) - exact) <= tolerance, (size, m, t)
 
 
-@pytest.mark.parametrize("n", [2, 4096, 65536, 2**20, 2**33])
-def test_numpy_draw_identities_the_key_search_relies_on(n):
-    # a one-member subset is one integers(n) draw, and a block of integers
-    # draws is the same run of scalar draws; both leave equal generator
-    # states, so the block sampler replays the trial-by-trial draws
-    for seed in range(3):
-        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(300):
-            assert _first_rank(fast, n, 1) == int(slow.choice(n, 1, replace=False).min()) + 1
-            assert fast.bit_generator.state == slow.bit_generator.state
-        for count in (1, 2, 7, 500):
-            block = fast.integers(n, size=count).tolist()
-            assert block == [int(slow.integers(n)) for _ in range(count)]
-            assert fast.bit_generator.state == slow.bit_generator.state
-
-
 @pytest.mark.parametrize("word_bits", range(1, MAX_WORD_BITS + 1))
 def test_numpy_draw_identity_the_state_sweep_relies_on(word_bits):
     # five full-range 32-bit draws per trial, shifted right, are the
@@ -206,7 +186,7 @@ def test_numpy_draw_identity_the_state_sweep_relies_on(word_bits):
         for row in draws.tolist():
             words = slow.integers(1 << word_bits, size=4).tolist()
             assert [word >> (32 - word_bits) for word in row[:4]] == words
-            assert (row[4] >> (32 - size_bits)) + 1 == _first_rank(slow, 1 << size_bits, 1)
+            assert row[4] >> (32 - size_bits) == int(slow.integers(1 << size_bits))
         assert fast.bit_generator.state == slow.bit_generator.state
 
 
@@ -225,28 +205,30 @@ def test_state_sweep_replays_the_per_trial_draws(monkeypatch, word_bits):
         words, ranks = [], []
         for _ in range(57):
             words.append(rng.integers(1 << word_bits, size=4).tolist())
-            ranks.append(_first_rank(rng, size, 1))
+            ranks.append(int(rng.integers(size)) + 1)
         assert state_search_candidates_tested(word_bits, 57, seed) == ranks
         assert truths.pop() == words
 
 
-def _per_trial_keys_tested(key_bits, trials, seed):
-    """The key search one trial at a time: a secret, its m consistent
-    keys, and the first of m distinct ranks drawn by `choice`."""
-    pairs = experiments._packed_pairs(key_bits)
-    table = np.sort(pairs)
-    rng = np.random.default_rng(seed)
-    size = 1 << key_bits
-    counts = []
-    for _ in range(trials):
-        target = pairs[int(rng.integers(size))]
-        m = int(np.searchsorted(table, target, "right") - np.searchsorted(table, target, "left"))
-        counts.append(int(rng.choice(size, size=m, replace=False).min()) + 1)
-    return counts
+def _tied_trials(key_bits, trials, seed):
+    """Run the key sweep and check that every untied trial's count is its
+    rank from the one block draw, `integers(size, size=(trials, 2))`
+    column 1, plus one.  Returns the tied trials (m > 1 keys share the
+    secret's pairs): their indexes, m and counts."""
+    _, inverse, multiplicity = np.unique(
+        experiments._packed_pairs(key_bits), return_inverse=True, return_counts=True
+    )
+    draws = np.random.default_rng(seed).integers(1 << key_bits, size=(trials, 2))
+    m = multiplicity[inverse[draws[:, 0]]]
+    counts = np.array(brute_force_keys_tested(key_bits, trials, seed))
+    untied = m == 1
+    assert counts[untied].tolist() == (draws[untied, 1] + 1).tolist()
+    tied = np.flatnonzero(~untied)
+    return tied, m[tied], counts[tied]
 
 
 @pytest.mark.parametrize("grouping", ["every key tied", "a few keys tied"])
-def test_block_key_search_replays_the_per_trial_loop_on_tied_tables(monkeypatch, grouping):
+def test_key_sweep_redraws_the_ranks_of_tied_secrets(monkeypatch, grouping):
     # keys // 3 ties almost every key in threes; the other table ties only
     # keys below 64, in fours, so tied trials fall between untied runs
     def tied_pairs(key_bits):
@@ -256,20 +238,31 @@ def test_block_key_search_replays_the_per_trial_loop_on_tied_tables(monkeypatch,
         return np.where(keys < 64, keys // 4, keys)
 
     monkeypatch.setattr(experiments, "_packed_pairs", tied_pairs)
-    for seed in range(6):
-        expected = _per_trial_keys_tested(10, 200, seed)
-        assert brute_force_keys_tested(10, 200, seed) == expected
+    size, m = 1 << 10, 3 if grouping == "every key tied" else 4
+    tied = [_tied_trials(10, 1000, seed) for seed in range(6)]
+    assert {int(group) for _, ms, _ in tied for group in ms} == {m}
+    counts = np.concatenate([trial_counts for _, _, trial_counts in tied])
+    # a tied trial's count is the first of m targets in a uniform order,
+    # beyond rank t with probability C(size - t, m) / C(size, m): a rank
+    # kept from the block draw is uniform, and misses by about 0.4.  Each
+    # empirical tail of n counts has a standard error of at most
+    # 0.5 / sqrt(n), and the bound is four of them (n is about 400 in
+    # fours and 6000 in threes); by the Dvoretzky-Kiefer-Wolfowitz
+    # inequality some tail exceeds it by chance at most 2 exp(-8) = 0.07 %
+    # of the time
+    bound = 4 * 0.5 / math.sqrt(counts.size)
+    for t in range(size + 1):
+        exact = math.comb(size - t, m) / math.comb(size, m)
+        assert abs(np.mean(counts > t) - exact) <= bound, t
 
 
-def test_block_key_search_replays_the_per_trial_loop_on_real_ties():
+def test_key_sweep_keeps_the_drawn_ranks_of_untied_secrets_on_real_ties():
     # at k = 19, 24 keys share their pairs with a twin; seed 287 draws
     # one of them as trial 11's secret, and seed 72 as trial 44's
-    pairs = _packed_pairs(19)
-    _, inverse, multiplicity = np.unique(pairs, return_inverse=True, return_counts=True)
     for seed, trial in ((287, 11), (72, 44)):
-        secret = np.random.default_rng(seed).integers(1 << 19, size=(trial + 1, 2))[trial, 0]
-        assert multiplicity[inverse[secret]] == 2
-        assert brute_force_keys_tested(19, 300, seed) == _per_trial_keys_tested(19, 300, seed)
+        tied, ms, counts = _tied_trials(19, 300, seed)
+        assert tied.tolist() == [trial] and ms.tolist() == [2]
+        assert 1 <= counts[0] <= (1 << 19) - 1
 
 
 def _scalar_window_survivors(w, high, lows, observed):
@@ -343,7 +336,7 @@ def _first_unpinned_window(word_bits, trials, seed, window):
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         state = tuple(rng.integers(1 << word_bits, size=4).tolist())
-        _first_rank(rng, 1 << unknown, 1)
+        rng.integers(1 << unknown)  # the trial's rank
         packed = toycrypto.pack_state(state, word_bits)
         observed = StandInPrng(word_bits, state).next_words(window)
         hint = reduction_hint(packed, word_bits)
@@ -473,31 +466,6 @@ def test_twister_hand_off_draws_the_keystream_bits(seed, bias):
             assert twister.state["state"]["pos"] == pos, (drawn, n)
 
 
-def test_scan_mean_words_frozen_points():
-    mean10, capped10 = scan_mean_words(10, 400, seed=3)
-    assert capped10 == 0
-    assert mean10 == pytest.approx(969.63, abs=0.05)
-    assert mean10 == pytest.approx(2.0**10, rel=0.10)
-    mean12, capped12 = scan_mean_words(12, 250, seed=3)
-    assert capped12 == 0
-    assert mean12 == pytest.approx(4093.33, abs=0.05)
-    assert mean12 == pytest.approx(2.0**12, rel=0.10)
-
-
-def test_scan_mean_words_matches_the_scalar_scan_with_capped_starts():
-    # the lockstep scan against scan_for_zero start by start, at points
-    # where some starts hit the cap
-    for w, starts, seed in ((2, 30, 4), (8, 300, 2)):
-        found, capped = [], 0
-        for i in range(starts):
-            try:
-                found.append(scan_for_zero(StandInPrng.from_seed(w, f"{seed}:{i}")))
-            except ScanLimitError:
-                capped += 1
-        assert capped > 0
-        assert scan_mean_words(w, starts, seed) == (statistics.fmean(found), capped)
-
-
 def test_meter_ledger_identities_exact():
     result = meter_ledger_experiment()
     assert result.statistic == 0.0
@@ -609,8 +577,8 @@ def _slope(seed):
     "misprice, line, statistic",
     [
         (_search_twice_the_space, lambda: brute_force_mean_experiment(12, 1000, 23), 4107),
-        (_schedule_ignoring_key_bit_0, lambda: brute_force_mean_experiment(12, 1000, 23), 1345),
-        (_schedule_ignoring_key_bit_0, lambda: brute_force_mean_experiment(16, 1000, 27), 21773),
+        (_schedule_ignoring_key_bit_0, lambda: brute_force_mean_experiment(12, 1000, 23), 1333.1),
+        (_schedule_ignoring_key_bit_0, lambda: brute_force_mean_experiment(16, 1000, 27), 21570.2),
         (_state_space_of_2w_bits, lambda: _slope(11), 1.93),
         (_keystream_at_bias_half, lambda: keystream_bias_experiment(nbits=200_000), 0.498),
     ],

@@ -78,20 +78,20 @@ def test_csv_roundtrip_is_bit_exact():
 def test_device_rate_report_reproduces_published_rates():
     report = build_device_rate_report()
     assert len(report.rows) == 5
-    assert report_failures(report, "deviation", refdata.TABLE1_TOLERANCE) == []
+    assert report_failures(report, refdata.TABLE1_TOLERANCE) == []
     assert report.provenance == ("printed", refdata.TABLE1_LOCATION)
 
 
 def test_cost_per_bit_report_reproduces_published_prices():
     report = build_cost_per_bit_report()
     assert len(report.rows) == 9
-    assert report_failures(report, "deviation", refdata.TABLE2_TOLERANCE) == []
+    assert report_failures(report, refdata.TABLE2_TOLERANCE) == []
 
 
 def test_state_search_report_reproduces_published_times():
     report = build_state_search_report()
     assert len(report.rows) == 5
-    assert report_failures(report, "deviation", refdata.TABLE3_TIME_TOLERANCE) == []
+    assert report_failures(report, refdata.TABLE3_TIME_TOLERANCE) == []
     scan_idx = report.columns.index("expected_scan_words")
     for row, ref in zip(report.rows, refdata.TABLE3_ROWS):
         assert row[scan_idx] == 2.0 ** (ref.word_bits - 1)
@@ -116,7 +116,7 @@ def test_break_suite_report_times():
     deviations = [row[report.columns.index("deviation")] for row in report.rows]
     assert deviations[2] == pytest.approx(1 - 9.421 / 10.1, abs=1e-3)
     assert max(deviations[:2] + deviations[3:]) < 5e-4
-    assert report_failures(report, "deviation", refdata.BREAK_SUITE_TOLERANCE) == []
+    assert report_failures(report, refdata.BREAK_SUITE_TOLERANCE) == []
 
 
 def test_report_failures_flags_bad_rows():
@@ -126,6 +126,6 @@ def test_report_failures_flags_bad_rows():
         rows=(("ok", 0.05), ("bad", 0.2), ("worse", float("inf")), ("nan", float("nan"))),
         provenance=(" ", ""),
     )
-    lines = report_failures(report, "deviation", 0.1)
+    lines = report_failures(report, 0.1)
     assert len(lines) == 3
     assert lines[0].startswith("bad:")

@@ -24,10 +24,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "workfunc"
 
 # name -> why it stays although only tests reach it
-ALLOWED_TEST_ONLY = {
-    "scan_mean_words": "the scan-wait fit of full `validate` is to call it (ROADMAP item 2)",
-    "scan_for_zero": "the scalar reference that the lockstep scan_mean_words is tested against",
-}
+ALLOWED_TEST_ONLY: dict[str, str] = {}
 
 # field name -> why it stays although nothing in `src/` or `perfbench/` reads it
 ALLOWED_UNREAD_FIELDS = {

@@ -12,7 +12,6 @@ from workfunc.toycrypto import (
     MAX_KEY_BITS,
     MAX_WORD_BITS,
     KeystreamGen,
-    ScanLimitError,
     StandInPrng,
     ToyCipher,
     arx_step,
@@ -20,7 +19,6 @@ from workfunc.toycrypto import (
     reduction_hint,
     reduction_unknown_bits,
     rotl,
-    scan_for_zero,
     unpack_state,
 )
 
@@ -191,27 +189,6 @@ def test_pack_unpack_roundtrip(word_bits, data):
     words = st.integers(min_value=0, max_value=(1 << word_bits) - 1)
     state = tuple(data.draw(words) for _ in range(4))
     assert unpack_state(pack_state(state, word_bits), word_bits) == state
-
-
-def test_scan_for_zero_one_bit_exhaustive():
-    # every 4-bit state space fits in a hand check: zero appears in step 1 or 2
-    counts = []
-    for packed in range(16):
-        counts.append(scan_for_zero(StandInPrng(1, unpack_state(packed, 1))))
-    assert set(counts) == {1, 2}
-    assert sum(counts) / len(counts) == 1.5
-
-
-def test_scan_cap_on_zero_free_cycle():
-    with pytest.raises(ScanLimitError):
-        scan_for_zero(StandInPrng(8, (7, 158, 21, 0)))
-
-
-def test_scan_leaves_generator_past_zero():
-    prng = StandInPrng.from_seed(8, 3)
-    probe = StandInPrng(8, prng.state)
-    consumed = scan_for_zero(prng)
-    assert probe.next_words(consumed)[-1] == 0
 
 
 def test_reduction_sizes():
