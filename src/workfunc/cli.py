@@ -3,8 +3,10 @@
 Subcommands: table, estimate, game, validate, catalog.
 
 Exit codes: 0 success (or game won), 1 reproduction or validation
-failure, 2 usage error (including an output or transcript path that
-cannot be opened for writing), 3 game lost, 4 protocol fault in a game.
+failure, 2 usage error (including any output that cannot be written:
+an output or transcript path, or stdout), 3 game lost, 4 protocol fault
+in a game.  A command stops on a failure by raising it, and `main`
+reports every failure: one line or more on stderr, then the exit code.
 
 `game` opens its transcript before the first move and writes each move's
 line as the move is played, so its memory does not grow with `trials`;
@@ -16,7 +18,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from typing import Optional, Sequence
 
 from . import refdata
@@ -59,34 +61,47 @@ EXIT_GAME_LOST = 3
 EXIT_PROTOCOL_FAULT = 4
 
 
-class _Unwritable(Exception):
-    """An output path that cannot be opened, written or closed; `main` reports it."""
+class _Failure(Exception):
+    """`_Failure(code, message)` ends a command; `main` prints the message to
+    stderr and exits with the code."""
 
 
 @contextmanager
 def _output(path: Optional[str]):
     """The text file at `path`, opened for writing, or stdout when there is
-    none.  An `OSError` in opening the file, in the `with` block or in
-    closing the file becomes `_Unwritable`: the blocks that use it only
-    compute and write, so such an error is a failed write."""
-    if not path:
-        yield sys.stdout
-        return
+    none, flushed at the end.  An `OSError` in opening, in the `with` block
+    or in closing or flushing is a failed write, exit 2: the blocks that
+    use it only compute and write."""
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            yield handle
+        if not path:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(path, "w", encoding="utf-8") as handle:
+                yield handle
     except OSError as exc:
-        raise _Unwritable(f"cannot write {path}: {exc.strerror or exc}") from None
+        if not path:
+            with suppress(OSError):  # closed, so the flush at exit does not fail again
+                sys.stdout.close()
+        raise _Failure(EXIT_USAGE, f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from None
 
 
-def _write(text: str, path: Optional[str]) -> None:
-    """Write `text` to the file at `path`, or to stdout when there is none."""
-    with _output(path) as handle:
-        handle.write(text)
+@contextmanager
+def _reading(what: str):
+    """The `with` block loads the `what` file: one that cannot be read exits 2,
+    and one that is not UTF-8 text exits 1 naming its first bad byte and offset."""
+    try:
+        yield
+    except OSError as exc:
+        raise _Failure(EXIT_USAGE, f"cannot read {what}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        bad = f"byte {exc.object[exc.start]:#04x} at offset {exc.start}"
+        raise _Failure(EXIT_FAILURE, f"bad {what}: not UTF-8 text: {bad}") from None
 
 
 def _emit(report: Report, as_csv: bool, output: Optional[str]) -> None:
-    _write(render_csv(report) if as_csv else render_text(report), output)
+    with _output(output) as handle:
+        handle.write(render_csv(report) if as_csv else render_text(report))
 
 
 def _table_report(number: int) -> tuple[Report, list[str]]:
@@ -109,9 +124,9 @@ def _table_report(number: int) -> tuple[Report, list[str]]:
 def cmd_table(args: argparse.Namespace) -> int:
     report, bad = _table_report(args.number)
     _emit(report, args.csv, args.output)
-    for line in bad:
-        print(f"reproduction failure: {line}", file=sys.stderr)
-    return EXIT_FAILURE if bad else EXIT_OK
+    if bad:
+        raise _Failure(EXIT_FAILURE, "\n".join(f"reproduction failure: {line}" for line in bad))
+    return EXIT_OK
 
 
 def _given(scenario: Scenario, *keys: str) -> dict:
@@ -227,50 +242,24 @@ _ESTIMATORS = {
 }
 
 
-def _not_utf8(exc: UnicodeDecodeError) -> str:
-    """A file that is not UTF-8 text, named by its first bad byte and that byte's offset."""
-    return f"not UTF-8 text: byte {exc.object[exc.start]:#04x} at offset {exc.start}"
-
-
-def _read_scenario(path: str, kinds: Sequence[str], role: str) -> tuple[Optional[Scenario], int]:
-    """The scenario in `path` if it has one of `kinds`, or None and the exit code for why not."""
-    try:
+def _read_scenario(path: str, kinds: Sequence[str], role: str) -> Scenario:
+    """The scenario in `path`, which must have one of `kinds`."""
+    with _reading("scenario"):
         scenario = load_scenario(path)
-    except OSError as exc:
-        print(f"cannot read scenario: {exc}", file=sys.stderr)
-        return None, EXIT_USAGE
-    except ScenarioError as exc:
-        print(f"bad scenario: {exc}", file=sys.stderr)
-        return None, EXIT_FAILURE
-    except UnicodeDecodeError as exc:
-        print(f"bad scenario: {_not_utf8(exc)}", file=sys.stderr)
-        return None, EXIT_FAILURE
     if scenario.kind not in kinds:
-        print(
-            f"scenario kind [{scenario.kind}] is not {role}; expected one of {', '.join(kinds)}",
-            file=sys.stderr,
-        )
-        return None, EXIT_USAGE
-    return scenario, EXIT_OK
+        expected = ", ".join(kinds)
+        raise _Failure(EXIT_USAGE, f"scenario kind [{scenario.kind}] is not {role}; expected one of {expected}")
+    return scenario
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    scenario, code = _read_scenario(args.scenario, sorted(_ESTIMATORS), "an estimator")
-    if scenario is None:
-        return code
-    try:
-        report = _ESTIMATORS[scenario.kind](scenario)
-    except ScenarioError as exc:
-        print(f"bad scenario: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    _emit(report, args.csv, args.output)
+    scenario = _read_scenario(args.scenario, sorted(_ESTIMATORS), "an estimator")
+    _emit(_ESTIMATORS[scenario.kind](scenario), args.csv, args.output)
     return EXIT_OK
 
 
 def cmd_game(args: argparse.Namespace) -> int:
-    scenario, code = _read_scenario(args.scenario, ("game_otp",), "a game")
-    if scenario is None:
-        return code
+    scenario = _read_scenario(args.scenario, ("game_otp",), "a game")
     params = scenario.params
     keystream = KeystreamGen(params["bias"], f"{params['seed']}:keystream")
     with _output(args.transcript) as handle:
@@ -284,17 +273,17 @@ def cmd_game(args: argparse.Namespace) -> int:
                 **_given(scenario, "plaintext_bytes", "win_threshold", "per_step_information"),
             )
         except ProtocolFault as fault:
-            print(f"protocol fault: {fault}", file=sys.stderr)
             handle.write("result ProtocolFault\n")  # after the moves already written
-            return EXIT_PROTOCOL_FAULT
+            raise _Failure(EXIT_PROTOCOL_FAULT, f"protocol fault: {fault}") from None
         handle.write(transcript_trailer(outcome))
-    print(f"result {outcome.result.value}")
-    print(f"challenges {outcome.successes}/{outcome.trials}")
-    print(f"total_cost {outcome.total_cost!r}")
-    print(f"budget_remaining {outcome.budget_remaining!r}")
-    if outcome.p_value is not None:
-        print(f"p_value {float(outcome.p_value):.6g}")
-    print(f"transcript {args.transcript}")
+    with _output(None) as out:
+        out.write(f"result {outcome.result.value}\n")
+        out.write(f"challenges {outcome.successes}/{outcome.trials}\n")
+        out.write(f"total_cost {outcome.total_cost!r}\n")
+        out.write(f"budget_remaining {outcome.budget_remaining!r}\n")
+        if outcome.p_value is not None:
+            out.write(f"p_value {float(outcome.p_value):.6g}\n")
+        out.write(f"transcript {args.transcript}\n")
     return EXIT_OK if outcome.result is GameResult.WON else EXIT_GAME_LOST
 
 
@@ -323,20 +312,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
-    if args.file:
-        try:
-            # read whole, so a decoding error's offset counts from the start of the file
-            with open(args.file, "r", encoding="utf-8") as handle:
-                catalog = load_catalog(handle.read())
-        except OSError as exc:
-            print(f"cannot read catalog: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        except CatalogError as exc:
-            print(f"bad catalog: {exc}", file=sys.stderr)
-            return EXIT_FAILURE
-        except UnicodeDecodeError as exc:
-            print(f"bad catalog: {_not_utf8(exc)}", file=sys.stderr)
-            return EXIT_FAILURE
+    if args.file is not None:
+        # read whole, so a decoding error's offset counts from the start of the file
+        with _reading("catalog"), open(args.file, "r", encoding="utf-8") as handle:
+            catalog = load_catalog(handle.read())
     else:
         catalog = default_catalog()
     rows = []
@@ -411,13 +390,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _Unwritable as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+    except _Failure as exc:
+        code, message = exc.args
+        print(message, file=sys.stderr)
+        return code
+    except ScenarioError as exc:
+        print(f"bad scenario: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
+    except CatalogError as exc:
+        print(f"bad catalog: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
 
 
 if __name__ == "__main__":

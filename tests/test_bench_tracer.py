@@ -43,6 +43,7 @@ def test_benchmark_tracer_counts_a_streamed_game(tmp_path, capsys):
     with spans.instrumented(spans.Tracer()) as tracer:
         assert cli.main(["game", str(scenario), "--transcript", str(transcript)]) in (0, 3)
     assert "challenges " in capsys.readouterr().out
+    assert tracer.counts["scenarios.parse.calls"] == 1
     assert tracer.counts["game.play.moves"] == 200  # 50 x (request, ciphertext, guess, verdict)
     assert tracer.counts["game.play.steps_charged"] == 100
     assert tracer.counts["game.adjudicate.calls"] == 1

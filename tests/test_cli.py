@@ -1,3 +1,4 @@
+import ast
 import csv
 import errno
 import hashlib
@@ -456,6 +457,65 @@ def test_a_failed_write_exits_two(tmp_path, capsys, monkeypatch, command, failin
     assert captured.err == f"cannot write {path}: No space left on device\n"
 
 
+def _run_cli(argv, **kwargs):
+    """`workfunc argv` in a fresh interpreter, as `subprocess.Popen(**kwargs)`, with
+    stdout buffered as by default, so a write can fail in the interpreter's exit flush."""
+    env = {**os.environ, "PYTHONPATH": str(Path(workfunc.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.Popen([sys.executable, "-m", "workfunc.cli", *argv], env=env, **kwargs)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "1"],
+        ["catalog"],
+        ["validate", "--quick"],
+        ["game", "{scenario}", "--transcript", ""],
+        ["game", "{scenario}", "--transcript", "{transcript}"],  # the summary fails
+    ],
+    ids=["table", "catalog", "validate", "game-transcript", "game-summary"],
+)
+def test_a_full_stdout_exits_two(tmp_path, argv):
+    paths = {"scenario": write(tmp_path, "won.scenario", GAME_WON), "transcript": str(tmp_path / "t")}
+    with open("/dev/full", "w") as full, _run_cli([arg.format(**paths) for arg in argv], stdout=full,
+                                                  stderr=subprocess.PIPE, text=True) as proc:
+        _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert err == f"cannot write stdout: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_a_closed_stdout_pipe_exits_two(tmp_path):
+    # the transcript, about 180 kB, overfills the pipe, so the game is still
+    # writing when the pipe closes
+    scenario = write(tmp_path, "null.scenario", game_scenario(1, 0.5, 500, 1e15))
+    with _run_cli(["game", scenario, "--transcript", ""], stdout=subprocess.PIPE,
+                  stderr=subprocess.PIPE, text=True) as proc:
+        assert proc.stdout.read(10) == "0 Attacker"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 2
+    assert err == f"cannot write stdout: {os.strerror(errno.EPIPE)}\n"
+
+
+def test_only_main_reports_and_only_output_writes():
+    """`print` and `sys.stderr` appear only in `main`, and `sys.stdout` only in
+    `_output`: a command ends a failure by raising it and writes through `_output`."""
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    allowed = {"print": "main", "stderr": "main", "stdout": "_output"}
+    found = set()
+    for top in tree.body:
+        owner = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id == "print":
+                found.add(("print", owner))
+            elif (isinstance(node, ast.Attribute) and node.attr in ("stderr", "stdout")
+                  and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                found.add((node.attr, owner))
+    assert found == set(allowed.items())
+
+
 def test_game_protocol_fault_ends_the_streamed_transcript(tmp_path, capsys, monkeypatch):
     def faulty(keystream, trials, entries, **kwargs):
         entries.append(Move(MoveClass.CHALLENGE, b"0"))
@@ -520,6 +580,13 @@ def test_catalog_listing(capsys, tmp_path):
     assert main(["catalog", "--file", str(bad)]) == 1
     assert "bad catalog" in capsys.readouterr().err
     assert main(["catalog", "--file", str(tmp_path / "nope.csv")]) == 2
+
+
+def test_catalog_with_an_empty_file_path_is_not_the_built_in_one(capsys):
+    assert main(["catalog", "--file", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "cannot read catalog: [Errno 2] No such file or directory: ''\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize(
