@@ -19,8 +19,9 @@ uniformly random order are a uniformly random subset of the ranks, so a
 trial draws that subset (`_first_rank`) instead of ordering the whole
 candidate space: the count has exactly the search's distribution, at a
 cost per trial that does not grow with the space.  The key sweep draws
-every trial's secret and rank in one call, and a secret that shares its
-known pairs with other keys gets its rank redrawn after that call
+every trial's secret and rank in one call, counts the keys that share
+each secret's known pairs in one pass over the keyspace, SCAN_CHUNK keys
+at a time (`cipher_table`), and redraws a tied secret's rank after it
 (`brute_force_keys_tested`).
 
 The state sweep scans no candidate space either.  The generator's
@@ -30,8 +31,9 @@ word: the 2**(ceil(1.5w) - w) candidates that survive the first word are
 listed directly.  One `arx_step` of every trial's true state gives its
 first word; the true state is then one of its survivors, and a single
 lockstep pass (`_lockstep_outputs`) steps all survivors through the
-window, checking that only the true one emits it.  Its trials' states
-and ranks are drawn in one call, equal to the trial-by-trial draws.
+window, checking that only the true one emits it; it stops once each
+trial keeps only its true one.  Its trials' states and ranks are drawn
+in one call, equal to the trial-by-trial draws.
 """
 
 from __future__ import annotations
@@ -59,29 +61,33 @@ from .toycrypto import (
 
 # flat op count of checking one candidate state against the window
 CHECKER_OPS = 16
-# candidates a search checks per array pass
-SCAN_CHUNK = 1 << 16
+# candidates a search checks, keys the key sweep encrypts and keystream
+# bits the bias line draws, per array pass
+SCAN_CHUNK = 1 << 13
 # widest candidate space `scan_order` permutes, and its Feistel rounds
 MAX_SCAN_BITS = 32
 SCAN_ROUNDS = 6
-# keystream bits whose twister words the bias line draws at a time
-KEYSTREAM_CALL_BITS = 1 << 14
 
 # fixed known plaintexts for key-search trials; two blocks pin the key
 TRIAL_PLAINTEXTS = (0x00000000, 0x00000001)
 
 
-def cipher_table(key_bits: int, blocks: Sequence[int]) -> list[np.ndarray]:
-    """The ciphertext of each block under every key: one table per block,
-    as one vectorized sweep.
-
-    The keys are uint32 lanes, scheduled once for all the blocks: the
-    schedule's product wraps mod 2**32, which is the cipher's own
-    reduction, so every value is the scalar cipher's.
-    """
-    cipher = ToyCipher(key_bits)
-    subkeys = cipher.schedule(np.arange(1 << key_bits, dtype=np.uint32))
+def _encrypt(cipher: ToyCipher, keys: np.ndarray, blocks: Sequence[int]) -> list[np.ndarray]:
+    """The ciphertext of each block under each of the uint32 `keys`, one
+    table per block.  The keys are scheduled once: the schedule's product
+    wraps mod 2**32, the cipher's own reduction, so every value is exact."""
+    subkeys = cipher.schedule(keys)
     return [cipher.encrypt_with_subkeys(subkeys, block) for block in blocks]
+
+
+def cipher_table(key_bits: int, blocks: Sequence[int]) -> Iterator[list[np.ndarray]]:
+    """The ciphertext of each block under every key, yielded for each run
+    of SCAN_CHUNK keys in ascending order as one table per block
+    (`_encrypt`): a sweep of the keyspace holds one chunk at a time."""
+    cipher = ToyCipher(key_bits)
+    size = 1 << key_bits
+    for start in range(0, size, SCAN_CHUNK):
+        yield _encrypt(cipher, np.arange(start, min(start + SCAN_CHUNK, size), dtype=np.uint32), blocks)
 
 
 def scan_order(bits: int, seed: int | str = 0) -> Iterator[np.ndarray]:
@@ -139,35 +145,35 @@ def _first_rank(rng: np.random.Generator, size: int, m: int) -> int:
     return int(rng.choice(size, size=m, replace=False).min()) + 1
 
 
-def _packed_pairs(key_bits: int) -> np.ndarray:
-    """Each key's ciphertexts of the two trial plaintexts, packed into one
-    uint64 as `t1 << 32 | t2`: keys with equal entries are the keys that
-    no known pair tells apart."""
-    t1, t2 = cipher_table(key_bits, TRIAL_PLAINTEXTS)
+def _packed_pairs(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Keys' ciphertexts of the two trial plaintexts, packed into one
+    uint64 per key as `t1 << 32 | t2`: keys with equal entries are the
+    keys that no known pair tells apart."""
     return t1.astype(np.uint64) << np.uint64(32) | t2
 
 
 def brute_force_keys_tested(key_bits: int, trials: int, seed: int) -> list[int]:
-    """keys_tested per trial for random secrets under random scan orders.
-
-    The packed ciphertext pairs of the whole keyspace are sorted once, so
-    a trial counts the m keys consistent with its secret's pairs by
-    binary search, then draws where the first of them falls in a uniform
-    scan order (`_first_rank`): the scalar search's count, in
-    distribution.
+    """keys_tested per trial for random secrets under random scan orders:
+    the scalar search's count, in distribution.
 
     One `integers(size, size=(trials, 2))` call draws every trial's
-    secret and its rank, the first of one target.  A secret with m > 1
-    consistent keys is tied: its trial's rank is the first of m, so it is
-    redrawn by `_first_rank`, tied trial by tied trial, after that call.
+    secret and its rank, the first of one target.  One pass over the
+    keyspace (`cipher_table`) sorts each chunk's packed pairs and counts,
+    by binary search from the secrets' distinct pairs, sorted once, the m
+    keys consistent with each secret: it holds one chunk, not the keyspace.
+    A secret with m > 1 is tied: its trial's rank, the first of m, is
+    redrawn by `_first_rank`, tied trial by tied trial, after the pass.
     """
-    pairs = _packed_pairs(key_bits)
-    table = np.sort(pairs)
     rng = np.random.default_rng(seed)
     size = 1 << key_bits
     draws = rng.integers(size, size=(trials, 2))
-    targets = pairs[draws[:, 0]]
-    m = table.searchsorted(targets, "right") - table.searchsorted(targets, "left")
+    secrets = _packed_pairs(*_encrypt(ToyCipher(key_bits), draws[:, 0].astype(np.uint32), TRIAL_PLAINTEXTS))
+    targets, target_of_trial = np.unique(secrets, return_inverse=True)
+    m = np.zeros(targets.size, dtype=np.int64)
+    for tables in cipher_table(key_bits, TRIAL_PLAINTEXTS):
+        chunk = np.sort(_packed_pairs(*tables))
+        m += chunk.searchsorted(targets, "right") - chunk.searchsorted(targets, "left")
+    m = m[target_of_trial]
     counts = draws[:, 1] + 1
     for trial in np.flatnonzero(m > 1):
         counts[trial] = _first_rank(rng, size, int(m[trial]))
@@ -359,6 +365,9 @@ def state_search_candidates_tested(
     keep = np.ones(lows.shape, dtype=bool)
     for output in _lockstep_outputs(word_bits, _candidate_states(word_bits, highs, lows), window):
         keep &= output == output[trial, column][:, None]
+        # the true state always survives: once it alone does, `keep` is final
+        if np.count_nonzero(keep) == trials:
+            break
     ambiguous = np.flatnonzero(np.count_nonzero(keep, axis=1) > 1)
     if ambiguous.size:
         full = lows[ambiguous[0]][keep[ambiguous[0]]].tolist()
@@ -408,13 +417,13 @@ def keystream_bias_experiment(
     seed: the 0.002 tolerance is 1.83 standard errors of the quick line's
     200,000-bit mean at bias 0.6, which an arbitrary seed fails about
     6.8 % of the time (two-sided)."""
-    # the stream's twister words, two per bit, for KEYSTREAM_CALL_BITS bits
-    # at a time: all 2 * nbits at once raised validate --quick's peak RSS 6 %
+    # the stream's twister words, two per bit, for SCAN_CHUNK bits at a
+    # time: the line holds O(SCAN_CHUNK) words, not 2 * nbits
     stream = KeystreamGen(bias, seed)
     twister = _twister(stream)
     ones = 0
-    for start in range(0, nbits, KEYSTREAM_CALL_BITS):
-        words = twister.random_raw(2 * min(KEYSTREAM_CALL_BITS, nbits - start))
+    for start in range(0, nbits, SCAN_CHUNK):
+        words = twister.random_raw(2 * min(SCAN_CHUNK, nbits - start))
         ones += int(np.count_nonzero(stream.draw_is_one(words[0::2], words[1::2])))
     return ExperimentResult(
         name=f"keystream ones fraction at bias {bias}",

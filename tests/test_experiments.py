@@ -1,6 +1,8 @@
 import math
 import random
 import re
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,7 +44,14 @@ def _prng(word_bits, packed):
     return StandInPrng(word_bits, unpack_state(packed, word_bits))
 
 
-def test_cipher_table_matches_scalar_cipher():
+def _joined(chunks):
+    """One table per block over the whole keyspace, from `cipher_table`'s
+    chunks."""
+    return [np.concatenate(tables) for tables in zip(*chunks, strict=True)]
+
+
+def test_cipher_table_matches_scalar_cipher(monkeypatch):
+    blocks = (*TRIAL_PLAINTEXTS, 0xFFFFFFFF)
     for key_bits in (1, 8, 12):
         tc = ToyCipher(key_bits)
         keys = range(1 << key_bits)
@@ -50,14 +59,20 @@ def test_cipher_table_matches_scalar_cipher():
         assert [tuple(int(s[key]) for s in schedule) for key in keys] == [
             tc.subkeys(key) for key in keys
         ]
-        blocks = (*TRIAL_PLAINTEXTS, 0xFFFFFFFF)
-        for block, table in zip(blocks, cipher_table(key_bits, blocks), strict=True):
-            assert table.tolist() == [tc.encrypt(key, block) for key in keys]
+        scalar = [[tc.encrypt(key, block) for key in keys] for block in blocks]
+        for chunk in (1, 97, 1 << 13):
+            monkeypatch.setattr(experiments, "SCAN_CHUNK", chunk)
+            chunks = list(cipher_table(key_bits, blocks))
+            assert len(chunks) == math.ceil((1 << key_bits) / chunk)
+            assert [table.tolist() for table in _joined(chunks)] == scalar
 
 
 def test_cipher_table_schedules_the_keys_once_for_several_blocks(monkeypatch):
     blocks = (*TRIAL_PLAINTEXTS, 0xFFFFFFFF)
-    singles = {key_bits: [cipher_table(key_bits, [block])[0] for block in blocks] for key_bits in (1, 12)}
+    singles = {
+        key_bits: [_joined(cipher_table(key_bits, [block]))[0] for block in blocks]
+        for key_bits in (1, 12)
+    }
     calls = []
     schedule = ToyCipher.schedule
 
@@ -67,7 +82,7 @@ def test_cipher_table_schedules_the_keys_once_for_several_blocks(monkeypatch):
 
     monkeypatch.setattr(ToyCipher, "schedule", counted)
     for key_bits in (1, 12):
-        tables = cipher_table(key_bits, blocks)
+        tables = _joined(cipher_table(key_bits, blocks))
         assert [table.tolist() for table in tables] == [single.tolist() for single in singles[key_bits]]
     assert calls == [2, 1 << 12]
 
@@ -210,16 +225,70 @@ def test_state_sweep_replays_the_per_trial_draws(monkeypatch, word_bits):
         assert truths.pop() == words
 
 
+def _whole_table(key_bits):
+    """Every key's packed trial pairs, in key order, in one array."""
+    keys = np.arange(1 << key_bits, dtype=np.uint32)
+    return _packed_pairs(*experiments._encrypt(ToyCipher(key_bits), keys, TRIAL_PLAINTEXTS))
+
+
+def _multiplicities(key_bits, secrets):
+    """The number m of keys that share each secret's packed pairs, counted
+    over the whole table at once."""
+    _, inverse, multiplicity = np.unique(
+        _whole_table(key_bits), return_inverse=True, return_counts=True
+    )
+    return multiplicity[inverse[secrets]]
+
+
+def _whole_table_keys_tested(key_bits, trials, seed):
+    """The key sweep with every secret's m counted over the whole table at
+    once: the reference the streamed sweep must equal, count for count."""
+    rng = np.random.default_rng(seed)
+    size = 1 << key_bits
+    draws = rng.integers(size, size=(trials, 2))
+    m = _multiplicities(key_bits, draws[:, 0])
+    counts = draws[:, 1] + 1
+    for trial in np.flatnonzero(m > 1):
+        counts[trial] = _first_rank(rng, size, int(m[trial]))
+    return counts.tolist()
+
+
+def _tie_keys(monkeypatch, grouping):
+    """Make the sweep's cipher tie keys, and return the group size m.
+
+    "every key tied" ties almost every key in threes (`keys // 3`); "a
+    few keys tied" ties only keys 64-127, in fours, so tied trials fall
+    between untied runs.  In chunks of 97 keys the groups 96-98 and 96-99
+    straddle the first chunk boundary.
+    """
+    def tied_tables(cipher, keys, blocks):
+        if grouping == "every key tied":
+            return [keys // 3, np.zeros_like(keys)]
+        tied = (keys >= 64) & (keys < 128)
+        return [np.where(tied, keys // 4, keys), tied.astype(np.uint32)]
+
+    monkeypatch.setattr(experiments, "_encrypt", tied_tables)
+    return 3 if grouping == "every key tied" else 4
+
+
+@pytest.mark.parametrize("grouping", [None, "every key tied", "a few keys tied"])
+@pytest.mark.parametrize("chunk", [1, 97, 4096, 1 << 16])
+def test_streamed_key_sweep_counts_the_whole_table_multiplicities(monkeypatch, chunk, grouping):
+    if grouping:
+        _tie_keys(monkeypatch, grouping)
+    monkeypatch.setattr(experiments, "SCAN_CHUNK", chunk)
+    for key_bits, seed in ((5, 0), (10, 1), (12 if chunk == 1 else 14, 2)):
+        expected = _whole_table_keys_tested(key_bits, 400, seed)
+        assert brute_force_keys_tested(key_bits, 400, seed) == expected, key_bits
+
+
 def _tied_trials(key_bits, trials, seed):
     """Run the key sweep and check that every untied trial's count is its
     rank from the one block draw, `integers(size, size=(trials, 2))`
     column 1, plus one.  Returns the tied trials (m > 1 keys share the
     secret's pairs): their indexes, m and counts."""
-    _, inverse, multiplicity = np.unique(
-        experiments._packed_pairs(key_bits), return_inverse=True, return_counts=True
-    )
     draws = np.random.default_rng(seed).integers(1 << key_bits, size=(trials, 2))
-    m = multiplicity[inverse[draws[:, 0]]]
+    m = _multiplicities(key_bits, draws[:, 0])
     counts = np.array(brute_force_keys_tested(key_bits, trials, seed))
     untied = m == 1
     assert counts[untied].tolist() == (draws[untied, 1] + 1).tolist()
@@ -229,16 +298,9 @@ def _tied_trials(key_bits, trials, seed):
 
 @pytest.mark.parametrize("grouping", ["every key tied", "a few keys tied"])
 def test_key_sweep_redraws_the_ranks_of_tied_secrets(monkeypatch, grouping):
-    # keys // 3 ties almost every key in threes; the other table ties only
-    # keys below 64, in fours, so tied trials fall between untied runs
-    def tied_pairs(key_bits):
-        keys = np.arange(1 << key_bits, dtype=np.uint64)
-        if grouping == "every key tied":
-            return keys // 3
-        return np.where(keys < 64, keys // 4, keys)
-
-    monkeypatch.setattr(experiments, "_packed_pairs", tied_pairs)
-    size, m = 1 << 10, 3 if grouping == "every key tied" else 4
+    m = _tie_keys(monkeypatch, grouping)
+    monkeypatch.setattr(experiments, "SCAN_CHUNK", 97)
+    size = 1 << 10
     tied = [_tied_trials(10, 1000, seed) for seed in range(6)]
     assert {int(group) for _, ms, _ in tied for group in ms} == {m}
     counts = np.concatenate([trial_counts for _, _, trial_counts in tied])
@@ -263,6 +325,31 @@ def test_key_sweep_keeps_the_drawn_ranks_of_untied_secrets_on_real_ties():
         tied, ms, counts = _tied_trials(19, 300, seed)
         assert tied.tolist() == [trial] and ms.tolist() == [2]
         assert 1 <= counts[0] <= (1 << 19) - 1
+
+
+def _traced_peak(run):
+    """The tracemalloc peak, in bytes, of `run()`."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_key_sweep_holds_one_chunk_not_the_keyspace():
+    # the packed table of all 2**20 keys alone is 8 MiB
+    brute_force_keys_tested(12, 10, 0)  # numpy's lazy imports, outside the trace
+    assert _traced_peak(lambda: brute_force_keys_tested(20, 1000, 31)) < 2 * 2**20
+
+
+@pytest.mark.slow
+def test_key_sweep_at_k24_runs_in_seconds_and_bounded_memory():
+    brute_force_keys_tested(12, 10, 0)
+    start = time.perf_counter()
+    peak = _traced_peak(lambda: brute_force_keys_tested(24, 1000, 35))
+    assert time.perf_counter() - start < 5.0
+    assert peak < 64 * 2**20
 
 
 def _scalar_window_survivors(w, high, lows, observed):
@@ -327,6 +414,25 @@ def test_state_search_uniqueness_check_stays_live(monkeypatch):
             state_search_candidates_tested(word_bits, 5, seed=0)
 
 
+def test_state_sweep_stops_once_every_trial_is_pinned(monkeypatch):
+    stepped = []
+    lockstep = experiments._lockstep_outputs
+
+    def counted(*args):
+        for output in lockstep(*args):
+            stepped.append(output)
+            yield output
+
+    monkeypatch.setattr(experiments, "_lockstep_outputs", counted)
+    state_search_candidates_tested(8, 100, seed=0, window=16)
+    assert 1 < len(stepped) < 16
+    stepped.clear()
+    # a one-word window pins no trial: the pass steps it and refuses
+    with pytest.raises(AssertionError, match="does not pin the state uniquely"):
+        state_search_candidates_tested(8, 100, seed=0, window=1)
+    assert len(stepped) == 1
+
+
 def _first_unpinned_window(word_bits, trials, seed, window):
     """The trial-by-trial sweep's uniqueness check, over the whole low-bit
     space: the candidates that emit the window of the first trial whose
@@ -378,7 +484,7 @@ def test_vector_key_count_matches_scalar_search():
     size = 1 << key_bits
     rng = np.random.default_rng(seed)
     secret = int(rng.integers(size))
-    table = _packed_pairs(key_bits)
+    table = _whole_table(key_bits)
     consistent = np.flatnonzero(table == table[secret]).tolist()
     ranks = rng.choice(size, size=len(consistent), replace=False).tolist()
     order = [key for key in range(size) if key not in consistent]
@@ -436,7 +542,7 @@ def test_keystream_bias_experiment():
     assert result.statistic == pytest.approx(0.6, abs=0.002)
 
 
-@pytest.mark.parametrize("nbits", [1, 2**14 - 1, 2**14, 2**14 + 1, 200_000])
+@pytest.mark.parametrize("nbits", [1, 2**13 - 1, 2**13, 2**13 + 1, 2**14 - 1, 2**14, 2**14 + 1, 200_000])
 def test_keystream_bias_counts_the_ones_of_one_call(nbits):
     ones = KeystreamGen(0.6, 20).next_bits(nbits).bit_count()
     assert keystream_bias_experiment(nbits=nbits).statistic == ones / nbits
