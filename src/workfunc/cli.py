@@ -1,6 +1,7 @@
 """Command line front end.
 
 Subcommands: table, estimate, game, validate, catalog.
+numpy loads with OPENBLAS_NUM_THREADS=1 unless it is set, since no command calls BLAS.
 
 Exit codes: 0 success (or game won), 1 reproduction or validation
 failure, 2 usage error (including any output that cannot be written:
@@ -17,9 +18,14 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from contextlib import contextmanager, suppress
 from typing import Optional, Sequence
+
+# No command calls BLAS (`experiments` uses elementwise ops, sort, searchsorted, unique and
+# numpy.random), and without this OpenBLAS starts a worker thread as numpy loads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import refdata
 from .devices import CatalogError, Fleet, default_catalog, find_device, load_catalog, resource_rate

@@ -702,6 +702,52 @@ def test_validate_seed_help_names_the_lines_it_seeds(capsys):
     assert "keystream and meter-ledger lines use fixed seeds 20 and 5" in help_text
 
 
+
+def _quick_validation_in_a_fresh_interpreter(openblas_threads):
+    """Run `validate --quick` through `cli.main` in a fresh interpreter whose
+    OPENBLAS_NUM_THREADS is `openblas_threads` (None: unset); return what it
+    saw of that variable and the count of its threads, after the run."""
+    script = (
+        "import os\n"
+        "from workfunc import cli\n"
+        "assert cli.main(['validate', '--quick']) == 0\n"
+        "tasks = len(os.listdir('/proc/self/task')) if os.path.isdir('/proc/self/task') else None\n"
+        "print(repr((os.environ.get('OPENBLAS_NUM_THREADS'), tasks)))\n"
+    )
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    env["PYTHONPATH"] = str(Path(workfunc.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout.splitlines()[-1])
+
+
+def test_numpy_loads_without_openblas_worker_threads():
+    if not os.path.isdir("/proc/self/task"):
+        pytest.skip("no /proc/self/task to count threads in")
+    assert _quick_validation_in_a_fresh_interpreter(None) == ("1", 1)
+
+
+def test_a_preset_openblas_thread_count_is_kept():
+    assert _quick_validation_in_a_fresh_interpreter("2")[0] == "2"
+
+
+BLAS_ATTRIBUTES = {"dot", "matmul", "linalg", "einsum", "tensordot", "inner", "outer", "vdot"}
+
+
+def test_src_calls_no_blas():
+    """The CLI loads numpy with one OpenBLAS thread because nothing in `src/`
+    calls BLAS; a BLAS call added later must revisit that default."""
+    found = []
+    for path in sorted(Path(workfunc.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((path.name, node.lineno, "@"))
+            elif isinstance(node, ast.Attribute) and node.attr in BLAS_ATTRIBUTES:
+                found.append((path.name, node.lineno, node.attr))
+    assert found == []
+
 def test_console_script_entry_point():
     proc = subprocess.run(["workfunc", "table", "1"], capture_output=True, text=True)
     assert proc.returncode == 0

@@ -253,6 +253,15 @@ def test_brute_force_search_ledger_and_recovery():
     assert result.cost == 1440.0 * result.keys_tested
 
 
+
+def test_key_search_cost_is_the_count_times_the_charge_at_k_20():
+    tc = ToyCipher(20)
+    pairs = [(p, tc.encrypt(0x5A5A5, p)) for p in (0x00000000, 0x00000001)]
+    result = brute_force_search(tc, pairs, per_key_cost=2400.0, rng_seed=1)
+    assert result.key == 0x5A5A5
+    assert result.keys_tested > 100_000
+    assert result.cost == result.keys_tested * 2400.0
+
 def test_brute_force_search_without_a_consistent_key_fails():
     tc = ToyCipher(12)
     # one plaintext cannot encrypt to two ciphertexts under one key
