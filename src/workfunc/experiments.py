@@ -262,7 +262,7 @@ def _scan(order: Iterator[np.ndarray], matches, charge: float) -> tuple[int, int
         if match.any():
             first = int(match.argmax())
             scanned += first + 1
-            # in C, one addition per candidate; compensated on 3.12+, exact for the integral charges of src/
+            # in C, one addition per candidate; compensated on Python 3.12+, exact for src/'s integral charges
             return int(chunk[first]), scanned, sum(itertools.repeat(charge, scanned), 0.0)
         scanned += len(chunk)
     raise LookupError("no candidate in the scan order matches")

@@ -702,7 +702,6 @@ def test_validate_seed_help_names_the_lines_it_seeds(capsys):
     assert "keystream and meter-ledger lines use fixed seeds 20 and 5" in help_text
 
 
-
 def _quick_validation_in_a_fresh_interpreter(openblas_threads):
     """Run `validate --quick` through `cli.main` in a fresh interpreter whose
     OPENBLAS_NUM_THREADS is `openblas_threads` (None: unset); return what it
@@ -747,6 +746,7 @@ def test_src_calls_no_blas():
             elif isinstance(node, ast.Attribute) and node.attr in BLAS_ATTRIBUTES:
                 found.append((path.name, node.lineno, node.attr))
     assert found == []
+
 
 def test_console_script_entry_point():
     proc = subprocess.run(["workfunc", "table", "1"], capture_output=True, text=True)

@@ -253,7 +253,6 @@ def test_brute_force_search_ledger_and_recovery():
     assert result.cost == 1440.0 * result.keys_tested
 
 
-
 def test_key_search_cost_is_the_count_times_the_charge_at_k_20():
     tc = ToyCipher(20)
     pairs = [(p, tc.encrypt(0x5A5A5, p)) for p in (0x00000000, 0x00000001)]
@@ -261,6 +260,11 @@ def test_key_search_cost_is_the_count_times_the_charge_at_k_20():
     assert result.key == 0x5A5A5
     assert result.keys_tested > 100_000
     assert result.cost == result.keys_tested * 2400.0
+    charges = 0.0  # the reference: one addition per candidate, in Python
+    for _ in range(result.keys_tested):
+        charges += 2400.0
+    assert result.cost == charges
+
 
 def test_brute_force_search_without_a_consistent_key_fails():
     tc = ToyCipher(12)
