@@ -12,7 +12,9 @@ of the candidate indices built chunk by chunk) in array passes of
 `SCAN_CHUNK` candidates, and stop at the first chunk with a match: what a
 candidate-by-candidate loop finds, at the same count, with no chunk after
 the match built.  Their cost is the plain sum of one charge per candidate
-scanned.
+scanned.  Each pass tests every candidate against the first known
+output, which rejects nearly all of them, and only the survivors against
+the rest.
 
 A sweep runs many trials of such a search.  The targets' positions in a
 uniformly random order are a uniformly random subset of the ranks, so a
@@ -21,8 +23,8 @@ candidate space: the count has exactly the search's distribution, at a
 cost per trial that does not grow with the space.  The key sweep draws
 every trial's secret and rank in one call, counts the keys that share
 each secret's known pairs in one pass over the keyspace, SCAN_CHUNK keys
-at a time (`cipher_table`), and redraws a tied secret's rank after it
-(`brute_force_keys_tested`).
+at a time (`cipher_table`, the first block only), and redraws a tied
+secret's rank after it (`brute_force_keys_tested`).
 
 The state sweep scans no candidate space either.  The generator's
 first output word is (a' + c') mod 2**w, and the hint fixes a', so for
@@ -41,7 +43,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from statistics import fmean
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -159,8 +160,10 @@ def brute_force_keys_tested(key_bits: int, trials: int, seed: int) -> list[int]:
 
     One `integers(size, size=(trials, 2))` call draws every trial's
     secret and its rank, the first of one target.  One pass over the
-    keyspace (`cipher_table`) sorts each chunk's packed pairs and counts,
-    by binary search from the secrets' distinct pairs, sorted once, the m
+    keyspace (`cipher_table`) encrypts the first trial block; the keys
+    whose ciphertext starts with some secret's top 16 bits (a 2**16-entry
+    table) encrypt the second, and their sorted packed pairs count, by
+    binary search from the secrets' distinct pairs, sorted once, the m
     keys consistent with each secret: it holds one chunk, not the keyspace.
     A secret with m > 1 is tied: its trial's rank, the first of m, is
     redrawn by `_first_rank`, tied trial by tied trial, after the pass.
@@ -168,12 +171,20 @@ def brute_force_keys_tested(key_bits: int, trials: int, seed: int) -> list[int]:
     rng = np.random.default_rng(seed)
     size = 1 << key_bits
     draws = rng.integers(size, size=(trials, 2))
-    secrets = _packed_pairs(*_encrypt(ToyCipher(key_bits), draws[:, 0].astype(np.uint32), TRIAL_PLAINTEXTS))
+    cipher = ToyCipher(key_bits)
+    secrets = _packed_pairs(*_encrypt(cipher, draws[:, 0].astype(np.uint32), TRIAL_PLAINTEXTS))
     targets, target_of_trial = np.unique(secrets, return_inverse=True)
+    # the top 16 bits of some secret's first ciphertext
+    prefixes = np.zeros(1 << 16, dtype=bool)
+    prefixes[targets >> np.uint64(48)] = True
     m = np.zeros(targets.size, dtype=np.int64)
-    for tables in cipher_table(key_bits, TRIAL_PLAINTEXTS):
-        chunk = np.sort(_packed_pairs(*tables))
+    start = 0
+    for (first,) in cipher_table(key_bits, TRIAL_PLAINTEXTS[:1]):
+        near = np.flatnonzero(prefixes[first >> 16])
+        keys = (near + start).astype(np.uint32)
+        chunk = np.sort(_packed_pairs(first[near], *_encrypt(cipher, keys, TRIAL_PLAINTEXTS[1:])))
         m += chunk.searchsorted(targets, "right") - chunk.searchsorted(targets, "left")
+        start += first.size
     m = m[target_of_trial]
     counts = draws[:, 1] + 1
     for trial in np.flatnonzero(m > 1):
@@ -186,7 +197,7 @@ def brute_force_mean_experiment(key_bits: int, trials: int, seed: int) -> Experi
     expected = 2.0 ** (key_bits - 1)
     return ExperimentResult(
         name=f"brute-force mean keys tested, k={key_bits}",
-        statistic=fmean(counts),
+        statistic=math.fsum(counts) / len(counts),
         expected=expected,
         tolerance=0.05 * expected,
     )
@@ -254,13 +265,14 @@ def _scan(order: Iterator[np.ndarray], matches, charge: float) -> tuple[int, int
     """The first candidate of `order` that matches, the count scanned up
     to it, and the sum of one `charge` per candidate scanned: summed, not
     multiplied, so the ledger identity checks one against the other.
-    `matches(chunk)` masks the matches in each chunk of `order`, up to
-    the first chunk with one; no later chunk is drawn."""
+    `matches(chunk)` gives the ascending positions of the matches in
+    each chunk of `order`, up to the first chunk with one; no later chunk
+    is drawn."""
     scanned = 0
     for chunk in order:
-        match = matches(chunk)
-        if match.any():
-            first = int(match.argmax())
+        hits = matches(chunk)
+        if hits.size:
+            first = int(hits[0])
             scanned += first + 1
             # in C, one addition per candidate; compensated on Python 3.12+, exact for src/'s integral charges
             return int(chunk[first]), scanned, sum(itertools.repeat(charge, scanned), 0.0)
@@ -280,9 +292,11 @@ def state_search(
     """Recover the generator state that produced `observed`.
 
     Candidates share the hinted high bits; their low ceil(1.5w) bits are
-    scanned in `scan_order(ceil(1.5w), rng_seed)`, in lockstep passes by
-    chunk (`_scan`, `_confirm_window`).  Each one scanned up to the
-    first match charges CHECKER_OPS (a flat op count per check).
+    scanned in `scan_order(ceil(1.5w), rng_seed)` (`_scan`) up to the first
+    of those that emit the first observed word (`_first_word_survivors`)
+    and then the window (`_confirm_window`, one lockstep pass).  Each one
+    scanned up to the first match charges CHECKER_OPS (a flat op count
+    per check).
     """
     if not 1 <= word_bits <= MAX_WORD_BITS:
         raise ValueError(f"word_bits must be in [1, {MAX_WORD_BITS}]")
@@ -292,8 +306,11 @@ def state_search(
     if not 0 <= hint_high_bits < 1 << (4 * word_bits - unknown):
         raise ValueError(f"hint_high_bits must fit in {4 * word_bits - unknown} bits")
 
-    def matches(lows):
-        return _confirm_window(word_bits, hint_high_bits, lows, observed)
+    lows = _first_word_survivors(word_bits, hint_high_bits, observed[0])
+    confirmed = lows[_confirm_window(word_bits, hint_high_bits, lows, observed)]
+
+    def matches(chunk):
+        return np.flatnonzero(np.isin(chunk, confirmed))
     low, tested, cost = _scan(scan_order(unknown, rng_seed), matches, CHECKER_OPS)
     return StateSearchResult((hint_high_bits << unknown) | low, tested, cost)
 
@@ -313,9 +330,10 @@ def brute_force_search(
     """Scan keys in seeded random order for one consistent with all pairs.
 
     Keys are scanned in `scan_order(key_bits, rng_seed)`, in passes of the
-    cipher on uint32 lanes by chunk (`_scan`).  Each one scanned up
-    to the first match charges per_key_cost, so cost == keys_tested *
-    per_key_cost holds exactly for exactly-representable costs.
+    cipher on uint32 lanes by chunk (`_scan`), each pair on the keys that
+    met the pairs before it.  Each one scanned up to the first match
+    charges per_key_cost, so cost == keys_tested * per_key_cost holds
+    exactly for exactly-representable costs.
     """
     if not per_key_cost >= 0:
         raise ValueError("per_key_cost must be a non-negative number")
@@ -323,8 +341,13 @@ def brute_force_search(
         raise ValueError(f"pairs must be a non-empty list of {cipher.block_bits}-bit blocks")
 
     def matches(keys):
-        subkeys = cipher.schedule(keys.astype(np.uint32))
-        return np.logical_and.reduce([cipher.encrypt_with_subkeys(subkeys, p) == c for p, c in pairs])
+        hits, subkeys = np.arange(keys.size), cipher.schedule(keys.astype(np.uint32))
+        for p, c in pairs:
+            if not hits.size:
+                break
+            met = cipher.encrypt_with_subkeys(subkeys, p) == c
+            hits, subkeys = hits[met], tuple(s[met] for s in subkeys)
+        return hits
     return KeySearchResult(*_scan(scan_order(cipher.key_bits, rng_seed), matches, per_key_cost))
 
 
@@ -383,11 +406,11 @@ def state_search_slope_experiment(
     means = {}
     for w, trials in zip(word_bits_list, trials_list):
         counts = state_search_candidates_tested(w, trials, seed + w)
-        means[w] = CHECKER_OPS * fmean(counts)
+        means[w] = CHECKER_OPS * (math.fsum(counts) / len(counts))
     xs = list(word_bits_list)
     ys = [math.log2(means[w]) for w in xs]
-    xbar = fmean(xs)
-    ybar = fmean(ys)
+    xbar = math.fsum(xs) / len(xs)
+    ybar = math.fsum(ys) / len(ys)
     slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
         (x - xbar) ** 2 for x in xs
     )
@@ -412,18 +435,24 @@ def keystream_bias_experiment(
     bias: float = 0.6, nbits: int = 1_000_000, seed: int = 20
 ) -> ExperimentResult:
     """The ones fraction of one `KeystreamGen(bias, seed).next_bits(nbits)`
-    call, counted in numpy.  `run_validation` keeps seed 20 whatever its
-    seed: the 0.002 tolerance is 1.83 standard errors of the quick line's
-    200,000-bit mean at bias 0.6, which an arbitrary seed fails about
-    6.8 % of the time (two-sided)."""
+    call, counted in numpy by `next_bits`' rule: the top byte of w0
+    decides a draw, unless the threshold falls in that byte and
+    `draw_is_one` reads the whole draw.  `run_validation` keeps seed 20
+    whatever its seed: the 0.002 tolerance is 1.83 standard errors of the
+    quick line's 200,000-bit mean at bias 0.6, which an arbitrary seed
+    fails about 6.8 % of the time (two-sided)."""
     # the stream's twister words, two per bit, for SCAN_CHUNK bits at a
     # time: the line holds O(SCAN_CHUNK) words, not 2 * nbits
     stream = KeystreamGen(bias, seed)
     twister = _twister(stream)
+    edge = stream._threshold >> 45  # the top byte the threshold falls in
     ones = 0
     for start in range(0, nbits, SCAN_CHUNK):
         words = twister.random_raw(2 * min(SCAN_CHUNK, nbits - start))
-        ones += int(np.count_nonzero(stream.draw_is_one(words[0::2], words[1::2])))
+        top = words[0::2].astype(np.uint32) >> 24
+        tie = 2 * np.flatnonzero(top == edge)
+        ones += int(np.count_nonzero(top < edge))
+        ones += int(np.count_nonzero(stream.draw_is_one(words[tie], words[tie + 1])))
     return ExperimentResult(
         name=f"keystream ones fraction at bias {bias}",
         statistic=ones / nbits,

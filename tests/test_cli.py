@@ -560,6 +560,40 @@ def test_validate_quick_passes(capsys):
     assert "PASS Exhaustive search wall times (printed figures attached)" in lines
 
 
+# SHA-256 of `validate` stdout: every count, cost and draw the experiments
+# print, so a change to how a sweep or search runs must leave these alone
+VALIDATE_STDOUT = {
+    ("--quick", "--seed", "0"): "d18559c51b9b98a4c3144116a185f365823c9412e20bae29953ca0595d1d1589",
+    ("--quick", "--seed", "3"): "5bd04b6233daefdd2a2731ca98bf101043c98f05609a02d330f3fba3679256e4",
+    ("--quick", "--seed", "11"): "b5a65380a12ba53720696ca7c1fb8ce93f9918db3f5014652e1c41f15ba6be62",
+    ("--quick", "--seed", "31"): "629bf02230bae52339288b02ed3852a9bdc3e75f1745145cf39319828f64ce0d",
+    ("--seed", "11"): "ed5c1503dcf77fe858edf302cb32a578db39621fad2c47ede8408a6f71e382a3",
+}
+
+
+@pytest.mark.parametrize("args", list(VALIDATE_STDOUT), ids=" ".join)
+def test_validate_output_is_byte_identical(capsys, args):
+    assert main(["validate", *args]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VALIDATE_STDOUT[args]
+
+
+def test_validate_imports_neither_statistics_nor_fractions_nor_decimal():
+    # `import statistics` alone (which loads fractions and decimal) takes
+    # milliseconds of a start-up that `validate` pays on every run
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import workfunc.cli, workfunc.experiments\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(workfunc.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert "workfunc.experiments" in added
+    assert added.isdisjoint({"statistics", "fractions", "decimal"}), added
+
+
 def test_validate_fails_on_a_break_time_far_from_its_printed_figure(capsys, monkeypatch):
     # the 56-bit single-gpu time is 132.5 s; print it ten times too long
     monkeypatch.setitem(refdata.BREAK_SUITE_PRINTED, ("one gpu", 56), 1325.0)

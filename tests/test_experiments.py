@@ -136,6 +136,31 @@ def test_search_builds_no_chunk_after_its_match(monkeypatch):
     assert drawn == [97] * math.ceil(3699 / 97)
 
 
+@pytest.mark.parametrize("chunk", [97, 1 << 13])
+def test_key_search_checks_the_later_pairs_on_the_first_pair_hits(monkeypatch, chunk):
+    # with 16-bit blocks, many of the 4096 keys share their first
+    # ciphertext with a key scanned earlier: only the later pairs tell
+    # the secret apart, and a search must still stop where the
+    # key-by-key check of every pair stops
+    monkeypatch.setattr(experiments, "SCAN_CHUNK", chunk)
+    cipher = ToyCipher(key_bits=12, block_bits=16)
+    order = np.concatenate(list(scan_order(12, 3))).tolist()
+    by_first = {}
+    for key in order:
+        by_first.setdefault(cipher.encrypt(key, 0), []).append(key)
+    shared = [keys for keys in by_first.values() if len(keys) > 1]
+    assert len(shared) >= 20
+    for keys in shared[:20]:
+        pairs = [(p, cipher.encrypt(keys[-1], p)) for p in (0, 1, 2)]
+        expected = next(
+            rank for rank, key in enumerate(order, 1)
+            if all(cipher.encrypt(key, p) == c for p, c in pairs)
+        )
+        found = experiments.brute_force_search(cipher, pairs, 1.0, rng_seed=3)
+        assert (found.key, found.keys_tested) == (order[expected - 1], expected)
+        assert found.key != keys[0]
+
+
 def test_first_word_survivors_match_scalar_generator():
     rng = random.Random(2)
     for w in range(1, 9):
@@ -259,13 +284,17 @@ def _tie_keys(monkeypatch, grouping):
     "every key tied" ties almost every key in threes (`keys // 3`); "a
     few keys tied" ties only keys 64-127, in fours, so tied trials fall
     between untied runs.  In chunks of 97 keys the groups 96-98 and 96-99
-    straddle the first chunk boundary.
+    straddle the first chunk boundary.  The fake cipher answers only the
+    blocks it is asked for, as the sweep encrypts the second block for
+    fewer keys than the first.
     """
     def tied_tables(cipher, keys, blocks):
         if grouping == "every key tied":
-            return [keys // 3, np.zeros_like(keys)]
-        tied = (keys >= 64) & (keys < 128)
-        return [np.where(tied, keys // 4, keys), tied.astype(np.uint32)]
+            tables = [keys // 3, np.zeros_like(keys)]
+        else:
+            tied = (keys >= 64) & (keys < 128)
+            tables = [np.where(tied, keys // 4, keys), tied.astype(np.uint32)]
+        return [tables[TRIAL_PLAINTEXTS.index(block)] for block in blocks]
 
     monkeypatch.setattr(experiments, "_encrypt", tied_tables)
     return 3 if grouping == "every key tied" else 4
@@ -280,6 +309,38 @@ def test_streamed_key_sweep_counts_the_whole_table_multiplicities(monkeypatch, c
     for key_bits, seed in ((5, 0), (10, 1), (12 if chunk == 1 else 14, 2)):
         expected = _whole_table_keys_tested(key_bits, 400, seed)
         assert brute_force_keys_tested(key_bits, 400, seed) == expected, key_bits
+
+
+def _near_miss_tables(cipher, keys, blocks):
+    """A fake cipher whose keys pass the sweep's first-ciphertext filter
+    without sharing a pair: keys agree with their run of 16 on the top 16
+    bits of the first ciphertext, and with 8 of those on all of it, but
+    bits 0, 1 and 3 of the second ciphertext tell every key apart."""
+    first = (keys >> 4) << 16 | ((keys >> 2) & 1)
+    tables = [first, keys & 0b1011]
+    return [tables[TRIAL_PLAINTEXTS.index(block)] for block in blocks]
+
+
+@pytest.mark.parametrize("chunk", [1, 97, 4096])
+def test_key_sweep_counts_no_key_that_only_passes_its_filter(monkeypatch, chunk):
+    second = []
+
+    def recorded(cipher, keys, blocks):
+        if list(blocks) == [TRIAL_PLAINTEXTS[1]]:
+            second.append(keys.size)
+        return _near_miss_tables(cipher, keys, blocks)
+
+    monkeypatch.setattr(experiments, "_encrypt", recorded)
+    monkeypatch.setattr(experiments, "SCAN_CHUNK", chunk)
+    key_bits, trials, seed = 10, 300, 4
+    draws = np.random.default_rng(seed).integers(1 << key_bits, size=(trials, 2))
+    counts = brute_force_keys_tested(key_bits, trials, seed)
+    # every pair is unique, so every count is its drawn rank plus one
+    assert counts == (draws[:, 1] + 1).tolist()
+    assert counts == _whole_table_keys_tested(key_bits, trials, seed)
+    # the filter let through 16 keys per secret's run, not one
+    secrets = np.unique(draws[:, 0])
+    assert sum(second) == 16 * np.unique(secrets >> 4).size > secrets.size
 
 
 def _tied_trials(key_bits, trials, seed):
@@ -394,6 +455,51 @@ def test_lockstep_windows_equal_the_scalar_generator():
         words = tuple(np.array(states, dtype=np.uint32).T)
         windows = [StandInPrng(w, state).next_words(20) for state in states]
         assert np.stack([*_lockstep_outputs(w, words, 20)], -1).tolist() == windows
+
+
+def _candidate_by_candidate_state_search(w, observed, hint, rng_seed):
+    """State search by the definition: step each candidate in scan order
+    through the window, and stop at the first that emits all of it."""
+    unknown = reduction_unknown_bits(w)
+    tested = 0
+    for chunk in scan_order(unknown, rng_seed):
+        for low in chunk.tolist():
+            tested += 1
+            prng = _prng(w, (hint << unknown) | low)
+            if all(prng.next_word() == word for word in observed):
+                return (hint << unknown) | low, tested
+    raise LookupError
+
+
+def test_state_search_finds_what_the_candidate_by_candidate_search_finds():
+    # a one- or two-word window leaves several consistent states, and the
+    # first of them in scan order must win, true state or not; a wrong hint
+    # with a long window leaves none
+    other_than_truth = refused = 0
+    for w in range(2, 11):
+        unknown = reduction_unknown_bits(w)
+        for seed in range(3):
+            truth = StandInPrng.from_seed(w, f"reference:{w}:{seed}")
+            packed = truth.packed_state()
+            hint = reduction_hint(packed, w)
+            window = truth.next_words(16)
+            for length in (1, 2, 16):
+                found = state_search(w, window[:length], hint, rng_seed=seed)
+                expected = _candidate_by_candidate_state_search(w, window[:length], hint, seed)
+                assert (found.state_packed, found.candidates_tested) == expected, (w, seed, length)
+                assert found.cost == found.candidates_tested * 16.0
+                other_than_truth += found.state_packed != packed
+            wrong = hint ^ 1
+            try:
+                expected = _candidate_by_candidate_state_search(w, window, wrong, seed)
+            except LookupError:
+                refused += 1
+                with pytest.raises(LookupError, match="no candidate in the scan order matches"):
+                    state_search(w, window, wrong, rng_seed=seed)
+            else:
+                found = state_search(w, window, wrong, rng_seed=seed)
+                assert (found.state_packed, found.candidates_tested) == expected
+    assert other_than_truth > 0 and refused > 0
 
 
 def test_state_search_uniqueness_check_stays_live(monkeypatch):
@@ -544,8 +650,12 @@ def test_keystream_bias_experiment():
 
 @pytest.mark.parametrize("nbits", [1, 2**13 - 1, 2**13, 2**13 + 1, 2**14 - 1, 2**14, 2**14 + 1, 200_000])
 def test_keystream_bias_counts_the_ones_of_one_call(nbits):
-    ones = KeystreamGen(0.6, 20).next_bits(nbits).bit_count()
-    assert keystream_bias_experiment(nbits=nbits).statistic == ones / nbits
+    # seed "tie" at bias 0.6 reaches the top byte the threshold falls in,
+    # which only the full draw decides (test_toycrypto); biases 0, 0.5 and
+    # 1 put the threshold on a byte boundary, or past the last byte
+    for seed, bias in ((20, 0.6), *(("tie", bias) for bias in (0.0, 0.3, 0.5, 0.6, 1.0))):
+        ones = KeystreamGen(bias, seed).next_bits(nbits).bit_count()
+        assert keystream_bias_experiment(bias, nbits, seed).statistic == ones / nbits, (seed, bias)
 
 
 def _packed_draws(stream, words):
