@@ -154,8 +154,8 @@ def load_catalog(text: str) -> list[DeviceSpec]:
     comments.  Scientific notation is accepted for the numeric columns.
     component_count and bits_per_transistor may be left empty (defaults 1
     and 8).  Duplicate normalized names are rejected, and so is a row whose
-    rate (`resource_rate`) overflows a float or whose transistor_count or
-    component_count is not below 2**53.
+    rate (`resource_rate`) overflows a float or underflows to zero, or whose
+    transistor_count or component_count is not below 2**53.
     """
     specs: list[DeviceSpec] = []
     seen: set[str] = set()
@@ -196,8 +196,11 @@ def load_catalog(text: str) -> list[DeviceSpec]:
             )
         except ValueError as exc:
             raise CatalogError(line_no, f"invariant violation: {exc}") from None
-        if not math.isfinite(resource_rate(spec)):
+        rate = resource_rate(spec)
+        if not math.isfinite(rate):
             raise CatalogError(line_no, "rate_bytes_per_s overflows a float")
+        if rate == 0:
+            raise CatalogError(line_no, "rate_bytes_per_s underflows to zero")
         for column in _COUNT_COLUMNS:
             if getattr(spec, column) >= EXACT_COUNT_LIMIT:
                 text = cells[_CATALOG_FIELDS.index(column)]

@@ -3,15 +3,14 @@
 All costs are byte-steps: one byte of machinery held for one step costs
 one byte.  The exhaustive-search baseline prices one key test at
 bytes_per_key_bit * key_bits (120 bytes per key bit for a DES-scale
-check; one extra encryption layer triples it).
+check; one extra encryption layer triples it).  A wall time is a cost
+over a rate in bytes/s, such as `devices.fleet_rate` of a fleet.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Union
-
-from .devices import Fleet, fleet_rate
+from typing import NamedTuple
 
 DEFAULT_BYTES_PER_KEY_BIT = 120.0
 TRIPLE_BYTES_PER_KEY_BIT = 360.0
@@ -23,17 +22,6 @@ SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
 SECONDS_PER_MONTH = 30.5 * SECONDS_PER_DAY
 SECONDS_PER_YEAR = 365.0 * SECONDS_PER_DAY
-
-FleetLike = Union[Fleet, Iterable[Fleet], float]
-
-
-def _rate_of(fleet: FleetLike) -> float:
-    if isinstance(fleet, (int, float)):
-        rate = float(fleet)
-        if rate <= 0:
-            raise ValueError("aggregate rate must be positive")
-        return rate
-    return fleet_rate(fleet)
 
 
 class BruteForceModel:
@@ -63,11 +51,12 @@ class AttackEstimate(NamedTuple):
     worst_case_seconds: float
 
 
-def break_time(cost: float, fleet: FleetLike) -> AttackEstimate:
-    """Time to spend `cost` bytes on a fleet; worst case is twice the mean."""
+def break_time(cost: float, rate: float) -> AttackEstimate:
+    """Time to spend `cost` bytes at `rate` bytes/s; worst case is twice the mean."""
     if cost <= 0:
         raise ValueError("cost must be positive")
-    rate = _rate_of(fleet)
+    if rate <= 0:
+        raise ValueError("aggregate rate must be positive")
     expected = cost / rate
     return AttackEstimate(
         total_cost=cost,
@@ -198,12 +187,13 @@ class Tf1Estimate(NamedTuple):
     scan_seconds: float
 
 
-def tf1_estimate(model: Tf1Model, fleet: FleetLike) -> Tf1Estimate:
-    """State-search cost and zero-word scan wait for the generator."""
+def tf1_estimate(model: Tf1Model, rate: float) -> Tf1Estimate:
+    """State-search cost and zero-word scan wait for the generator at
+    `rate` bytes/s."""
     w = model.word_bits
     strength = 1.5 * w
     cost = model.bytes_per_strength_bit * strength * 2.0 ** (strength - 1)
-    timing = break_time(cost, fleet)
+    timing = break_time(cost, rate)
     scan_words = 2.0 ** (w - 1)
     return Tf1Estimate(
         word_bits=w,

@@ -296,7 +296,8 @@ def state_search(
     of those that emit the first observed word (`_first_word_survivors`)
     and then the window (`_confirm_window`, one lockstep pass).  Each one
     scanned up to the first match charges CHECKER_OPS (a flat op count
-    per check).
+    per check).  When no candidate emits the window, `LookupError` is
+    raised before any is scanned.
     """
     if not 1 <= word_bits <= MAX_WORD_BITS:
         raise ValueError(f"word_bits must be in [1, {MAX_WORD_BITS}]")
@@ -308,6 +309,8 @@ def state_search(
 
     lows = _first_word_survivors(word_bits, hint_high_bits, observed[0])
     confirmed = lows[_confirm_window(word_bits, hint_high_bits, lows, observed)]
+    if not confirmed.size:  # a wrong hint: no candidate can match, so none is scanned
+        raise LookupError("no candidate in the scan order matches")
 
     def matches(chunk):
         return np.flatnonzero(np.isin(chunk, confirmed))

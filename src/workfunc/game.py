@@ -5,8 +5,9 @@ costs the plain sum of its step costs, charged to one float budget
 (`play`).
 
 The attacker is one machine: a strategy whose `step(ctx)` returns one
-action per turn, an attacker `Move`, a `LocalStep` or `HALT`.  A fleet is
-one machine whose description is the fleet's, so N devices that each
+action per turn, an attacker `Move`, a `LocalStep` or `HALT`, and whose
+`information` is its size in bytes (8 when it states none).  A fleet is
+one machine whose information is the fleet's, so N devices that each
 test a key per step are one machine of N times the bytes that tests N
 keys per `LocalStep`, charged what the N devices are.  A move is its
 class and payload; the class fixes its player (`PLAYER`).  `ctx` offers
@@ -112,22 +113,14 @@ _HALT_REPLY = Move(MoveClass.RESPONSE, b"ok")
 _UNSUPPORTED = Move(MoveClass.DENIAL, b"unsupported structural request")
 
 
-class MachineSpec(NamedTuple):
-    """What it costs to know a machine: its full description, which the
-    engine never interprets, only prices."""
-
-    description: bytes
-
-
 class LocalStep:
     """The action of a step of local work, which plays no move."""
 
 
 class GameConfig:
-    __slots__ = ("budget", "rng_seed", "challenge_trials", "win_threshold", "per_step_information")
+    __slots__ = ("budget", "rng_seed", "challenge_trials", "win_threshold")
 
-    def __init__(self, budget: float, rng_seed: int = 0, challenge_trials: int = 0,
-                 win_threshold: float = 0.01, per_step_information: Optional[float] = None):
+    def __init__(self, budget: float, rng_seed: int = 0, challenge_trials: int = 0, win_threshold: float = 0.01):
         if not budget >= 0:
             raise ValueError("budget must be non-negative")
         if not budget < 2**53:  # a whole-byte charge must register exactly
@@ -136,13 +129,10 @@ class GameConfig:
             raise ValueError("challenge_trials must be non-negative")
         if not 0 < win_threshold < 1:
             raise ValueError("win_threshold must be in (0, 1)")
-        if per_step_information is not None and not per_step_information >= 0:
-            raise ValueError("per_step_information must be non-negative")
         self.budget = budget  # the initial budget
         self.rng_seed = rng_seed
         self.challenge_trials = challenge_trials
         self.win_threshold = win_threshold
-        self.per_step_information = per_step_information
 
 
 class GameResult(Enum):
@@ -364,14 +354,14 @@ def wins_challenge(successes: int, trials: int, alpha: float) -> bool:
 def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome:
     """Run one game to completion, one step of the strategy at a time.
 
-    Each step is priced at the strategy's `.spec` (8-byte b"attacker"
-    when it has none) plus its work tape, or at the config's
-    `per_step_information`, and charged before it takes effect: a step
-    dearer than the remaining budget charges the remainder and ends the
-    game `LostBudgetDepleted`, and one that exactly exhausts it is paid in
-    full.  Then it acts: the move and its one reply, from the engine or
-    the environment, are appended to the transcript's `entries`, and the
-    reply becomes `ctx.reply`.  `HALT` or the last challenge trial ends
+    Each step is priced at the strategy's `information` (8 bytes, the
+    length of b"attacker", when it has none; a negative one is refused
+    before the first step) plus its work tape, and charged before it
+    takes effect: a step dearer than the remaining budget charges the
+    remainder and ends the game `LostBudgetDepleted`, and one that exactly
+    exhausts it is paid in full.  Then it acts: the move and its one
+    reply, from the engine or the environment, are appended to the
+    transcript's `entries`, and the reply becomes `ctx.reply`.  `HALT` or the last challenge trial ends
     the game.  `entries` is a list unless a sink such as a
     `TranscriptWriter` is given; the engine itself keeps no move but the
     last reply, so with a writer the game's memory does not grow with its
@@ -384,11 +374,11 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
     if hasattr(environment, "start"):
         environment.start(random.Random(f"{config.rng_seed}:environment"))
 
-    spec = strategy.spec if hasattr(strategy, "spec") else MachineSpec(b"attacker")
-    price = float(len(spec.description))
+    price = float(strategy.information if hasattr(strategy, "information") else len(b"attacker"))
+    if not price >= 0:
+        raise ValueError("information must be non-negative")
     ctx = MachineContext()
     remaining = config.budget
-    flat_price = config.per_step_information
     steps_by = transcript.steps_by_machine
     successes = 0
     trials = 0
@@ -401,7 +391,7 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
     while True:
         work_len = len(ctx.work_tape)
         action = strategy.step(ctx)
-        step_cost = price + work_len if flat_price is None else flat_price
+        step_cost = price + work_len
         if step_cost > remaining:  # an overdraft charges what is left and ends the game
             step_cost = remaining
             result = GameResult.LOST_BUDGET_DEPLETED

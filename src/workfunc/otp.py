@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .game import HALT, GameConfig, GameOutcome, MachineSpec, Move, MoveClass, frame, play, unframe
+from .game import HALT, GameConfig, GameOutcome, Move, MoveClass, frame, play, unframe
 from .toycrypto import KeystreamGen
 
 DEFAULT_PLAINTEXT_BYTES = 32
@@ -93,10 +93,12 @@ class OtpDistinguisher:
     two candidate pads differ in exactly half their bits: XORing the
     ciphertext with the wrong plaintext yields a balanced residual while
     the right one exposes the raw keystream.  The residual with the larger
-    monobit deviation is named (ties go to candidate 0).
+    monobit deviation is named (ties go to candidate 0).  Its `information`
+    defaults to its description's length, 24 bytes for 32-byte plaintexts.
     """
 
-    def __init__(self, trials: int, plaintext_bytes: int = DEFAULT_PLAINTEXT_BYTES):
+    def __init__(self, trials: int, plaintext_bytes: int = DEFAULT_PLAINTEXT_BYTES,
+                 information: Optional[float] = None):
         if plaintext_bytes < 1:
             raise ValueError("plaintext_bytes must be at least 1")
         self.trials_wanted = trials
@@ -106,7 +108,7 @@ class OtpDistinguisher:
         self._candidates = tuple(int.from_bytes(p, "big") for p in self.plaintexts)
         self._nbits = 8 * plaintext_bytes
         self._ciphertext_prefix = plaintext_bytes.to_bytes(4, "big")
-        self.spec = MachineSpec(b"monobit-distinguisher:" + str(plaintext_bytes).encode())
+        self.information = len(f"monobit-distinguisher:{plaintext_bytes}") if information is None else information
         self._sent = 0
         self._awaiting_ciphertext = False
 
@@ -150,15 +152,11 @@ def run_otp_challenge(
     entries=None,
 ) -> GameOutcome:
     """Play the full distinguishing game from the float `budget`, each step
-    charged at the distinguisher's description bytes (`game.play`); the
-    outcome carries successes.  `entries` is the move sink `play` records
-    into (a list by default)."""
-    config = GameConfig(
-        budget=budget,
-        rng_seed=rng_seed,
-        challenge_trials=trials,
-        win_threshold=win_threshold,
-        per_step_information=per_step_information,
-    )
-    strategy = OtpDistinguisher(trials, plaintext_bytes)
+    charged at `per_step_information` bytes, by default the distinguisher's
+    description length (`game.play`); the outcome carries successes.
+    `entries` is the move sink `play` records into (a list by default)."""
+    if per_step_information is not None and not per_step_information >= 0:
+        raise ValueError("per_step_information must be non-negative")
+    config = GameConfig(budget=budget, rng_seed=rng_seed, challenge_trials=trials, win_threshold=win_threshold)
+    strategy = OtpDistinguisher(trials, plaintext_bytes, per_step_information)
     return play(strategy, OtpEnvironment(keystream), config, entries)

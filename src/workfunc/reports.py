@@ -13,7 +13,7 @@ import io
 import math
 
 from . import refdata
-from .devices import Fleet, cost_per_bit, default_catalog, find_device, resource_rate
+from .devices import Fleet, cost_per_bit, default_catalog, find_device, fleet_rate, resource_rate
 from .estimators import (
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
@@ -31,10 +31,10 @@ Cell = int | float | str
 
 
 class Report:
-    __slots__ = ("title", "columns", "rows", "provenance", "notes")
+    __slots__ = ("title", "columns", "rows", "provenance", "notes", "tolerance")
 
     def __init__(self, title: str, columns: tuple[str, ...], rows: tuple[tuple[Cell, ...], ...],
-                 provenance: tuple[str, str], notes: tuple[str, ...] = ()):
+                 provenance: tuple[str, str], notes: tuple[str, ...] = (), tolerance: float = math.inf):
         for row in rows:
             if len(row) != len(columns):
                 raise ValueError("row width must match columns")
@@ -43,6 +43,7 @@ class Report:
         self.rows = rows
         self.provenance = provenance  # (tag, source location) of every row
         self.notes = notes
+        self.tolerance = tolerance  # the relative deviation a row may reach (`report_failures`)
 
 
 def relative_deviation(computed: float, printed: float) -> float:
@@ -129,6 +130,7 @@ def build_device_rate_report() -> Report:
         rows=tuple(rows),
         provenance=("printed", refdata.TABLE1_LOCATION),
         notes=(f"tolerance {refdata.TABLE1_TOLERANCE:.3g} relative",),
+        tolerance=refdata.TABLE1_TOLERANCE,
     )
 
 
@@ -167,13 +169,14 @@ def build_cost_per_bit_report() -> Report:
         rows=tuple(rows),
         provenance=("printed", refdata.TABLE2_LOCATION),
         notes=(f"tolerance {refdata.TABLE2_TOLERANCE:.3g} relative",),
+        tolerance=refdata.TABLE2_TOLERANCE,
     )
 
 
 def table3_estimate(row: "refdata.Table3Row") -> "Tf1Estimate":
     """The row's search estimate on its stated reference cluster."""
     gpu = find_device("ati-radeon-5870", default_catalog())
-    return tf1_estimate(Tf1Model(word_bits=row.word_bits), Fleet(gpu, row.cluster_units))
+    return tf1_estimate(Tf1Model(word_bits=row.word_bits), fleet_rate(Fleet(gpu, row.cluster_units)))
 
 
 def build_state_search_report() -> Report:
@@ -211,6 +214,7 @@ def build_state_search_report() -> Report:
         rows=tuple(rows),
         provenance=("printed", refdata.TABLE3_LOCATION),
         notes=(f"time tolerance {refdata.TABLE3_TIME_TOLERANCE:.3g} relative",),
+        tolerance=refdata.TABLE3_TIME_TOLERANCE,
     )
 
 
@@ -218,11 +222,11 @@ def build_break_suite_report() -> Report:
     """Brute-force wall times for the published machine/keysize pairings,
     against their printed figures."""
     gpu = find_device("ati-radeon-5870", default_catalog())
-    fleets = {"one gpu": Fleet(gpu, 1), "gpu fleet of 65536": Fleet(gpu, 65536),
-              "tianhe-1a": refdata.TIANHE_PRINTED_RATE}
+    rates = {"one gpu": resource_rate(gpu), "gpu fleet of 65536": fleet_rate(Fleet(gpu, 65536)),
+             "tianhe-1a": refdata.TIANHE_PRINTED_RATE}
     rows = []
     for (label, key_bits), printed in refdata.BREAK_SUITE_PRINTED.items():
-        est = break_time(brute_force_cost(BruteForceModel(key_bits)), fleets[label])
+        est = break_time(brute_force_cost(BruteForceModel(key_bits)), rates[label])
         rows.append((label, key_bits, est.total_cost, est.expected_seconds,
                      format_duration(est.expected_seconds), format_duration(printed), printed,
                      relative_deviation(est.expected_seconds, printed)))
@@ -233,16 +237,17 @@ def build_break_suite_report() -> Report:
         rows=tuple(rows),
         provenance=("printed", refdata.BREAK_SUITE_LOCATION),
         notes=(f"time tolerance {refdata.BREAK_SUITE_TOLERANCE:.3g} relative",),
+        tolerance=refdata.BREAK_SUITE_TOLERANCE,
     )
 
 
-def report_failures(report: Report, tolerance: float) -> list[str]:
-    """Rows whose "deviation" column exceeds tolerance, as readable lines."""
+def report_failures(report: Report) -> list[str]:
+    """Rows whose "deviation" column exceeds the report's tolerance, as readable lines."""
     idx = report.columns.index("deviation")
     bad = []
     for row in report.rows:
         dev = row[idx]
         assert isinstance(dev, float)
-        if not math.isfinite(dev) or dev > tolerance:
-            bad.append(f"{row[0]}: deviation {dev:.4g} exceeds {tolerance:.4g}")
+        if not math.isfinite(dev) or dev > report.tolerance:
+            bad.append(f"{row[0]}: deviation {dev:.4g} exceeds {report.tolerance:.4g}")
     return bad

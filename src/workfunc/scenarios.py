@@ -22,7 +22,7 @@ import math
 import re
 from typing import Iterable, Mapping, NamedTuple
 
-from .devices import EXACT_COUNT_LIMIT, DeviceSpec, Fleet, find_device
+from .devices import EXACT_COUNT_LIMIT, DeviceSpec, Fleet, find_device, fleet_rate
 from .otp import DEFAULT_PLAINTEXT_BYTES
 
 
@@ -171,6 +171,9 @@ def parse_scenario(text: str) -> Scenario:
         if spec.required and key not in raw:
             raise ScenarioError(f"[{kind}] requires key {key!r}")
     params = {key: schema[key].check(key, text) for key, text in raw.items()}
+    step_price = params.get("per_step_information", 1.0)
+    if not step_price.is_integer():  # a fraction of a byte may not register in the float budget
+        raise ScenarioError(f"per_step_information must be a whole number of bytes, got {step_price}")
     # the rules that involve two keys
     if "fleet" in params and "fleet_rate_bytes_per_s" in params:
         raise ScenarioError("give fleet or fleet_rate_bytes_per_s, not both")
@@ -232,10 +235,9 @@ def parse_fleet_spec(
     return fleets
 
 
-def scenario_fleet(
-    scenario: Scenario, catalog: Iterable[DeviceSpec]
-) -> list[Fleet] | float | None:
-    """Fleet from either syntax, or None when the scenario names no fleet."""
+def scenario_fleet(scenario: Scenario, catalog: Iterable[DeviceSpec]) -> float | None:
+    """The fleet's rate in bytes/s from either syntax, or None when the
+    scenario names no fleet."""
     if "fleet" in scenario.params:
-        return parse_fleet_spec(scenario.params["fleet"], catalog)
+        return fleet_rate(parse_fleet_spec(scenario.params["fleet"], catalog))
     return scenario.params.get("fleet_rate_bytes_per_s")

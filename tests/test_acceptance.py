@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from workfunc import refdata
-from workfunc.devices import Fleet, default_catalog, find_device, resource_rate
+from workfunc.devices import Fleet, default_catalog, find_device, fleet_rate, resource_rate
 from workfunc.estimators import (
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
@@ -47,11 +47,11 @@ def runtime_bound(seconds):
 
 
 def one_gpu():
-    return Fleet(find_device("ati-radeon-5870", default_catalog()), 1)
+    return resource_rate(find_device("ati-radeon-5870", default_catalog()))
 
 
 def gpu_fleet(units):
-    return Fleet(find_device("ati-radeon-5870", default_catalog()), units)
+    return fleet_rate(Fleet(find_device("ati-radeon-5870", default_catalog()), units))
 
 
 def two_significant(value):

@@ -687,6 +687,20 @@ def test_catalog_row_whose_rate_overflows_is_refused(tmp_path, capsys):
     assert captured.out == ""
 
 
+def test_catalog_row_whose_rate_underflows_is_refused(tmp_path, capsys):
+    # 1 transistor of 1e-320 bits at 1e-320 Hz: each factor is a positive
+    # float, and their product rounds to zero
+    path = write(tmp_path, "cat.csv", f"{CATALOG_HEADER}\nx,1,1e-320,1,1e-320\n")
+    assert main(["catalog", "--file", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "bad catalog: line 2: rate_bytes_per_s underflows to zero\n"
+    assert captured.out == ""
+    # a rate that is small but not zero is listed
+    path = write(tmp_path, "cat.csv", f"{CATALOG_HEADER}\nx,1,1e-300,1,8\n")
+    assert main(["catalog", "--file", path, "--csv"]) == 0
+    assert "\nx,1,1e-300,1,1e-300,catalog,\n" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "command, data, offset",
     [

@@ -4,16 +4,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from workfunc.game import BUDGET_QUERY, HALT, GameConfig, GameResult, LocalStep, Move, MoveClass, play
+from workfunc.otp import run_otp_challenge
+from workfunc.toycrypto import KeystreamGen
 
 
 # The budget is charged by the game engine: each case plays a strategy
 # that takes `local_steps` local steps and then halts, every step priced
-# at the flat `per_step_information`.
+# at the strategy's `information`.
 
 
 class Steps:
-    def __init__(self, local_steps):
+    def __init__(self, local_steps, information):
         self.left = local_steps
+        self.information = information
 
     def step(self, ctx):
         if self.left:
@@ -23,7 +26,7 @@ class Steps:
 
 
 def play_steps(budget, price, local_steps=1):
-    return play(Steps(local_steps), None, GameConfig(budget=budget, per_step_information=price))
+    return play(Steps(local_steps, price), None, GameConfig(budget=budget))
 
 
 def test_play_deducts_each_step():
@@ -61,15 +64,18 @@ def test_zero_budget_is_legal_and_free_steps_pass():
 
 def test_step_price_must_be_a_non_negative_number():
     for price in (-0.5, math.nan):
+        with pytest.raises(ValueError, match="information must be non-negative"):
+            play_steps(1.0, price)
         with pytest.raises(ValueError, match="per_step_information"):
-            GameConfig(budget=1.0, per_step_information=price)
+            run_otp_challenge(KeystreamGen(0.5, seed=0), trials=1, budget=1.0, per_step_information=price)
 
 
 class BudgetQueries:
-    """Asks for the budget `queries` times, then halts."""
+    """Asks for the budget `queries` times, then halts; each step costs `information`."""
 
-    def __init__(self, queries):
+    def __init__(self, queries, information):
         self.left = queries
+        self.information = information
 
     def step(self, ctx):
         if self.left:
@@ -85,9 +91,7 @@ class BudgetQueries:
 def test_play_ledger_identity_exact(price, queries):
     steps = queries + 1  # the halt is a step too
     total = float(price * steps)
-    outcome = play(
-        BudgetQueries(queries), None, GameConfig(budget=total, per_step_information=float(price))
-    )
+    outcome = play(BudgetQueries(queries, float(price)), None, GameConfig(budget=total))
     replies = outcome.transcript.entries[1::2]
     assert [r.payload for r in replies[:-1]] == [
         repr(float(price * (steps - k))).encode() for k in range(1, steps)

@@ -25,7 +25,7 @@ from workfunc import refdata
 
 
 def one_gpu():
-    return Fleet(find_device("ati-radeon-5870", default_catalog()), 1)
+    return fleet_rate(Fleet(find_device("ati-radeon-5870", default_catalog()), 1))
 
 
 def test_brute_force_cost_closed_form():
@@ -59,9 +59,9 @@ def test_break_suite_64_bit_single_gpu():
 def test_break_suite_fleet_84_and_96_bit():
     gpu = find_device("ati-radeon-5870", default_catalog())
     fleet = Fleet(gpu, 65536)
-    est84 = break_time(brute_force_cost(BruteForceModel(84)), fleet)
+    est84 = break_time(brute_force_cost(BruteForceModel(84)), fleet_rate(fleet))
     assert est84.expected_seconds / SECONDS_PER_DAY == pytest.approx(9.421, rel=1e-3)
-    est96 = break_time(brute_force_cost(BruteForceModel(96)), fleet)
+    est96 = break_time(brute_force_cost(BruteForceModel(96)), fleet_rate(fleet))
     assert est96.expected_seconds / SECONDS_PER_YEAR == pytest.approx(120.83, rel=1e-3)
 
 

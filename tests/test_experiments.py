@@ -502,6 +502,27 @@ def test_state_search_finds_what_the_candidate_by_candidate_search_finds():
     assert other_than_truth > 0 and refused > 0
 
 
+def test_state_search_draws_no_chunk_when_no_candidate_emits_the_window(monkeypatch):
+    # with a wrong hint no first-word survivor emits the window, so the
+    # search fails before it draws any of the 2**24 / SCAN_CHUNK = 2,048
+    # chunks of the w = 16 scan order
+    drawn = []
+    order = experiments.scan_order
+
+    def counted(*args):
+        for chunk in order(*args):
+            drawn.append(chunk)
+            yield chunk
+
+    monkeypatch.setattr(experiments, "scan_order", counted)
+    truth = StandInPrng.from_seed(16, "wrong-hint")
+    window = truth.next_words(16)
+    hint = reduction_hint(truth.packed_state(), 16)
+    with pytest.raises(LookupError, match="no candidate in the scan order matches"):
+        state_search(16, window, hint ^ 1, rng_seed=0)
+    assert len(drawn) == 0
+
+
 def test_state_search_uniqueness_check_stays_live(monkeypatch):
     # a one-word window leaves 2**(ceil(1.5w) - w) candidates per trial
     with pytest.raises(AssertionError, match="does not pin the state uniquely"):

@@ -16,7 +16,6 @@ from workfunc.game import (
     GameConfig,
     GameResult,
     LocalStep,
-    MachineSpec,
     Move,
     PLAYER,
     MoveClass,
@@ -36,10 +35,10 @@ from workfunc.toycrypto import KeystreamGen
 class Script:
     """Strategy that replays a fixed action list, then halts."""
 
-    def __init__(self, actions, spec=None):
+    def __init__(self, actions, information=None):
         self.actions = list(actions)
-        if spec is not None:
-            self.spec = spec
+        if information is not None:
+            self.information = information
 
     def step(self, ctx):
         if self.actions:
@@ -274,11 +273,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         config(10.0, win_threshold=1.0)
     with pytest.raises(ValueError):
-        config(10.0, per_step_information=-1.0)
+        play(Script([], information=-1.0), SuccessEnv(), config(10.0))
 
 
 def test_ledger_exact_on_scripted_game():
-    # root description b"attacker" is 8 bytes; every step costs 8 + work tape
+    # a strategy with no information costs len(b"attacker") = 8 bytes; every step costs 8 + work tape
     strategy = Script([LocalStep(), Move(MoveClass.INFO_REQUEST, BUDGET_QUERY), LocalStep()])
     outcome = play(strategy, SuccessEnv(), config(1000.0))
     assert outcome.result is GameResult.LOST_CHALLENGE_FAILED
@@ -305,6 +304,10 @@ def test_work_tape_raises_next_step_price():
 
     outcome = play(Scribbler(), SuccessEnv(), config(100.0))
     assert outcome.total_cost == 8.0 + 18.0
+    # a strategy that states its information pays for its tape as well
+    priced = Scribbler()
+    priced.information = 3
+    assert play(priced, SuccessEnv(), config(100.0)).total_cost == 3.0 + 13.0
 
 
 def test_budget_depletion_charges_remainder():
@@ -432,7 +435,7 @@ def test_protocol_fault_streams_the_list_backed_lines():
     assert len(writer) == 3
     assert lines == [
         "0 Attacker InfoRequest 00000007" + b"budget?".hex() + "\n",
-        "1 Environment Response 00000004" + b"92.0".hex() + "\n",  # 100 - 8-byte spec
+        "1 Environment Response 00000004" + b"92.0".hex() + "\n",  # 100 - the default 8 bytes
         "2 Attacker EncryptionRequest 00000005" + b"block".hex() + "\n",
     ]
     relisted = []
@@ -518,7 +521,7 @@ def test_monotone_winnability_for_oblivious_strategy():
 
 
 def test_root_spec_override_changes_step_price():
-    outcome = play(Script([LocalStep()], spec=MachineSpec(b"xx")), SuccessEnv(), config(100.0))
+    outcome = play(Script([LocalStep()], information=2), SuccessEnv(), config(100.0))
     assert outcome.total_cost == 4.0
 
 
@@ -616,14 +619,14 @@ def test_game_command_does_not_import_numpy(tmp_path):
 
 class KeyScanner:
     """One machine that tests `width` keys per step, from key 0 up, and
-    halts at the step that tests `target`.  Its description is `width`
-    bytes: a fleet of `width` one-byte testers, described as one machine."""
+    halts at the step that tests `target`.  Its information is `width`
+    bytes: a fleet of `width` one-byte testers, priced as one machine."""
 
     def __init__(self, target, width):
         self.target = target
         self.width = width
         self.next_key = 0
-        self.spec = MachineSpec(b"k" * width)
+        self.information = width
 
     def step(self, ctx):
         if self.next_key <= self.target < self.next_key + self.width:

@@ -121,7 +121,7 @@ def test_wrong_guess_fails():
 def test_distinguisher_validation_and_spec_price():
     with pytest.raises(ValueError):
         OtpDistinguisher(10, plaintext_bytes=0)
-    assert len(OtpDistinguisher(10).spec.description) == 24
+    assert OtpDistinguisher(10).information == 24
 
 
 def test_monobit_deviation():

@@ -15,7 +15,9 @@ from workfunc.devices import DeviceSpec, Fleet, ThroughputRecord
 from workfunc.estimators import BruteForceModel, DictionaryModel, Tf1Model
 from workfunc.experiments import ExperimentResult
 from workfunc.game import GameConfig, GameOutcome, GameResult, GameTranscript, Move, MoveClass
+from workfunc.otp import run_otp_challenge
 from workfunc.reports import Report
+from workfunc.toycrypto import KeystreamGen
 
 def refuses(build, message, name):
     return pytest.param(build, ValueError, message, id=name)
@@ -63,9 +65,9 @@ RECORD_CHECKS = [
             "config-threshold-zero"),
     refuses(lambda: GameConfig(1.0, win_threshold=1), "win_threshold must be in (0, 1)",
             "config-threshold-one"),
-    refuses(lambda: GameConfig(1.0, per_step_information=-1.0), "per_step_information must be non-negative",
-            "config-step-price-negative"),
-    refuses(lambda: GameConfig(1.0, per_step_information=math.nan),
+    refuses(lambda: run_otp_challenge(KeystreamGen(0.5, seed=0), 1, per_step_information=-1.0),
+            "per_step_information must be non-negative", "config-step-price-negative"),
+    refuses(lambda: run_otp_challenge(KeystreamGen(0.5, seed=0), 1, per_step_information=math.nan),
             "per_step_information must be non-negative", "config-step-price-nan"),
     refuses(lambda: Report("t", ("a", "b"), (("x",),), ("tag", "here")), "row width must match columns",
             "report-row-width"),

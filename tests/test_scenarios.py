@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from workfunc.devices import default_catalog
+from workfunc.devices import Fleet, default_catalog, find_device, fleet_rate
 from workfunc.scenarios import (
     KINDS,
     SCHEMA,
@@ -117,6 +117,17 @@ def test_non_finite_numbers_are_refused_naming_the_key(kind, key):
             parse_scenario(f"[{kind}]\n{body}{key} = {raw}\n")
 
 
+@pytest.mark.parametrize("raw", ["0.01", "0.3", "2.5", "1e-300"])
+def test_step_price_must_be_a_whole_number_of_bytes(raw):
+    # a fraction of a byte need not register in the float budget: at a
+    # budget of 1e15, a 0.01-byte step leaves it unchanged
+    with pytest.raises(ScenarioError) as caught:
+        parse_scenario(GAME + f"per_step_information = {raw}\n")
+    assert str(caught.value) == f"per_step_information must be a whole number of bytes, got {raw}"
+    for whole in ("3", "3.0", "1e6"):
+        assert parse_scenario(GAME + f"per_step_information = {whole}\n").params["per_step_information"] == float(whole)
+
+
 def test_rules_that_involve_two_keys():
     with pytest.raises(ScenarioError, match="epsilon must be less than key_bits = 56, got 56"):
         parse_scenario("[dictionary]\nkey_bits = 56\nepsilon = 56\n")
@@ -179,8 +190,8 @@ def test_fleet_spec_parsing():
 def test_scenario_fleet_dispatch():
     catalog = default_catalog()
     named = parse_scenario(BRUTE)
-    fleets = scenario_fleet(named, catalog)
-    assert isinstance(fleets, list) and fleets[0].unit_count == 65536
+    rate = scenario_fleet(named, catalog)
+    assert rate == fleet_rate(Fleet(find_device("ati-radeon-5870", catalog), 65536))
 
     raw_rate = parse_scenario("[brute_force]\nkey_bits = 84\nfleet_rate_bytes_per_s = 1.3e22\n")
     assert scenario_fleet(raw_rate, catalog) == 1.3e22
