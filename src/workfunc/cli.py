@@ -9,9 +9,10 @@ an output or transcript path, or stdout), 3 game lost, 4 protocol fault
 in a game.  A command stops on a failure by raising it, and `main`
 reports every failure: one line or more on stderr, then the exit code.
 
-`game` opens its transcript before the first move and writes each move's
-line as the move is played, so its memory does not grow with `trials`;
-the summary trailer follows the last move.
+`game` opens its transcript before the first move and writes the lines a
+block of `game.RECORD_BLOCK` moves at a time, so its memory does not grow
+with `trials`; a killed game leaves its moves up to the last block, and a
+finished one the summary trailer after the last move.
 """
 
 from __future__ import annotations

@@ -15,10 +15,11 @@ class and payload; the class fixes its player (`PLAYER`).  `ctx` offers
 move), and `work_tape`, private scratch space whose length is priced
 into every step.  Every attacker move gets exactly one reply, from the
 engine or the environment.  The transcript is the one record of the
-moves, in order: a list by default, or a `TranscriptWriter` that writes
-each move's line as it is recorded, so that a game's memory does not
-grow with its trials.  Challenge moves are adjudicated at the end with a
-one-sided exact binomial test against chance 1/2.
+moves, in order: a list, or a `TranscriptWriter` that writes the lines
+of each block of `RECORD_BLOCK` moves, the most the engine holds, so a
+game's memory does not grow with its trials and a killed game leaves
+its moves up to the last block.  Challenge moves are adjudicated at the
+end with a one-sided exact binomial test against chance 1/2.
 
 Engine-side conventions, fixed for transcript stability:
   * payloads travel length-prefixed (4-byte big-endian length),
@@ -38,6 +39,7 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 BUDGET_QUERY = b"budget?"
+RECORD_BLOCK = 256  # moves per `extend` call of `play`; even, as a step records two
 
 
 class Actor(Enum):
@@ -69,9 +71,9 @@ _LINE_HEADS = {kind: f"{PLAYER[kind].value} {kind.value}" for kind in MoveClass}
 class ProtocolFault(RuntimeError):
     """A rule violation, distinct from losing: the game is void.
 
-    Carries the transcript as it stood when the fault was detected; when
-    its entries are a `TranscriptWriter`, the lines of every move up to
-    the fault are already written.
+    Carries the transcript as it stood when the fault was detected; every
+    move up to the fault is recorded in its entries (with a
+    `TranscriptWriter`, written) before the fault leaves `play`.
     """
 
     def __init__(self, message: str, transcript: "GameTranscript | None" = None):
@@ -144,15 +146,15 @@ class GameResult(Enum):
 class GameTranscript:
     """Global move log plus the complete charge ledger.
 
-    `entries` receives every move in play order through `append`, and
-    its `len` is the number of moves so far.  By default it is a list, so
-    a move's transcript index is its list position; a `TranscriptWriter`
-    writes each move's line instead and keeps only the count.  Local
+    `entries` receives every move in play order through `extend`, and
+    its `len` is the number of moves once `play` ends.  By default it is
+    a list, so a move's transcript index is its list position; a
+    `TranscriptWriter` writes the lines instead and keeps the count.  Local
     (non-move) steps appear only in `steps_by_machine`, which holds the
     step count of the one machine under key 0 (the benchmark tracer sums
-    its values).  `play` adds each step's charge to charges_total as it
-    is priced, so config.budget - budget_remaining == charges_total holds
-    exactly as long as the charges are exactly representable.
+    its values).  `play` sums each step's charge as it is priced into
+    charges_total, so config.budget - budget_remaining == charges_total
+    holds exactly as long as the charges are exactly representable.
     """
 
     def __init__(self, entries=None):
@@ -360,17 +362,20 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
     takes effect: a step dearer than the remaining budget charges the
     remainder and ends the game `LostBudgetDepleted`, and one that exactly
     exhausts it is paid in full.  Then it acts: the move and its one
-    reply, from the engine or the environment, are appended to the
-    transcript's `entries`, and the reply becomes `ctx.reply`.  `HALT` or the last challenge trial ends
-    the game.  `entries` is a list unless a sink such as a
-    `TranscriptWriter` is given; the engine itself keeps no move but the
-    last reply, so with a writer the game's memory does not grow with its
-    trials.  Determinism: with a fixed (strategy, environment, config)
-    the move sequence and outcome are bit-identical; all randomness flows
-    from config.rng_seed through the environment's seeded generator.
+    reply, from the engine or the environment, are recorded, and the
+    reply becomes `ctx.reply`.  `HALT` or the last challenge trial ends
+    the game.  The moves go to the transcript's `entries` (a list unless
+    a sink such as a `TranscriptWriter` is given) through `extend`,
+    `RECORD_BLOCK` at a time, the most the engine holds, and the rest, with
+    the step count and charges, as `play` returns or raises (on a
+    `ProtocolFault` or any error of the strategy or the environment).
+    Determinism: with a fixed (strategy, environment, config) the move
+    sequence and outcome are bit-identical; all randomness flows from
+    config.rng_seed through the environment's seeded generator.
     """
     transcript = GameTranscript(entries)
-    moves = transcript.entries
+    block: list[Move] = []
+    record = block.append
     if hasattr(environment, "start"):
         environment.start(random.Random(f"{config.rng_seed}:environment"))
 
@@ -379,7 +384,7 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
         raise ValueError("information must be non-negative")
     ctx = MachineContext()
     remaining = config.budget
-    steps_by = transcript.steps_by_machine
+    steps, charges = 0, 0.0
     successes = 0
     trials = 0
     result: Optional[GameResult] = None
@@ -388,46 +393,54 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
     info_request, structural_request = MoveClass.INFO_REQUEST, MoveClass.STRUCTURAL_REQUEST
     challenge, response = MoveClass.CHALLENGE, MoveClass.RESPONSE
 
-    while True:
-        work_len = len(ctx.work_tape)
-        action = strategy.step(ctx)
-        step_cost = price + work_len
-        if step_cost > remaining:  # an overdraft charges what is left and ends the game
-            step_cost = remaining
-            result = GameResult.LOST_BUDGET_DEPLETED
-        remaining -= step_cost
-        steps_by[0] += 1
-        transcript.charges_total += step_cost
-        if result is not None:
-            break
-
-        if not isinstance(action, Move):
-            if isinstance(action, LocalStep):
-                continue
-            raise ProtocolFault(f"strategy returned unknown action {action!r}", transcript)
-        kind = action.kind  # a named tuple's field read costs more than a local's
-        if PLAYER.get(kind) is not attacker:
-            raise ProtocolFault(f"strategy played {kind}, not an attacker move", transcript)
-        moves.append(action)
-        if kind is info_request and action.payload == BUDGET_QUERY:
-            reply = Move(response, repr(remaining).encode())
-        elif kind is structural_request:
-            reply = _HALT_REPLY if action.payload == HALT.payload else _UNSUPPORTED
-        else:
-            reply = environment.respond(action)
-            if not isinstance(reply, Move) or PLAYER.get(reply.kind) is not environment_player:
-                raise ProtocolFault("environment must answer with one Response or Denial", transcript)
-        moves.append(reply)
-        ctx.reply = reply
-
-        if kind is challenge and reply.kind is response:
-            trials += 1
-            if reply.payload[:1] == b"\x01":
-                successes += 1
-            if trials == config.challenge_trials:
+    try:
+        while True:
+            work_len = len(ctx.work_tape)
+            action = strategy.step(ctx)
+            step_cost = price + work_len
+            if step_cost > remaining:  # an overdraft charges what is left and ends the game
+                step_cost = remaining
+                result = GameResult.LOST_BUDGET_DEPLETED
+            remaining -= step_cost
+            steps += 1
+            charges += step_cost
+            if result is not None:
                 break
-        elif reply is _HALT_REPLY:
-            break
+
+            if not isinstance(action, Move):
+                if isinstance(action, LocalStep):
+                    continue
+                raise ProtocolFault(f"strategy returned unknown action {action!r}", transcript)
+            kind = action.kind  # a named tuple's field read costs more than a local's
+            if PLAYER.get(kind) is not attacker:
+                raise ProtocolFault(f"strategy played {kind}, not an attacker move", transcript)
+            record(action)
+            if kind is info_request and action.payload == BUDGET_QUERY:
+                reply = Move(response, repr(remaining).encode())
+            elif kind is structural_request:
+                reply = _HALT_REPLY if action.payload == HALT.payload else _UNSUPPORTED
+            else:
+                reply = environment.respond(action)
+                if not isinstance(reply, Move) or PLAYER.get(reply.kind) is not environment_player:
+                    raise ProtocolFault("environment must answer with one Response or Denial", transcript)
+            record(reply)
+            ctx.reply = reply
+            if len(block) >= RECORD_BLOCK:
+                transcript.entries.extend(block)
+                block.clear()
+
+            if kind is challenge and reply.kind is response:
+                trials += 1
+                if reply.payload[:1] == b"\x01":
+                    successes += 1
+                if trials == config.challenge_trials:
+                    break
+            elif reply is _HALT_REPLY:
+                break
+    finally:
+        transcript.steps_by_machine[0] = steps
+        transcript.charges_total = charges
+        transcript.entries.extend(block)
 
     # one tail evaluation per game: a budget loss still reports its p-value
     p_value, won = _adjudicate(successes, trials, config.win_threshold)
@@ -454,8 +467,8 @@ def transcript_trailer(outcome: GameOutcome) -> str:
 
 
 class TranscriptWriter:
-    """A move sink for `play` that writes each move's transcript line
-    through `write` as the move is recorded and keeps only the count.
+    """A move sink for `play` that writes the transcript lines of each
+    block of moves in one `write` call and keeps only the count.
 
     A line is `<index> <actor> <class> <hex payload>`, the hex covering
     the length-prefixed payload.  The first `TAIL_CACHE_SIZE` move objects
@@ -473,17 +486,21 @@ class TranscriptWriter:
         self._count = 0
         self._tails: dict[int, tuple[Move, str]] = {}  # id(move) -> (move, line tail)
 
-    def append(self, move: Move) -> None:
-        cached = self._tails.get(id(move))
-        if cached is None:
-            payload = move.payload
-            tail = f"{_LINE_HEADS[move.kind]} {len(payload):08x}{payload.hex()}\n"
-            if len(self._tails) < self.TAIL_CACHE_SIZE:
-                self._tails[id(move)] = (move, tail)
-        else:
-            tail = cached[1]
-        self._write(f"{self._count} {tail}")
-        self._count += 1
+    def extend(self, moves) -> None:
+        tails = self._tails
+        lines = []
+        for index, move in enumerate(moves, self._count):
+            cached = tails.get(id(move))
+            if cached is None:
+                payload = move.payload
+                tail = f"{_LINE_HEADS[move.kind]} {len(payload):08x}{payload.hex()}\n"
+                if len(tails) < self.TAIL_CACHE_SIZE:
+                    tails[id(move)] = (move, tail)
+            else:
+                tail = cached[1]
+            lines.append(f"{index} {tail}")
+        self._count += len(lines)
+        self._write("".join(lines))
 
     def __len__(self) -> int:
         return self._count
@@ -493,9 +510,6 @@ def export_transcript(outcome: GameOutcome) -> str:
     """Render a list-backed transcript: the lines a `TranscriptWriter`
     writes for its moves, then the summary trailer."""
     parts: list[str] = []
-    writer = TranscriptWriter(parts.append)
-    for move in outcome.transcript.entries:
-        writer.append(move)
+    TranscriptWriter(parts.append).extend(outcome.transcript.entries)
     parts.append(transcript_trailer(outcome))
     return "".join(parts)
-

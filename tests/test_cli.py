@@ -327,10 +327,17 @@ def game_scenario(seed, bias, trials, budget, plaintext_bytes=32):
 
 @pytest.mark.parametrize("bias", [0.5, 0.6, 1.0])
 @pytest.mark.parametrize("plaintext_bytes", [1, 5, 32, 33])
-@pytest.mark.parametrize("seed, budget", [(1, 1e6), (2, 1000.0)])  # 1000 runs out mid-game
+@pytest.mark.parametrize(
+    "seed, budget, trials",
+    [
+        pytest.param(1, 1e6, 60, id="1-1000000.0"),
+        pytest.param(2, 1000.0, 60, id="2-1000.0"),  # runs out mid-game, within the first block
+        pytest.param(3, 1e6, 150, id="3-1000000.0-150"),  # two full blocks of moves and 88 more
+        pytest.param(4, 5000.0, 150, id="4-5000.0-150"),  # runs out mid-way through the second block
+    ],
+)
 def test_streamed_transcript_equals_in_memory_export(tmp_path, capsys, bias, plaintext_bytes,
-                                                     seed, budget):
-    trials = 60
+                                                     seed, budget, trials):
     outcome = run_otp_challenge(
         KeystreamGen(bias, f"{seed}:keystream"),
         trials,
@@ -518,7 +525,7 @@ def test_only_main_reports_and_only_output_writes():
 
 def test_game_protocol_fault_ends_the_streamed_transcript(tmp_path, capsys, monkeypatch):
     def faulty(keystream, trials, entries, **kwargs):
-        entries.append(Move(MoveClass.CHALLENGE, b"0"))
+        entries.extend([Move(MoveClass.CHALLENGE, b"0")])
         raise ProtocolFault("bad reply")
 
     monkeypatch.setattr(cli, "run_otp_challenge", faulty)

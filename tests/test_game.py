@@ -18,6 +18,7 @@ from workfunc.game import (
     LocalStep,
     Move,
     PLAYER,
+    RECORD_BLOCK,
     MoveClass,
     ProtocolFault,
     TranscriptWriter,
@@ -79,11 +80,9 @@ def test_frame_unframe_roundtrip():
 
 
 def test_transcript_line_names_the_player_of_each_class():
-    lines = []
-    writer = TranscriptWriter(lines.append)
-    for kind in MoveClass:
-        writer.append(Move(kind, b"\x01"))
-    assert [line.split(" ")[1:3] for line in lines] == [
+    writes = []
+    TranscriptWriter(writes.append).extend([Move(kind, b"\x01") for kind in MoveClass])
+    assert [line.split(" ")[1:3] for line in _written_lines(writes)] == [
         ["Attacker", "InfoRequest"],
         ["Attacker", "StructuralRequest"],
         ["Attacker", "EncryptionRequest"],
@@ -425,24 +424,81 @@ def test_protocol_fault_streams_the_list_backed_lines():
     def probe():
         return Script([Move(MoveClass.INFO_REQUEST, BUDGET_QUERY), Move(MoveClass.ENCRYPTION_REQUEST, b"block")])
 
-    with pytest.raises(ProtocolFault) as listed:
-        play(probe(), RawEnv(), config(100.0))
-    lines = []
-    writer = TranscriptWriter(lines.append)
-    with pytest.raises(ProtocolFault) as streamed:
-        play(probe(), RawEnv(), config(100.0), entries=writer)
-    assert streamed.value.transcript.entries is writer
-    assert len(writer) == 3
-    assert lines == [
+    def streamed_and_relisted(queries, budget):
+        """The lines written while a game of `queries` budget queries, then
+        an unanswered request, faults, and those of its list-backed run."""
+        moves = [Move(MoveClass.INFO_REQUEST, BUDGET_QUERY)] * queries
+        probe = lambda: Script([*moves, Move(MoveClass.ENCRYPTION_REQUEST, b"block")])  # noqa: E731
+        with pytest.raises(ProtocolFault) as listed:
+            play(probe(), RawEnv(), config(budget))
+        writes = []
+        writer = TranscriptWriter(writes.append)
+        with pytest.raises(ProtocolFault) as streamed:
+            play(probe(), RawEnv(), config(budget), entries=writer)
+        assert streamed.value.transcript.entries is writer
+        assert len(writer) == len(listed.value.transcript.entries) == 2 * queries + 1
+        relisted = []
+        TranscriptWriter(relisted.append).extend(listed.value.transcript.entries)
+        assert _written_lines(relisted) == _written_lines(writes)
+        return _written_lines(writes)
+
+    assert streamed_and_relisted(1, 100.0) == [
         "0 Attacker InfoRequest 00000007" + b"budget?".hex() + "\n",
         "1 Environment Response 00000004" + b"92.0".hex() + "\n",  # 100 - the default 8 bytes
         "2 Attacker EncryptionRequest 00000005" + b"block".hex() + "\n",
     ]
-    relisted = []
-    rewriter = TranscriptWriter(relisted.append)
-    for move in listed.value.transcript.entries:
-        rewriter.append(move)
-    assert relisted == lines
+    # more than two blocks of moves before the fault, which falls mid-block
+    lines = streamed_and_relisted(RECORD_BLOCK + 3, 1e6)
+    assert lines[-1] == f"{2 * RECORD_BLOCK + 6} Attacker EncryptionRequest 00000005" + b"block".hex() + "\n"
+
+
+class FailingScript(Script):
+    """A script that raises RuntimeError once its actions run out."""
+
+    def step(self, ctx):
+        if not self.actions:
+            raise RuntimeError("strategy failed")
+        return super().step(ctx)
+
+
+@pytest.mark.parametrize("challenges", [3, RECORD_BLOCK // 2, RECORD_BLOCK + 44])
+def test_strategy_error_leaves_every_move_before_it_recorded(challenges):
+    """A strategy error mid-block (or right after a full block) propagates
+    from `play`, and the moves played before it are still handed over: the
+    writer's lines equal the list-backed run's moves up to the error."""
+    actions = [Move(MoveClass.CHALLENGE, b"g")] * challenges
+    listed = []
+    with pytest.raises(RuntimeError, match="strategy failed"):
+        play(FailingScript(actions), SuccessEnv(), config(1e6), entries=listed)
+    writes = []
+    writer = TranscriptWriter(writes.append)
+    with pytest.raises(RuntimeError, match="strategy failed"):
+        play(FailingScript(actions), SuccessEnv(), config(1e6), entries=writer)
+    assert len(listed) == len(writer) == 2 * challenges
+    assert _written_lines(writes) == [_reference_line(i, move) for i, move in enumerate(listed)]
+
+
+def test_play_hands_the_sink_bounded_blocks():
+    """The engine holds at most one block: every `extend` call of a
+    3,000-trial game carries at most RECORD_BLOCK moves (all but the last
+    exactly that many), and the calls add up to the game's moves."""
+
+    class SizeSink:
+        def __init__(self):
+            self.sizes = []
+
+        def extend(self, moves):
+            self.sizes.append(len(moves))
+
+        def __len__(self):
+            return sum(self.sizes)
+
+    sink = SizeSink()
+    outcome = run_otp_challenge(KeystreamGen(0.5, "5:keystream"), 3000, rng_seed=5, plaintext_bytes=2, entries=sink)
+    assert outcome.trials == 3000
+    assert max(sink.sizes) <= RECORD_BLOCK
+    assert sink.sizes[:-1] == [RECORD_BLOCK] * (len(sink.sizes) - 1)
+    assert sum(sink.sizes) == len(outcome.transcript.entries) == 4 * 3000
 
 
 def test_strategy_side_faults():
@@ -545,41 +601,48 @@ def _reference_line(index, move):
     return f"{index} {head} {len(move.payload):08x}{move.payload.hex()}\n"
 
 
+def _written_lines(writes):
+    """The transcript lines in the text a writer's `write` calls received."""
+    return "".join(writes).splitlines(keepends=True)
+
+
 def test_streamed_lines_equal_per_move_reference_on_a_long_game():
     """A 3,000-trial game streamed through a writer, whose cache serves
     the repeated request, challenge and verdict moves, writes the lines
     of the same game's moves formatted one by one."""
     keystream = lambda: KeystreamGen(0.6, "7:keystream")  # noqa: E731
     listed = run_otp_challenge(keystream(), 3000, rng_seed=7, plaintext_bytes=3)
-    lines = []
+    writes = []
     streamed = run_otp_challenge(
-        keystream(), 3000, rng_seed=7, plaintext_bytes=3, entries=TranscriptWriter(lines.append)
+        keystream(), 3000, rng_seed=7, plaintext_bytes=3, entries=TranscriptWriter(writes.append)
     )
     assert len(streamed.transcript.entries) == len(listed.transcript.entries) == 12_000
+    lines = _written_lines(writes)
     assert lines == [_reference_line(i, move) for i, move in enumerate(listed.transcript.entries)]
 
 
 def test_writer_cache_never_serves_a_reused_id_a_stale_line():
-    """Distinct short-lived moves, each dropped once written, reuse the ids
-    of earlier ones; every line is still its own move's."""
-    lines, ids = [], set()
-    writer = TranscriptWriter(lines.append)
+    """Distinct short-lived moves, each written in a block of its own and
+    dropped, reuse the ids of earlier ones; every line is still its own
+    move's."""
+    writes, ids = [], set()
+    writer = TranscriptWriter(writes.append)
     expected = []
     for i in range(5000):
         move = Move(MoveClass.RESPONSE if i % 2 else MoveClass.CHALLENGE, i.to_bytes(4, "big"))
         ids.add(id(move))
-        writer.append(move)
+        writer.extend([move])
         expected.append(_reference_line(i, move))
         del move
     assert len(ids) < 5000  # ids were reused
-    assert lines == expected
+    assert _written_lines(writes) == expected
 
 
 def test_writer_cache_stays_bounded():
     writer = TranscriptWriter(lambda line: None)
     kept = [Move(MoveClass.RESPONSE, i.to_bytes(4, "big")) for i in range(1000)]
-    for move in kept * 3:
-        writer.append(move)
+    for start in range(0, 3000, RECORD_BLOCK):
+        writer.extend((kept * 3)[start : start + RECORD_BLOCK])
     assert len(writer) == 3000
     assert len(writer._tails) <= TranscriptWriter.TAIL_CACHE_SIZE
 
