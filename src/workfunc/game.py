@@ -492,8 +492,7 @@ class TranscriptWriter:
         for index, move in enumerate(moves, self._count):
             cached = tails.get(id(move))
             if cached is None:
-                payload = move.payload
-                tail = f"{_LINE_HEADS[move.kind]} {len(payload):08x}{payload.hex()}\n"
+                tail = f"{_LINE_HEADS[move.kind]} {frame(move.payload).hex()}\n"
                 if len(tails) < self.TAIL_CACHE_SIZE:
                     tails[id(move)] = (move, tail)
             else:

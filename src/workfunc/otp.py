@@ -31,8 +31,8 @@ class OtpEnvironment:
 
     A request equal to the last well-formed one reuses its parse: the
     ciphertext length, its frame prefix and both zero-padded plaintexts
-    as ints.  `respond` answers a request itself, without a further
-    method call."""
+    as ints.  `respond` answers a request or a challenge itself, without
+    a further method call."""
 
     def __init__(self, keystream: KeystreamGen):
         self.keystream = keystream
@@ -55,9 +55,17 @@ class OtpEnvironment:
             pick = self._last_pick = self._rng.getrandbits(1)
             pad = self.keystream.next_bits(8 * length)
             return Move(_RESPONSE, prefix + (padded[pick] ^ pad).to_bytes(length, "big"))
-        if kind is _CHALLENGE:
-            return self._judge(move)
-        return Move(MoveClass.DENIAL, b"unsupported request")
+        if kind is not _CHALLENGE:
+            return Move(MoveClass.DENIAL, b"unsupported request")
+        if self._last_pick is None:
+            return Move(MoveClass.DENIAL, b"nothing to challenge")
+        try:
+            guess = int(move.payload.decode("ascii"))
+        except (UnicodeDecodeError, ValueError):
+            return Move(MoveClass.DENIAL, b"malformed guess")
+        verdict = _VERDICTS[guess == self._last_pick]
+        self._last_pick = None
+        return verdict
 
     def _parse(self, payload: bytes) -> Optional[Move]:
         """Keep a well-formed request and its parse; a denial otherwise."""
@@ -73,17 +81,6 @@ class OtpEnvironment:
         padded = tuple(int.from_bytes(p.ljust(length, b"\x00"), "big") for p in plaintexts)
         self._request, self._parsed = payload, (length, length.to_bytes(4, "big"), padded)
         return None
-
-    def _judge(self, move: Move) -> Move:
-        if self._last_pick is None:
-            return Move(MoveClass.DENIAL, b"nothing to challenge")
-        try:
-            guess = int(move.payload.decode("ascii"))
-        except (UnicodeDecodeError, ValueError):
-            return Move(MoveClass.DENIAL, b"malformed guess")
-        verdict = _VERDICTS[guess == self._last_pick]
-        self._last_pick = None
-        return verdict
 
 
 class OtpDistinguisher:
@@ -108,6 +105,7 @@ class OtpDistinguisher:
         self._candidates = tuple(int.from_bytes(p, "big") for p in self.plaintexts)
         self._nbits = 8 * plaintext_bytes
         self._ciphertext_prefix = plaintext_bytes.to_bytes(4, "big")
+        self._framed_len = 4 + plaintext_bytes
         self.information = len(f"monobit-distinguisher:{plaintext_bytes}") if information is None else information
         self._sent = 0
         self._awaiting_ciphertext = False
@@ -119,7 +117,7 @@ class OtpDistinguisher:
                 raise RuntimeError("ciphertext response missing")
             self._awaiting_ciphertext = False
             framed = reply.payload
-            if framed[:4] != self._ciphertext_prefix or len(framed) != 4 + self._nbits // 8:
+            if framed[:4] != self._ciphertext_prefix or len(framed) != self._framed_len:
                 raise RuntimeError("ciphertext response malformed")
             return self._challenges[self._guess(framed[4:])]
 
