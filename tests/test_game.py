@@ -421,14 +421,15 @@ def test_protocol_fault_streams_the_list_backed_lines():
         def respond(self, move):
             return b"raw bytes"
 
-    def probe():
-        return Script([Move(MoveClass.INFO_REQUEST, BUDGET_QUERY), Move(MoveClass.ENCRYPTION_REQUEST, b"block")])
-
     def streamed_and_relisted(queries, budget):
         """The lines written while a game of `queries` budget queries, then
-        an unanswered request, faults, and those of its list-backed run."""
-        moves = [Move(MoveClass.INFO_REQUEST, BUDGET_QUERY)] * queries
-        probe = lambda: Script([*moves, Move(MoveClass.ENCRYPTION_REQUEST, b"block")])  # noqa: E731
+        an unanswered request, faults, after checking them against the
+        lines of the same game played into a list."""
+
+        def probe():
+            return Script([Move(MoveClass.INFO_REQUEST, BUDGET_QUERY)] * queries
+                          + [Move(MoveClass.ENCRYPTION_REQUEST, b"block")])
+
         with pytest.raises(ProtocolFault) as listed:
             play(probe(), RawEnv(), config(budget))
         writes = []
@@ -640,9 +641,9 @@ def test_writer_cache_never_serves_a_reused_id_a_stale_line():
 
 def test_writer_cache_stays_bounded():
     writer = TranscriptWriter(lambda line: None)
-    kept = [Move(MoveClass.RESPONSE, i.to_bytes(4, "big")) for i in range(1000)]
+    kept = [Move(MoveClass.RESPONSE, i.to_bytes(4, "big")) for i in range(1000)] * 3
     for start in range(0, 3000, RECORD_BLOCK):
-        writer.extend((kept * 3)[start : start + RECORD_BLOCK])
+        writer.extend(kept[start : start + RECORD_BLOCK])
     assert len(writer) == 3000
     assert len(writer._tails) <= TranscriptWriter.TAIL_CACHE_SIZE
 
