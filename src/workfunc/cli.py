@@ -28,8 +28,10 @@ from typing import Optional, Sequence
 # numpy.random), and without this OpenBLAS starts a worker thread as numpy loads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .devices import CatalogError, default_catalog, find_device, load_catalog, resource_rate
+from .devices import REFERENCE_GPU, CatalogError, default_catalog, find_device, load_catalog, resource_rate
 from .estimators import (
+    DAYS_PER_YEAR,
+    SECONDS_PER_DAY,
     TRIPLE_BYTES_PER_KEY_BIT,
     BruteForceModel,
     DictionaryModel,
@@ -179,7 +181,7 @@ def _estimate_brute_force(scenario: Scenario) -> Report:
         )
         if "target_years" in params:
             target = params["target_years"]
-            speedup = est.expected_seconds / (target * 365.0 * 86400.0)
+            speedup = est.expected_seconds / (target * DAYS_PER_YEAR * SECONDS_PER_DAY)
             rows.append(("required_speedup", speedup, f"to reach {target:g} years"))
             if speedup >= 1.0:
                 years = progress_years(speedup, **_given(scenario, "annual_factor"))
@@ -214,8 +216,7 @@ def _estimate_tf1(scenario: Scenario) -> Report:
     word_bits = scenario.params["word_bits"]
     rate = scenario_fleet(scenario, catalog)
     if rate is None:
-        # price on one reference GPU unless the scenario says otherwise
-        rate = resource_rate(find_device("ati-radeon-5870", catalog))
+        rate = resource_rate(find_device(REFERENCE_GPU, catalog))
     model = Tf1Model(word_bits, **_given(scenario, "bytes_per_strength_bit", "scan_words_per_second"))
     est = tf1_estimate(model, rate)
     rows = [

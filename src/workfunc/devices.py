@@ -223,6 +223,7 @@ virtex-5-xc5vfx70t-2-249mhz,1.1e9,249e6,11200,8
 virtex-5-xc5vlx30-3,1.1e9,251e6,4800,8
 virtex-5-xc5vfx70t-2-277mhz,1.1e9,277e6,11200,8
 """
+REFERENCE_GPU = "ati-radeon-5870"  # the catalog GPU that Table 3's clusters and the break suite price on
 
 
 def default_catalog() -> list[DeviceSpec]:

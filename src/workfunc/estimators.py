@@ -21,7 +21,8 @@ HARDWARE_PROGRESS_PER_YEAR = 1.82
 SECONDS_PER_HOUR = 3600.0
 SECONDS_PER_DAY = 86400.0
 SECONDS_PER_MONTH = 30.5 * SECONDS_PER_DAY
-SECONDS_PER_YEAR = 365.0 * SECONDS_PER_DAY
+DAYS_PER_YEAR = 365.0
+SECONDS_PER_YEAR = DAYS_PER_YEAR * SECONDS_PER_DAY
 
 
 class BruteForceModel:

@@ -439,7 +439,7 @@ def keystream_bias_experiment(
 ) -> ExperimentResult:
     """The ones fraction of one `KeystreamGen(bias, seed).next_bits(nbits)`
     call, counted in numpy by `next_bits`' rule: the top byte of w0
-    decides a draw, unless the threshold falls in that byte and
+    decides a draw, but at the stream's `threshold_byte`, where
     `draw_is_one` reads the whole draw.  `run_validation` keeps seed 20
     whatever its seed: the 0.002 tolerance is 1.83 standard errors of the
     quick line's 200,000-bit mean at bias 0.6, which an arbitrary seed
@@ -448,13 +448,12 @@ def keystream_bias_experiment(
     # time: the line holds O(SCAN_CHUNK) words, not 2 * nbits
     stream = KeystreamGen(bias, seed)
     twister = _twister(stream)
-    edge = stream._threshold >> 45  # the top byte the threshold falls in
     ones = 0
     for start in range(0, nbits, SCAN_CHUNK):
         words = twister.random_raw(2 * min(SCAN_CHUNK, nbits - start))
         top = words[0::2].astype(np.uint32) >> 24
-        tie = 2 * np.flatnonzero(top == edge)
-        ones += int(np.count_nonzero(top < edge))
+        tie = 2 * np.flatnonzero(top == stream.threshold_byte)
+        ones += int(np.count_nonzero(top < stream.threshold_byte))
         ones += int(np.count_nonzero(stream.draw_is_one(words[tie], words[tie + 1])))
     return ExperimentResult(
         name=f"keystream ones fraction at bias {bias}",

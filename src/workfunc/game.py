@@ -39,6 +39,8 @@ from enum import Enum
 from typing import NamedTuple, Optional
 
 BUDGET_QUERY = b"budget?"
+BUDGET_LIMIT = 2**53  # budgets lie below it, where a whole-byte charge registers exactly
+DEFAULT_WIN_THRESHOLD = 0.01  # the level a game's challenge trials must reject chance at
 RECORD_BLOCK = 256  # moves per `extend` call of `play`; even, as a step records two
 
 
@@ -81,9 +83,14 @@ class ProtocolFault(RuntimeError):
         self.transcript = transcript
 
 
+def frame_prefix(length: int) -> bytes:
+    """The 4-byte big-endian prefix that `frame` puts before `length` bytes."""
+    return length.to_bytes(4, "big")
+
+
 def frame(data: bytes) -> bytes:
-    """Self-delimit a byte string with a 4-byte big-endian length prefix."""
-    return len(data).to_bytes(4, "big") + data
+    """Self-delimit a byte string with its `frame_prefix`."""
+    return frame_prefix(len(data)) + data
 
 
 def unframe(buffer: bytes) -> list[bytes]:
@@ -122,10 +129,11 @@ class LocalStep:
 class GameConfig:
     __slots__ = ("budget", "rng_seed", "challenge_trials", "win_threshold")
 
-    def __init__(self, budget: float, rng_seed: int = 0, challenge_trials: int = 0, win_threshold: float = 0.01):
+    def __init__(self, budget: float, rng_seed: int = 0, challenge_trials: int = 0,
+                 win_threshold: float = DEFAULT_WIN_THRESHOLD):
         if not budget >= 0:
             raise ValueError("budget must be non-negative")
-        if not budget < 2**53:  # a whole-byte charge must register exactly
+        if not budget < BUDGET_LIMIT:
             raise ValueError("budget must be below 2**53")
         if challenge_trials < 0:
             raise ValueError("challenge_trials must be non-negative")
@@ -471,11 +479,10 @@ class TranscriptWriter:
     block of moves in one `write` call and keeps only the count.
 
     A line is `<index> <actor> <class> <hex payload>`, the hex covering
-    the length-prefixed payload.  The first `TAIL_CACHE_SIZE` move objects
-    written keep their formatted line tails, so a move object played again
+    the length-prefixed payload.  The first `TAIL_CACHE_SIZE` distinct
+    moves written keep their formatted line tails, so a move played again
     (a strategy's constant request, say) is formatted once; a game's
-    constant moves come early.  Entries are never dropped, and each holds
-    its move, so no other move can take that move's id.
+    constant moves come early.
     """
 
     __slots__ = ("_write", "_count", "_tails")
@@ -484,19 +491,17 @@ class TranscriptWriter:
     def __init__(self, write):
         self._write = write
         self._count = 0
-        self._tails: dict[int, tuple[Move, str]] = {}  # id(move) -> (move, line tail)
+        self._tails: dict[Move, str] = {}  # move -> line tail
 
     def extend(self, moves) -> None:
         tails = self._tails
         lines = []
         for index, move in enumerate(moves, self._count):
-            cached = tails.get(id(move))
-            if cached is None:
+            tail = tails.get(move)
+            if tail is None:
                 tail = f"{_LINE_HEADS[move.kind]} {frame(move.payload).hex()}\n"
                 if len(tails) < self.TAIL_CACHE_SIZE:
-                    tails[id(move)] = (move, tail)
-            else:
-                tail = cached[1]
+                    tails[move] = tail
             lines.append(f"{index} {tail}")
         self._count += len(lines)
         self._write("".join(lines))

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .game import HALT, GameConfig, GameOutcome, Move, MoveClass, frame, play, unframe
+from .game import DEFAULT_WIN_THRESHOLD, HALT, GameConfig, GameOutcome, Move, MoveClass
+from .game import frame, frame_prefix, play, unframe
 from .toycrypto import KeystreamGen
 
 DEFAULT_PLAINTEXT_BYTES = 32
@@ -60,8 +61,8 @@ class OtpEnvironment:
         if self._last_pick is None:
             return Move(MoveClass.DENIAL, b"nothing to challenge")
         try:
-            guess = int(move.payload.decode("ascii"))
-        except (UnicodeDecodeError, ValueError):
+            guess = int(move.payload)
+        except ValueError:
             return Move(MoveClass.DENIAL, b"malformed guess")
         verdict = _VERDICTS[guess == self._last_pick]
         self._last_pick = None
@@ -79,7 +80,7 @@ class OtpEnvironment:
             return Move(MoveClass.DENIAL, b"empty plaintext")
         length = max(len(plaintexts[0]), len(plaintexts[1]))
         padded = tuple(int.from_bytes(p.ljust(length, b"\x00"), "big") for p in plaintexts)
-        self._request, self._parsed = payload, (length, length.to_bytes(4, "big"), padded)
+        self._request, self._parsed = payload, (length, frame_prefix(length), padded)
         return None
 
 
@@ -104,8 +105,8 @@ class OtpDistinguisher:
         self._challenges = (Move(_CHALLENGE, b"0"), Move(_CHALLENGE, b"1"))
         self._candidates = tuple(int.from_bytes(p, "big") for p in self.plaintexts)
         self._nbits = 8 * plaintext_bytes
-        self._ciphertext_prefix = plaintext_bytes.to_bytes(4, "big")
-        self._framed_len = 4 + plaintext_bytes
+        self._ciphertext_prefix = frame_prefix(plaintext_bytes)
+        self._framed_len = len(self._ciphertext_prefix) + plaintext_bytes
         self.information = len(f"monobit-distinguisher:{plaintext_bytes}") if information is None else information
         self._sent = 0
         self._awaiting_ciphertext = False
@@ -116,10 +117,10 @@ class OtpDistinguisher:
             if reply is None or reply.kind is not _RESPONSE:
                 raise RuntimeError("ciphertext response missing")
             self._awaiting_ciphertext = False
-            framed = reply.payload
-            if framed[:4] != self._ciphertext_prefix or len(framed) != self._framed_len:
+            framed, prefix = reply.payload, self._ciphertext_prefix
+            if len(framed) != self._framed_len or not framed.startswith(prefix):
                 raise RuntimeError("ciphertext response malformed")
-            return self._challenges[self._guess(framed[4:])]
+            return self._challenges[self._guess(framed[len(prefix):])]
 
         if self._sent >= self.trials_wanted:
             return HALT
@@ -145,7 +146,7 @@ def run_otp_challenge(
     rng_seed: int = 0,
     plaintext_bytes: int = DEFAULT_PLAINTEXT_BYTES,
     budget: float = 1e15,
-    win_threshold: float = 0.01,
+    win_threshold: float = DEFAULT_WIN_THRESHOLD,
     per_step_information: Optional[float] = None,
     entries=None,
 ) -> GameOutcome:

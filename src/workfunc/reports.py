@@ -13,7 +13,7 @@ import io
 import math
 
 from . import refdata
-from .devices import Fleet, cost_per_bit, default_catalog, find_device, fleet_rate, resource_rate
+from .devices import REFERENCE_GPU, Fleet, cost_per_bit, default_catalog, find_device, fleet_rate, resource_rate
 from .estimators import (
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
@@ -175,7 +175,7 @@ def build_cost_per_bit_report() -> Report:
 
 def table3_estimate(row: "refdata.Table3Row") -> "Tf1Estimate":
     """The row's search estimate on its stated reference cluster."""
-    gpu = find_device("ati-radeon-5870", default_catalog())
+    gpu = find_device(REFERENCE_GPU, default_catalog())
     return tf1_estimate(Tf1Model(word_bits=row.word_bits), fleet_rate(Fleet(gpu, row.cluster_units)))
 
 
@@ -221,9 +221,9 @@ def build_state_search_report() -> Report:
 def build_break_suite_report() -> Report:
     """Brute-force wall times for the published machine/keysize pairings,
     against their printed figures."""
-    gpu = find_device("ati-radeon-5870", default_catalog())
-    rates = {"one gpu": resource_rate(gpu), "gpu fleet of 65536": fleet_rate(Fleet(gpu, 65536)),
-             "tianhe-1a": refdata.TIANHE_PRINTED_RATE}
+    gpu = find_device(REFERENCE_GPU, default_catalog())
+    rates = {label: refdata.TIANHE_PRINTED_RATE if gpus is None else fleet_rate(Fleet(gpu, gpus))
+             for label, gpus in refdata.BREAK_SUITE_FLEETS.items()}
     rows = []
     for (label, key_bits), printed in refdata.BREAK_SUITE_PRINTED.items():
         est = break_time(brute_force_cost(BruteForceModel(key_bits)), rates[label])

@@ -23,6 +23,7 @@ import re
 from typing import Iterable, Mapping, NamedTuple
 
 from .devices import EXACT_COUNT_LIMIT, DeviceSpec, Fleet, find_device, fleet_rate
+from .game import BUDGET_LIMIT
 from .otp import DEFAULT_PLAINTEXT_BYTES
 
 
@@ -90,10 +91,11 @@ class Key(NamedTuple):
         return value
 
 
-# A game's plaintext bytes over all its trials: the default plaintext at the
-# trial cap. Each one is encrypted and written to the transcript, so this
-# bounds a game's run time and transcript size.
-MAX_GAME_PLAINTEXT_BYTES = 32_000_000
+# A game's trial cap, and its plaintext bytes over all trials: each byte is
+# encrypted and written to the transcript, so the two bound a game's run
+# time and transcript size.
+MAX_GAME_TRIALS = 1_000_000
+MAX_GAME_PLAINTEXT_BYTES = MAX_GAME_TRIALS * DEFAULT_PLAINTEXT_BYTES
 
 _POSITIVE = Key(float, 0, math.inf, "()")
 _FLEET = Key(str)  # `N x device-name` terms, resolved by scenario_fleet
@@ -125,10 +127,9 @@ SCHEMA: dict[str, dict[str, Key]] = {
     "game_otp": {
         "seed": Key(int, -(2**63), 2**63 - 1, required=True),
         "bias": Key(float, 0, 1, required=True),
-        "trials": Key(int, 1, 1_000_000, required=True),
-        # zero is a legal budget: the game then opens already depleted; from
-        # 2**53 up a whole-byte charge no longer registers in the float budget
-        "budget": Key(float, 0, 2**53, "[)", required=True),
+        "trials": Key(int, 1, MAX_GAME_TRIALS, required=True),
+        # zero is a legal budget: the game then opens already depleted
+        "budget": Key(float, 0, BUDGET_LIMIT, "[)", required=True),
         "plaintext_bytes": Key(int, 1, 65536),
         "win_threshold": Key(float, 0, 1, "()"),
         "per_step_information": _POSITIVE,

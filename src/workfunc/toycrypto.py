@@ -118,9 +118,9 @@ class KeystreamGen:
     (scaling by a power of two is exact): `draw_is_one`, the rule that
     `next_bits` and `experiments.keystream_bias_experiment` both use.
     `next_bits` reads it off the top byte of `w0`, the top byte of `k`,
-    for all but one byte value, and calls `draw_is_one` on that one.
-    The generator ends in the state n `random()` calls leave; the test
-    suite pins both against a `random()` oracle.
+    for every byte but `threshold_byte`, the threshold's, where it calls
+    `draw_is_one`.  The generator ends in the state n `random()` calls
+    leave; the test suite pins both against a `random()` oracle.
     """
 
     def __init__(self, bias: float = 0.5, seed: int | str = 0):
@@ -132,6 +132,7 @@ class KeystreamGen:
         # top byte of k -> "1" (k is below the threshold), "0" (it is not)
         # or "?" (the threshold falls inside this byte: k itself decides)
         edge, low = divmod(self._threshold, 1 << 45)
+        self.threshold_byte = edge
         self._top_byte_bits = bytes(
             ord("1") if byte < edge else ord("?") if byte == edge and low else ord("0")
             for byte in range(256)

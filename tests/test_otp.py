@@ -101,8 +101,8 @@ def test_judge_verdicts_and_one_shot_pick():
     reply = env.respond(encryption_request(b"\x00\x00", b"\xaa\xaa"))
     (ciphertext,) = unframe(reply.payload)
     pick = 0 if ciphertext == b"\x00\x00" else 1
-    garbled = env.respond(Move(MoveClass.CHALLENGE, b"\xff"))
-    assert garbled.payload == b"malformed guess"
+    for garbled in (b"\xff", b"\xd9\xa1"):  # the second is U+0661, an Arabic-Indic digit one
+        assert env.respond(Move(MoveClass.CHALLENGE, garbled)).payload == b"malformed guess"
     verdict = env.respond(Move(MoveClass.CHALLENGE, str(pick).encode()))
     assert verdict.payload == b"\x01"
     again = env.respond(Move(MoveClass.CHALLENGE, str(pick).encode()))
