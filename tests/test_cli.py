@@ -71,11 +71,27 @@ RENDERED_REPORTS = {
     ("dictionary", "--csv"): "7eb87c870ff49940f797cc51478bf39ef45ccd700e6a248ad1d0a2e1e489291f",
     ("tf1",): "388153bab6d83c5f150c5adb608212814ef0ee4adc87c91617ee3364a322192c",
     ("tf1", "--csv"): "05dc92dbae8f20f4aef4a1e35b06810617fb603869795e439ebe914ccfb0e879",
+    ("brute_force_triple",): "41a8ded074f65abffce122e6bd9646aec8ee276badcc29ab5206d393f8f12ca6",
+    ("brute_force_triple", "--csv"): "6667ec2a9e7c8b8135824a8cfd1ef29d0a08f36cb33740783287f36c98efec0d",
+    ("brute_force_priced",): "67b79a7e067693924a556cfc5fa22ed4f623f4623c16d4571c61f9746e124b27",
+    ("brute_force_priced", "--csv"): "5e8b603c01471b227303f0570df32e77eb3d9b131d9654bd6e6a2b94ae4a0cdf",
+    ("dictionary_upper",): "e6a594497abfa866ed7a1307f3b04a11be06efb635c653c5db4f912b77430f0e",
+    ("dictionary_upper", "--csv"): "ad3620543facde1623616d4fe6cbfec42ee81a2296b98b37cb2307f3d7960672",
+    ("tf1_fleet",): "f0e6f06418c6a3e605dde0b8eea679e17d69b36c2ab41a25aab55b3c110b0394",
+    ("tf1_fleet", "--csv"): "b09efdb220b9127365660610900e1982cb90c79f262f3fb3fb918aed01c6fad7",
 }
 ESTIMATE_SCENARIOS = {
     "brute_force": "[brute_force]\nkey_bits = 96\nfleet = 65536 x ati-radeon-5870\ntarget_years = 2\n",
     "dictionary": "[dictionary]\nkey_bits = 56\nepsilon = 6\n",
     "tf1": "[tf1]\nword_bits = 32\n",
+    # every price and rate key the estimators take, so the defaulting in `cli` is pinned too
+    "brute_force_triple": "[brute_force]\nkey_bits = 56\ntriple = yes\n",
+    "brute_force_priced": "[brute_force]\nkey_bits = 80\nbytes_per_key_bit = 240\n"
+    "fleet_rate_bytes_per_s = 3.5e18\ntarget_years = 0.5\nannual_factor = 1.5\n",
+    "dictionary_upper": "[dictionary]\nkey_bits = 64\nepsilon = 10\nplaintext_blocks = 2\n"
+    "steps_per_comparison = 4\ncomparison_bound = upper\n",
+    "tf1_fleet": "[tf1]\nword_bits = 40\nfleet = 1024 x ati-radeon-5870 + 16 x virtex-5-xc5vlx30-3\n"
+    "bytes_per_strength_bit = 96\nscan_words_per_second = 2.5e8\n",
 }
 
 
