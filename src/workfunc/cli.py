@@ -31,11 +31,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 from .devices import REFERENCE_GPU, CatalogError, default_catalog, find_device, load_catalog, resource_rate
 from .estimators import (
     DAYS_PER_YEAR,
+    DEFAULT_BYTES_PER_KEY_BIT,
     SECONDS_PER_DAY,
     TRIPLE_BYTES_PER_KEY_BIT,
-    BruteForceModel,
-    DictionaryModel,
-    Tf1Model,
     break_time,
     brute_force_cost,
     dictionary_stats,
@@ -159,22 +157,20 @@ def _computed_report(title: str, rows: list[tuple], scenario: Scenario) -> Repor
 def _estimate_brute_force(scenario: Scenario) -> Report:
     params = scenario.params
     key_bits = params["key_bits"]
-    if params.get("triple"):
-        model = BruteForceModel(key_bits, TRIPLE_BYTES_PER_KEY_BIT)
-    else:
-        model = BruteForceModel(key_bits, **_given(scenario, "bytes_per_key_bit"))
-    cost = brute_force_cost(model)
+    triple = params.get("triple")
+    price = TRIPLE_BYTES_PER_KEY_BIT if triple else params.get("bytes_per_key_bit", DEFAULT_BYTES_PER_KEY_BIT)
+    cost = brute_force_cost(key_bits, price)
     rate = scenario_fleet(scenario, default_catalog())
     rows = [
         ("key_bits", float(key_bits), "key size searched"),
-        ("bytes_per_key_bit", model.bytes_per_key_bit, "per-candidate price"),
+        ("bytes_per_key_bit", price, "per-candidate price"),
         ("total_cost_bytes", cost, "average over the keyspace"),
     ]
     if rate is not None:
         est = break_time(cost, rate)
         rows.extend(
             [
-                ("fleet_rate_bytes_per_s", est.fleet_rate, ""),
+                ("fleet_rate_bytes_per_s", rate, ""),
                 ("expected_seconds", est.expected_seconds, format_duration(est.expected_seconds)),
                 ("worst_case_seconds", est.worst_case_seconds, format_duration(est.worst_case_seconds)),
             ]
@@ -195,7 +191,7 @@ def _estimate_dictionary(scenario: Scenario) -> Report:
     if "comparison_bound" in scenario.params:
         kwargs["upper_bound"] = scenario.params["comparison_bound"] == "upper"
     try:
-        stats = dictionary_stats(DictionaryModel(key_bits, epsilon, **kwargs))
+        stats = dictionary_stats(key_bits, epsilon, **kwargs)
     except OverflowError:  # raised by the 2**(key_bits - epsilon) entry count
         raise ScenarioError(f"entries overflows a float at {_numbers(scenario)}") from None
     rows = [
@@ -217,14 +213,13 @@ def _estimate_tf1(scenario: Scenario) -> Report:
     rate = scenario_fleet(scenario, catalog)
     if rate is None:
         rate = resource_rate(find_device(REFERENCE_GPU, catalog))
-    model = Tf1Model(word_bits, **_given(scenario, "bytes_per_strength_bit", "scan_words_per_second"))
-    est = tf1_estimate(model, rate)
+    est = tf1_estimate(word_bits, rate, **_given(scenario, "bytes_per_strength_bit", "scan_words_per_second"))
     rows = [
         ("word_bits", float(word_bits), ""),
         ("intended_strength_bits", float(est.intended_strength_bits), "2w by design"),
         ("effective_strength_bits", est.effective_strength_bits, "1.5w after reduction"),
         ("state_search_cost_bytes", est.state_search_cost, ""),
-        ("fleet_rate_bytes_per_s", est.fleet_rate, ""),
+        ("fleet_rate_bytes_per_s", rate, ""),
         ("expected_seconds", est.expected_seconds, format_duration(est.expected_seconds)),
         ("expected_scan_words", est.expected_scan_words, "wait for a zero word"),
         ("scan_seconds", est.scan_seconds, format_duration(est.scan_seconds)),

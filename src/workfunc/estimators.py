@@ -5,6 +5,10 @@ one byte.  The exhaustive-search baseline prices one key test at
 bytes_per_key_bit * key_bits (120 bytes per key bit for a DES-scale
 check; one extra encryption layer triples it).  A wall time is a cost
 over a rate in bytes/s, such as `devices.fleet_rate` of a fleet.
+
+Each estimator is a function of plain numbers that checks them itself,
+raising ValueError on the first bad one, and returns only what it works
+out, not its arguments.
 """
 
 from __future__ import annotations
@@ -25,29 +29,19 @@ DAYS_PER_YEAR = 365.0
 SECONDS_PER_YEAR = DAYS_PER_YEAR * SECONDS_PER_DAY
 
 
-class BruteForceModel:
-    __slots__ = ("key_bits", "bytes_per_key_bit")
-
-    def __init__(self, key_bits: int, bytes_per_key_bit: float = DEFAULT_BYTES_PER_KEY_BIT):
-        if key_bits < 1:
-            raise ValueError("key_bits must be at least 1")
-        if bytes_per_key_bit <= 0:
-            raise ValueError("bytes_per_key_bit must be positive")
-        self.key_bits = key_bits
-        self.bytes_per_key_bit = bytes_per_key_bit
-
-
-def brute_force_cost(model: BruteForceModel) -> float:
+def brute_force_cost(key_bits: int, bytes_per_key_bit: float = DEFAULT_BYTES_PER_KEY_BIT) -> float:
     """Average exhaustive-search cost: b * k * 2**(k-1) bytes.
 
     Half the keyspace is searched on average; the worst case doubles it.
     """
-    return model.bytes_per_key_bit * model.key_bits * 2.0 ** (model.key_bits - 1)
+    if key_bits < 1:
+        raise ValueError("key_bits must be at least 1")
+    if bytes_per_key_bit <= 0:
+        raise ValueError("bytes_per_key_bit must be positive")
+    return bytes_per_key_bit * key_bits * 2.0 ** (key_bits - 1)
 
 
 class AttackEstimate(NamedTuple):
-    total_cost: float
-    fleet_rate: float
     expected_seconds: float
     worst_case_seconds: float
 
@@ -59,12 +53,7 @@ def break_time(cost: float, rate: float) -> AttackEstimate:
     if rate <= 0:
         raise ValueError("aggregate rate must be positive")
     expected = cost / rate
-    return AttackEstimate(
-        total_cost=cost,
-        fleet_rate=rate,
-        expected_seconds=expected,
-        worst_case_seconds=2.0 * expected,
-    )
+    return AttackEstimate(expected_seconds=expected, worst_case_seconds=2.0 * expected)
 
 
 def progress_years(speedup: float, annual_factor: float = HARDWARE_PROGRESS_PER_YEAR) -> float:
@@ -74,35 +63,6 @@ def progress_years(speedup: float, annual_factor: float = HARDWARE_PROGRESS_PER_
     if annual_factor <= 1:
         raise ValueError("annual_factor must exceed 1")
     return math.log(speedup) / math.log(annual_factor)
-
-
-class DictionaryModel:
-    """Precomputed-dictionary attack sizing.
-
-    The dictionary holds 2**(key_bits - epsilon) entries; each entry stores
-    plaintext_blocks blocks of ciphertext plus the key, so entry_bits is
-    (plaintext_blocks + 1) * key_bits.  A lookup walks key_bits - epsilon
-    comparisons (binary search depth, the conservative count); the
-    upper_bound flag switches to the 3k(k - epsilon) bit-comparison bound.
-    """
-
-    __slots__ = ("key_bits", "epsilon", "plaintext_blocks", "steps_per_comparison", "upper_bound")
-
-    def __init__(self, key_bits: int, epsilon: int, plaintext_blocks: int = 3,
-                 steps_per_comparison: int = 2, upper_bound: bool = False):
-        if key_bits < 1:
-            raise ValueError("key_bits must be at least 1")
-        if not 0 <= epsilon < key_bits:
-            raise ValueError("epsilon must be in [0, key_bits)")
-        if plaintext_blocks < 1:
-            raise ValueError("plaintext_blocks must be at least 1")
-        if steps_per_comparison < 1:
-            raise ValueError("steps_per_comparison must be at least 1")
-        self.key_bits = key_bits
-        self.epsilon = epsilon
-        self.plaintext_blocks = plaintext_blocks
-        self.steps_per_comparison = steps_per_comparison
-        self.upper_bound = upper_bound
 
 
 class DictionaryStats(NamedTuple):
@@ -116,8 +76,15 @@ class DictionaryStats(NamedTuple):
     construction_cost: float
 
 
-def dictionary_stats(model: DictionaryModel) -> DictionaryStats:
-    """Size and cost figures for the dictionary attack.
+def dictionary_stats(key_bits: int, epsilon: int, plaintext_blocks: int = 3,
+                     steps_per_comparison: int = 2, upper_bound: bool = False) -> DictionaryStats:
+    """Precomputed-dictionary attack sizing.
+
+    The dictionary holds 2**(key_bits - epsilon) entries; each entry stores
+    plaintext_blocks blocks of ciphertext plus the key, so entry_bits is
+    (plaintext_blocks + 1) * key_bits.  A lookup walks key_bits - epsilon
+    comparisons (binary search depth, the conservative count); the
+    upper_bound flag switches to the 3k(k - epsilon) bit-comparison bound.
 
     The lookup is priced under a lease model: every step of the lookup
     keeps the whole dictionary allocated, so one lookup costs
@@ -125,18 +92,24 @@ def dictionary_stats(model: DictionaryModel) -> DictionaryStats:
     exhaustive-search average: a search bound, not a tight dictionary
     build cost.
     """
-    k = model.key_bits
-    entries = 2.0 ** (k - model.epsilon)
-    entry_bits = (model.plaintext_blocks + 1) * k
+    if key_bits < 1:
+        raise ValueError("key_bits must be at least 1")
+    if not 0 <= epsilon < key_bits:
+        raise ValueError("epsilon must be in [0, key_bits)")
+    if plaintext_blocks < 1:
+        raise ValueError("plaintext_blocks must be at least 1")
+    if steps_per_comparison < 1:
+        raise ValueError("steps_per_comparison must be at least 1")
+    k = key_bits
+    entries = 2.0 ** (k - epsilon)
+    entry_bits = (plaintext_blocks + 1) * k
     dictionary_bytes = entry_bits * entries / 8.0
-    if model.upper_bound:
-        comparisons = model.plaintext_blocks * k * (k - model.epsilon)
+    if upper_bound:
+        comparisons = plaintext_blocks * k * (k - epsilon)
     else:
-        comparisons = k - model.epsilon
-    steps = model.steps_per_comparison * comparisons
+        comparisons = k - epsilon
+    steps = steps_per_comparison * comparisons
     lookup_cost = steps * dictionary_bytes
-    per_key_cost = 2.0**model.epsilon * lookup_cost
-    construction = brute_force_cost(BruteForceModel(k))
     return DictionaryStats(
         entries=entries,
         entry_bits=entry_bits,
@@ -144,13 +117,24 @@ def dictionary_stats(model: DictionaryModel) -> DictionaryStats:
         expected_comparisons=comparisons,
         steps_per_lookup=steps,
         lookup_cost=lookup_cost,
-        per_key_cost=per_key_cost,
-        construction_cost=construction,
+        per_key_cost=2.0**epsilon * lookup_cost,
+        construction_cost=brute_force_cost(k),
     )
 
 
-class Tf1Model:
-    """Word-based stream generator with a 4w-bit state.
+class Tf1Estimate(NamedTuple):
+    intended_strength_bits: int
+    effective_strength_bits: float
+    state_search_cost: float
+    expected_seconds: float
+    expected_scan_words: float
+    scan_seconds: float
+
+
+def tf1_estimate(word_bits: int, rate: float, bytes_per_strength_bit: float = DEFAULT_BYTES_PER_KEY_BIT,
+                 scan_words_per_second: float = 1e9) -> Tf1Estimate:
+    """State-search cost and zero-word scan wait for a word-based stream
+    generator with a 4w-bit state, at `rate` bytes/s.
 
     The design intends 2w bits of strength but state recovery needs only
     about 2**(1.5w) candidate states once a zero output word has been
@@ -160,50 +144,20 @@ class Tf1Model:
     stand-in generator's mean wait from random starts measured 1.01,
     0.987, 0.991 and 0.987 times 2**w at w = 8, 10, 12 and 14.
     """
-
-    __slots__ = ("word_bits", "bytes_per_strength_bit", "scan_words_per_second")
-
-    def __init__(self, word_bits: int, bytes_per_strength_bit: float = DEFAULT_BYTES_PER_KEY_BIT,
-                 scan_words_per_second: float = 1e9):
-        if word_bits < 1:
-            raise ValueError("word_bits must be at least 1")
-        if bytes_per_strength_bit <= 0:
-            raise ValueError("bytes_per_strength_bit must be positive")
-        if scan_words_per_second <= 0:
-            raise ValueError("scan rate must be positive")
-        self.word_bits = word_bits
-        self.bytes_per_strength_bit = bytes_per_strength_bit
-        self.scan_words_per_second = scan_words_per_second
-
-
-class Tf1Estimate(NamedTuple):
-    word_bits: int
-    intended_strength_bits: int
-    effective_strength_bits: float
-    state_search_cost: float
-    fleet_rate: float
-    expected_seconds: float
-    worst_case_seconds: float
-    expected_scan_words: float
-    scan_seconds: float
-
-
-def tf1_estimate(model: Tf1Model, rate: float) -> Tf1Estimate:
-    """State-search cost and zero-word scan wait for the generator at
-    `rate` bytes/s."""
-    w = model.word_bits
-    strength = 1.5 * w
-    cost = model.bytes_per_strength_bit * strength * 2.0 ** (strength - 1)
-    timing = break_time(cost, rate)
-    scan_words = 2.0 ** (w - 1)
+    if word_bits < 1:
+        raise ValueError("word_bits must be at least 1")
+    if bytes_per_strength_bit <= 0:
+        raise ValueError("bytes_per_strength_bit must be positive")
+    if scan_words_per_second <= 0:
+        raise ValueError("scan rate must be positive")
+    strength = 1.5 * word_bits
+    cost = bytes_per_strength_bit * strength * 2.0 ** (strength - 1)
+    scan_words = 2.0 ** (word_bits - 1)
     return Tf1Estimate(
-        word_bits=w,
-        intended_strength_bits=2 * w,
+        intended_strength_bits=2 * word_bits,
         effective_strength_bits=strength,
         state_search_cost=cost,
-        fleet_rate=timing.fleet_rate,
-        expected_seconds=timing.expected_seconds,
-        worst_case_seconds=timing.worst_case_seconds,
+        expected_seconds=break_time(cost, rate).expected_seconds,
         expected_scan_words=scan_words,
-        scan_seconds=scan_words / model.scan_words_per_second,
+        scan_seconds=scan_words / scan_words_per_second,
     )

@@ -428,7 +428,7 @@ def state_search_slope_experiment(
 
 def _twister(stream: KeystreamGen) -> np.random.MT19937:
     """numpy's twister, whose draws are the words `stream` would use next."""
-    _, (*key, pos), _ = stream._rng.getstate()
+    key, pos = stream.twister_state()
     twister = np.random.MT19937()
     twister.state = {"bit_generator": "MT19937", "state": {"key": key, "pos": pos}}
     return twister

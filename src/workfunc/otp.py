@@ -152,10 +152,9 @@ def run_otp_challenge(
 ) -> GameOutcome:
     """Play the full distinguishing game from the float `budget`, each step
     charged at `per_step_information` bytes, by default the distinguisher's
-    description length (`game.play`); the outcome carries successes.
+    description length (`game.play`, which refuses a negative or NaN one);
+    the outcome carries successes.
     `entries` is the move sink `play` records into (a list by default)."""
-    if per_step_information is not None and not per_step_information >= 0:
-        raise ValueError("per_step_information must be non-negative")
     config = GameConfig(budget=budget, rng_seed=rng_seed, challenge_trials=trials, win_threshold=win_threshold)
     strategy = OtpDistinguisher(trials, plaintext_bytes, per_step_information)
     return play(strategy, OtpEnvironment(keystream), config, entries)

@@ -19,9 +19,7 @@ from .estimators import (
     SECONDS_PER_HOUR,
     SECONDS_PER_MONTH,
     SECONDS_PER_YEAR,
-    BruteForceModel,
     Tf1Estimate,
-    Tf1Model,
     break_time,
     brute_force_cost,
     tf1_estimate,
@@ -176,7 +174,7 @@ def build_cost_per_bit_report() -> Report:
 def table3_estimate(row: "refdata.Table3Row") -> "Tf1Estimate":
     """The row's search estimate on its stated reference cluster."""
     gpu = find_device(REFERENCE_GPU, default_catalog())
-    return tf1_estimate(Tf1Model(word_bits=row.word_bits), fleet_rate(Fleet(gpu, row.cluster_units)))
+    return tf1_estimate(row.word_bits, fleet_rate(Fleet(gpu, row.cluster_units)))
 
 
 def build_state_search_report() -> Report:
@@ -226,8 +224,9 @@ def build_break_suite_report() -> Report:
              for label, gpus in refdata.BREAK_SUITE_FLEETS.items()}
     rows = []
     for (label, key_bits), printed in refdata.BREAK_SUITE_PRINTED.items():
-        est = break_time(brute_force_cost(BruteForceModel(key_bits)), rates[label])
-        rows.append((label, key_bits, est.total_cost, est.expected_seconds,
+        cost = brute_force_cost(key_bits)
+        est = break_time(cost, rates[label])
+        rows.append((label, key_bits, cost, est.expected_seconds,
                      format_duration(est.expected_seconds), format_duration(printed), printed,
                      relative_deviation(est.expected_seconds, printed)))
     return Report(

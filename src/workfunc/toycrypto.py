@@ -142,6 +142,11 @@ class KeystreamGen:
         """Whether words w0, w1 draw a 1: on ints, or on uint64 arrays."""
         return ((w0 >> 5) << 26 | (w1 >> 6)) < self._threshold
 
+    def twister_state(self) -> tuple[list[int], int]:
+        """The key (624 words) and position of the stream's Mersenne Twister."""
+        _, (*key, pos), _ = self._rng.getstate()
+        return key, pos
+
     def next_bits(self, n: int) -> int:
         """n bits packed big-endian into an int."""
         if n <= 0:

@@ -20,9 +20,6 @@ from workfunc.estimators import (
     SECONDS_PER_DAY,
     SECONDS_PER_HOUR,
     SECONDS_PER_YEAR,
-    BruteForceModel,
-    DictionaryModel,
-    Tf1Model,
     break_time,
     brute_force_cost,
     dictionary_stats,
@@ -69,26 +66,26 @@ def test_criterion_1_device_rates_within_half_percent():
 
 def test_criterion_2_break_time_suite():
     with runtime_bound(1.0):
-        s56 = break_time(brute_force_cost(BruteForceModel(56)), one_gpu()).expected_seconds
+        s56 = break_time(brute_force_cost(56), one_gpu()).expected_seconds
         assert abs(s56 - 133.0) / 133.0 <= 0.01
 
-        h64 = break_time(brute_force_cost(BruteForceModel(64)), one_gpu()).expected_seconds / SECONDS_PER_HOUR
+        h64 = break_time(brute_force_cost(64), one_gpu()).expected_seconds / SECONDS_PER_HOUR
         assert abs(h64 - 11.0) / 11.0 <= 0.05
 
         d84 = (
-            break_time(brute_force_cost(BruteForceModel(84)), gpu_fleet(65536)).expected_seconds
+            break_time(brute_force_cost(84), gpu_fleet(65536)).expected_seconds
             / SECONDS_PER_DAY
         )
         assert abs(d84 - 10.1) / 10.1 <= 0.10
 
         y96 = (
-            break_time(brute_force_cost(BruteForceModel(96)), gpu_fleet(65536)).expected_seconds
+            break_time(brute_force_cost(96), gpu_fleet(65536)).expected_seconds
             / SECONDS_PER_YEAR
         )
         assert abs(y96 - 120.8) / 120.8 <= 0.02
 
         tianhe = (
-            break_time(brute_force_cost(BruteForceModel(84)), refdata.TIANHE_PRINTED_RATE).expected_seconds
+            break_time(brute_force_cost(84), refdata.TIANHE_PRINTED_RATE).expected_seconds
             / SECONDS_PER_DAY
         )
         assert abs(tianhe - 87.0) / 87.0 <= 0.02
@@ -109,7 +106,7 @@ def test_criterion_3_encryption_prices_within_1_5_percent():
 
 def test_criterion_4_dictionary_suite():
     with runtime_bound(1.0):
-        stats = dictionary_stats(DictionaryModel(56, 6))
+        stats = dictionary_stats(56, 6)
         printed = refdata.DICTIONARY_PRINTED
         assert relative_deviation(stats.dictionary_bytes, printed["dictionary_bytes"]) <= 0.02
         assert stats.expected_comparisons == printed["expected_comparisons"]
@@ -126,7 +123,7 @@ def test_criterion_5_state_search_table_and_scan_waits():
                 relative_deviation(estimate.expected_seconds, row.expected_seconds) <= 0.01
             ), f"w={row.word_bits}"
         for word_bits, wait_seconds, label in refdata.SCAN_WAITS:
-            scan = tf1_estimate(Tf1Model(word_bits), one_gpu()).scan_seconds
+            scan = tf1_estimate(word_bits, one_gpu()).scan_seconds
             dev = relative_deviation(scan, wait_seconds)
             assert dev <= refdata.SCAN_WAIT_TOLERANCE, f"{label}: {dev:.4%}"
 

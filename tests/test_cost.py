@@ -66,7 +66,7 @@ def test_step_price_must_be_a_non_negative_number():
     for price in (-0.5, math.nan):
         with pytest.raises(ValueError, match="information must be non-negative"):
             play_steps(1.0, price)
-        with pytest.raises(ValueError, match="per_step_information"):
+        with pytest.raises(ValueError, match="information must be non-negative"):
             run_otp_challenge(KeystreamGen(0.5, seed=0), trials=1, budget=1.0, per_step_information=price)
 
 

@@ -1,6 +1,7 @@
-"""The record classes: the models refuse bad fields when built, the
-results are immutable, and importing the CLI builds them without
-`dataclasses` (whose import also loads `inspect`)."""
+"""The record classes and the estimators: the records and the estimators
+refuse bad numbers with their own messages, the results are immutable, and
+importing the CLI builds them without `dataclasses` (whose import also
+loads `inspect`)."""
 
 import math
 import os
@@ -12,7 +13,7 @@ import pytest
 
 import workfunc
 from workfunc.devices import DeviceSpec, Fleet, ThroughputRecord
-from workfunc.estimators import BruteForceModel, DictionaryModel, Tf1Model
+from workfunc.estimators import brute_force_cost, dictionary_stats, tf1_estimate
 from workfunc.experiments import ExperimentResult
 from workfunc.game import GameConfig, GameOutcome, GameResult, GameTranscript, Move, MoveClass
 from workfunc.otp import run_otp_challenge
@@ -42,19 +43,20 @@ RECORD_CHECKS = [
             "core_fraction must be in (0, 1]", "throughput-core-zero"),
     refuses(lambda: ThroughputRecord("gpu", "aes", "encrypt", 1e9, core_fraction=1.5),
             "core_fraction must be in (0, 1]", "throughput-core-above-one"),
-    refuses(lambda: BruteForceModel(0), "key_bits must be at least 1", "brute-key-bits"),
-    refuses(lambda: BruteForceModel(8, 0), "bytes_per_key_bit must be positive", "brute-bytes-per-bit"),
-    refuses(lambda: DictionaryModel(0, 0), "key_bits must be at least 1", "dictionary-key-bits"),
-    refuses(lambda: DictionaryModel(8, -1), "epsilon must be in [0, key_bits)", "dictionary-epsilon-negative"),
-    refuses(lambda: DictionaryModel(8, 8), "epsilon must be in [0, key_bits)", "dictionary-epsilon-key-bits"),
-    refuses(lambda: DictionaryModel(8, 1, plaintext_blocks=0), "plaintext_blocks must be at least 1",
+    refuses(lambda: brute_force_cost(0), "key_bits must be at least 1", "brute-key-bits"),
+    refuses(lambda: brute_force_cost(8, 0), "bytes_per_key_bit must be positive", "brute-bytes-per-bit"),
+    refuses(lambda: dictionary_stats(0, 0), "key_bits must be at least 1", "dictionary-key-bits"),
+    refuses(lambda: dictionary_stats(8, -1), "epsilon must be in [0, key_bits)", "dictionary-epsilon-negative"),
+    refuses(lambda: dictionary_stats(8, 8), "epsilon must be in [0, key_bits)", "dictionary-epsilon-key-bits"),
+    refuses(lambda: dictionary_stats(8, 1, plaintext_blocks=0), "plaintext_blocks must be at least 1",
             "dictionary-blocks"),
-    refuses(lambda: DictionaryModel(8, 1, steps_per_comparison=0),
+    refuses(lambda: dictionary_stats(8, 1, steps_per_comparison=0),
             "steps_per_comparison must be at least 1", "dictionary-steps"),
-    refuses(lambda: Tf1Model(0), "word_bits must be at least 1", "tf1-word-bits"),
-    refuses(lambda: Tf1Model(8, bytes_per_strength_bit=0), "bytes_per_strength_bit must be positive",
+    refuses(lambda: tf1_estimate(0, 1e12), "word_bits must be at least 1", "tf1-word-bits"),
+    refuses(lambda: tf1_estimate(8, 1e12, bytes_per_strength_bit=0), "bytes_per_strength_bit must be positive",
             "tf1-bytes-per-bit"),
-    refuses(lambda: Tf1Model(8, scan_words_per_second=0), "scan rate must be positive", "tf1-scan-rate"),
+    refuses(lambda: tf1_estimate(8, 1e12, scan_words_per_second=0), "scan rate must be positive",
+            "tf1-scan-rate"),
     refuses(lambda: GameConfig(-1.0), "budget must be non-negative", "config-budget-negative"),
     refuses(lambda: GameConfig(math.nan), "budget must be non-negative", "config-budget-nan"),
     refuses(lambda: GameConfig(math.inf), "budget must be below 2**53", "config-budget-inf"),
@@ -66,9 +68,9 @@ RECORD_CHECKS = [
     refuses(lambda: GameConfig(1.0, win_threshold=1), "win_threshold must be in (0, 1)",
             "config-threshold-one"),
     refuses(lambda: run_otp_challenge(KeystreamGen(0.5, seed=0), 1, per_step_information=-1.0),
-            "per_step_information must be non-negative", "config-step-price-negative"),
+            "information must be non-negative", "config-step-price-negative"),
     refuses(lambda: run_otp_challenge(KeystreamGen(0.5, seed=0), 1, per_step_information=math.nan),
-            "per_step_information must be non-negative", "config-step-price-nan"),
+            "information must be non-negative", "config-step-price-nan"),
     refuses(lambda: Report("t", ("a", "b"), (("x",),), ("tag", "here")), "row width must match columns",
             "report-row-width"),
     frozen(Move(MoveClass.CHALLENGE, b"0"), "payload", "move-frozen"),
@@ -79,7 +81,7 @@ RECORD_CHECKS = [
 
 @pytest.mark.parametrize("build, error, message", RECORD_CHECKS)
 def test_record_refuses(build, error, message):
-    """Each check of a validated record raises its ValueError and message;
+    """Each check of a validated record or an estimator raises its ValueError and message;
     assigning a field of a result record raises AttributeError."""
     with pytest.raises(error) as caught:
         build()

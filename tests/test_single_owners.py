@@ -13,6 +13,9 @@
 - The reference GPU is named in `devices` (`REFERENCE_GPU`), the time units
   are `estimators`' (`SECONDS_PER_*`, `DAYS_PER_YEAR`), and the keystream's
   threshold is read in `toycrypto` alone (`KeystreamGen.threshold_byte`).
+- What a class or module keeps private (an `_` name) is read on `self`
+  alone: `experiments` asks `KeystreamGen.twister_state` for the twister,
+  not the stream's `_rng`.
 """
 
 import ast
@@ -194,3 +197,17 @@ def test_only_toycrypto_reads_the_keystream_threshold():
         if isinstance(node, ast.Attribute) and node.attr == "_threshold"
     }
     assert readers == {"toycrypto"}
+
+
+def test_a_private_attribute_is_read_through_self_alone():
+    """A module reads an `_` attribute only on `self`: what another class or
+    module keeps private it asks for through a public name."""
+    reads = [
+        f"{module}.py:{node.lineno}: {ast.unparse(node)}"
+        for module, tree in _modules().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        and node.attr.startswith("_") and not node.attr.startswith("__")
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert reads == []
