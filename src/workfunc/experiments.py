@@ -23,8 +23,10 @@ candidate space: the count has exactly the search's distribution, at a
 cost per trial that does not grow with the space.  The key sweep draws
 every trial's secret and rank in one call, counts the keys that share
 each secret's known pairs in one pass over the keyspace, SCAN_CHUNK keys
-at a time (`cipher_table`, the first block only), and redraws a tied
-secret's rank after it (`brute_force_keys_tested`).
+at a time (`cipher_table`, the first block only), checks the first
+block's survivors against the second in batches of at least SCAN_CHUNK
+of them, and redraws a tied secret's rank after it
+(`brute_force_keys_tested`).
 
 The state sweep scans no candidate space either.  The generator's
 first output word is (a' + c') mod 2**w, and the hint fixes a', so for
@@ -64,7 +66,8 @@ from .toycrypto import (
 # flat op count of checking one candidate state against the window
 CHECKER_OPS = 16
 # candidates a search checks, keys the key sweep encrypts and keystream
-# bits the bias line draws, per array pass
+# bits the bias line draws, per array pass; the key sweep checks its
+# first-block survivors once at least this many are pending
 SCAN_CHUNK = 1 << 13
 # widest candidate space `scan_order` permutes, and its Feistel rounds
 MAX_SCAN_BITS = 32
@@ -162,9 +165,13 @@ def brute_force_keys_tested(key_bits: int, trials: int, seed: int) -> list[int]:
     secret and its rank, the first of one target.  One pass over the
     keyspace (`cipher_table`) encrypts the first trial block; the keys
     whose ciphertext starts with some secret's top 16 bits (a 2**16-entry
-    table) encrypt the second, and their sorted packed pairs count, by
+    table) are kept with their first ciphertexts until at least
+    SCAN_CHUNK are pending, and after the last chunk.  Each such batch
+    encrypts the second block, and its sorted packed pairs count, by
     binary search from the secrets' distinct pairs, sorted once, the m
-    keys consistent with each secret: it holds one chunk, not the keyspace.
+    keys consistent with each secret.  A batch holds fewer than
+    2 * SCAN_CHUNK keys, so the sweep holds O(SCAN_CHUNK), not the
+    keyspace.
     A secret with m > 1 is tied: its trial's rank, the first of m, is
     redrawn by `_first_rank`, tied trial by tied trial, after the pass.
     """
@@ -178,13 +185,17 @@ def brute_force_keys_tested(key_bits: int, trials: int, seed: int) -> list[int]:
     prefixes = np.zeros(1 << 16, dtype=bool)
     prefixes[targets >> np.uint64(48)] = True
     m = np.zeros(targets.size, dtype=np.int64)
-    start = 0
+    keys, firsts, held, start = [], [], 0, 0
     for (first,) in cipher_table(key_bits, TRIAL_PLAINTEXTS[:1]):
         near = np.flatnonzero(prefixes[first >> 16])
-        keys = (near + start).astype(np.uint32)
-        chunk = np.sort(_packed_pairs(first[near], *_encrypt(cipher, keys, TRIAL_PLAINTEXTS[1:])))
-        m += chunk.searchsorted(targets, "right") - chunk.searchsorted(targets, "left")
-        start += first.size
+        keys.append((near + start).astype(np.uint32))
+        firsts.append(first[near])
+        held, start = held + near.size, start + first.size
+        if held >= SCAN_CHUNK or start == size:
+            second = _encrypt(cipher, np.concatenate(keys), TRIAL_PLAINTEXTS[1:])
+            batch = np.sort(_packed_pairs(np.concatenate(firsts), *second))
+            m += batch.searchsorted(targets, "right") - batch.searchsorted(targets, "left")
+            keys, firsts, held = [], [], 0
     m = m[target_of_trial]
     counts = draws[:, 1] + 1
     for trial in np.flatnonzero(m > 1):

@@ -300,6 +300,11 @@ def _tie_keys(monkeypatch, grouping):
     return 3 if grouping == "every key tied" else 4
 
 
+# The second block is checked in batches of first-block survivors: with
+# no fake, chunks of 97 make batches that span several chunks and are
+# checked mid-sweep, and chunks of 4096 and 2**16 leave one remainder
+# after the last chunk; with either fake every key survives, so one
+# chunk alone fills a batch.
 @pytest.mark.parametrize("grouping", [None, "every key tied", "a few keys tied"])
 @pytest.mark.parametrize("chunk", [1, 97, 4096, 1 << 16])
 def test_streamed_key_sweep_counts_the_whole_table_multiplicities(monkeypatch, chunk, grouping):
@@ -404,7 +409,25 @@ def test_key_sweep_holds_one_chunk_not_the_keyspace():
     assert _traced_peak(lambda: brute_force_keys_tested(20, 1000, 31)) < 2 * 2**20
 
 
-@pytest.mark.slow
+def test_key_sweep_checks_the_second_block_once_per_batch(monkeypatch):
+    second = []
+
+    def recorded(cipher, keys, blocks):
+        if list(blocks) == [TRIAL_PLAINTEXTS[1]]:
+            second.append(keys.size)
+        return encrypt(cipher, keys, blocks)
+
+    encrypt = experiments._encrypt
+    monkeypatch.setattr(experiments, "_encrypt", recorded)
+    # about 2,000 first-block survivors in 8 chunks: one batch, the remainder
+    brute_force_keys_tested(16, 1000, 3)
+    assert len(second) == 1
+    second.clear()
+    brute_force_keys_tested(20, 1000, 4)
+    assert len(second) > 1
+    assert max(second) < 2 * experiments.SCAN_CHUNK
+
+
 def test_key_sweep_at_k24_runs_in_seconds_and_bounded_memory():
     brute_force_keys_tested(12, 10, 0)
     start = time.perf_counter()
