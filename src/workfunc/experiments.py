@@ -24,9 +24,9 @@ cost per trial that does not grow with the space.  The key sweep draws
 every trial's secret and rank in one call, counts the keys that share
 each secret's known pairs in one pass over the keyspace, SCAN_CHUNK keys
 at a time (`cipher_table`, the first block only), checks the first
-block's survivors against the second in batches of at least SCAN_CHUNK
-of them, and redraws a tied secret's rank after it
-(`brute_force_keys_tested`).
+block's survivors against the second once SCAN_CHUNK of them are
+pending and after the last chunk, and redraws a tied secret's rank
+after it (`brute_force_keys_tested`).
 
 The state sweep scans no candidate space either.  The generator's
 first output word is (a' + c') mod 2**w, and the hint fixes a', so for
@@ -166,7 +166,7 @@ def brute_force_keys_tested(key_bits: int, trials: int, seed: int) -> list[int]:
     keyspace (`cipher_table`) encrypts the first trial block; the keys
     whose ciphertext starts with some secret's top 16 bits (a 2**16-entry
     table) are kept with their first ciphertexts until at least
-    SCAN_CHUNK are pending, and after the last chunk.  Each such batch
+    SCAN_CHUNK are pending or the last chunk is in.  Each such batch
     encrypts the second block, and its sorted packed pairs count, by
     binary search from the secrets' distinct pairs, sorted once, the m
     keys consistent with each secret.  A batch holds fewer than

@@ -410,14 +410,13 @@ def test_key_sweep_holds_one_chunk_not_the_keyspace():
 
 
 def test_key_sweep_checks_the_second_block_once_per_batch(monkeypatch):
-    second = []
+    second, encrypt = [], experiments._encrypt
 
     def recorded(cipher, keys, blocks):
         if list(blocks) == [TRIAL_PLAINTEXTS[1]]:
             second.append(keys.size)
         return encrypt(cipher, keys, blocks)
 
-    encrypt = experiments._encrypt
     monkeypatch.setattr(experiments, "_encrypt", recorded)
     # about 2,000 first-block survivors in 8 chunks: one batch, the remainder
     brute_force_keys_tested(16, 1000, 3)
