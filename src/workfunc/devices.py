@@ -9,6 +9,7 @@ that matter for pricing are therefore the transistor count and the clock.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Union
 
@@ -226,8 +227,10 @@ virtex-5-xc5vfx70t-2-277mhz,1.1e9,277e6,11200,8
 REFERENCE_GPU = "ati-radeon-5870"  # the catalog GPU that Table 3's clusters and the break suite price on
 
 
-def default_catalog() -> list[DeviceSpec]:
-    return load_catalog(DEFAULT_CATALOG_CSV)
+@functools.cache
+def default_catalog() -> tuple[DeviceSpec, ...]:
+    """The built-in catalog, parsed on first use and once per process."""
+    return tuple(load_catalog(DEFAULT_CATALOG_CSV))
 
 
 def find_device(name: str, specs: Iterable[DeviceSpec]) -> DeviceSpec:

@@ -16,17 +16,17 @@ scanned.  Each pass tests every candidate against the first known
 output, which rejects nearly all of them, and only the survivors against
 the rest.
 
-A sweep runs many trials of such a search.  The targets' positions in a
-uniformly random order are a uniformly random subset of the ranks, so a
-trial draws that subset (`_first_rank`) instead of ordering the whole
-candidate space: the count has exactly the search's distribution, at a
-cost per trial that does not grow with the space.  The key sweep draws
-every trial's secret and rank in one call, counts the keys that share
-each secret's known pairs in one pass over the keyspace, SCAN_CHUNK keys
-at a time (`cipher_table`, the first block only), checks the first
-block's survivors against the second once SCAN_CHUNK of them are
-pending and after the last chunk, and redraws a tied secret's rank
-after it (`brute_force_keys_tested`).
+A sweep runs many trials of such a search, and returns each trial's
+count in expectation over the scan order, not one drawn count.  The
+targets' positions in a uniformly random order are a uniformly random
+m-subset of the N candidates, so the search tests (N + 1)/(m + 1) of
+them on average: once a trial's m is counted, a drawn rank would add
+noise and nothing else.  The key sweep draws every trial's secret in one
+call and counts the keys that share each secret's known pairs in one
+pass over the keyspace, SCAN_CHUNK keys at a time (`cipher_table`, the
+first block only), checking the first block's survivors against the
+second once SCAN_CHUNK of them are pending and after the last chunk
+(`brute_force_keys_tested`).
 
 The state sweep scans no candidate space either.  The generator's
 first output word is (a' + c') mod 2**w, and the hint fixes a', so for
@@ -35,9 +35,8 @@ word: the 2**(ceil(1.5w) - w) candidates that survive the first word are
 listed directly.  One `arx_step` of every trial's true state gives its
 first word; the true state is then one of its survivors, and a single
 lockstep pass (`_lockstep_outputs`) steps all survivors through the
-window, checking that only the true one emits it; it stops once each
-trial keeps only its true one.  Its trials' states and ranks are drawn
-in one call, equal to the trial-by-trial draws.
+window and counts those that emit it; it stops once each trial keeps
+only its true one.
 """
 
 from __future__ import annotations
@@ -138,18 +137,6 @@ class ExperimentResult(NamedTuple):
         return abs(self.statistic - self.expected) <= self.tolerance
 
 
-def _first_rank(rng: np.random.Generator, size: int, m: int) -> int:
-    """Candidates a search tests when it scans [0, size) in a uniformly
-    random order and stops at the first of m targets.
-
-    In a uniformly random scan order the targets' positions are a
-    uniformly random m-subset of [0, size), so the count is that subset's
-    smallest member plus one.  numpy draws a small subset of a large range
-    without touching the rest of it.
-    """
-    return int(rng.choice(size, size=m, replace=False).min()) + 1
-
-
 def _packed_pairs(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """Keys' ciphertexts of the two trial plaintexts, packed into one
     uint64 per key as `t1 << 32 | t2`: keys with equal entries are the
@@ -157,30 +144,28 @@ def _packed_pairs(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     return t1.astype(np.uint64) << np.uint64(32) | t2
 
 
-def brute_force_keys_tested(key_bits: int, trials: int, seed: int) -> list[int]:
-    """keys_tested per trial for random secrets under random scan orders:
-    the scalar search's count, in distribution.
+def brute_force_keys_tested(key_bits: int, trials: int, seed: int) -> list[float]:
+    """keys_tested per trial for random secrets, in expectation over the
+    scan order: (2**k + 1)/(m + 1), m the keys that share the trial's
+    secret's known pairs.
 
-    One `integers(size, size=(trials, 2))` call draws every trial's
-    secret and its rank, the first of one target.  One pass over the
-    keyspace (`cipher_table`) encrypts the first trial block; the keys
-    whose ciphertext starts with some secret's top 16 bits (a 2**16-entry
-    table) are kept with their first ciphertexts until at least
-    SCAN_CHUNK are pending or the last chunk is in.  Each such batch
-    encrypts the second block, and its sorted packed pairs count, by
-    binary search from the secrets' distinct pairs, sorted once, the m
-    keys consistent with each secret.  A batch holds fewer than
-    2 * SCAN_CHUNK keys, so the sweep holds O(SCAN_CHUNK), not the
+    One `integers(size, size=trials)` call draws every trial's secret.
+    One pass over the keyspace (`cipher_table`) encrypts the first trial
+    block; the keys whose ciphertext starts with some secret's top 16
+    bits (a 2**16-entry table) are kept with their first ciphertexts
+    until at least SCAN_CHUNK are pending or the last chunk is in.  Each
+    such batch encrypts the second block, and its sorted packed pairs
+    count, by binary search from the secrets' distinct pairs, sorted
+    once, the m keys consistent with each secret.  A batch holds fewer
+    than 2 * SCAN_CHUNK keys, so the sweep holds O(SCAN_CHUNK), not the
     keyspace.
-    A secret with m > 1 is tied: its trial's rank, the first of m, is
-    redrawn by `_first_rank`, tied trial by tied trial, after the pass.
     """
-    rng = np.random.default_rng(seed)
     size = 1 << key_bits
-    draws = rng.integers(size, size=(trials, 2))
+    secrets = np.random.default_rng(seed).integers(size, size=trials).astype(np.uint32)
     cipher = ToyCipher(key_bits)
-    secrets = _packed_pairs(*_encrypt(cipher, draws[:, 0].astype(np.uint32), TRIAL_PLAINTEXTS))
-    targets, target_of_trial = np.unique(secrets, return_inverse=True)
+    targets, target_of_trial = np.unique(
+        _packed_pairs(*_encrypt(cipher, secrets, TRIAL_PLAINTEXTS)), return_inverse=True
+    )
     # the top 16 bits of some secret's first ciphertext
     prefixes = np.zeros(1 << 16, dtype=bool)
     prefixes[targets >> np.uint64(48)] = True
@@ -196,11 +181,7 @@ def brute_force_keys_tested(key_bits: int, trials: int, seed: int) -> list[int]:
             batch = np.sort(_packed_pairs(np.concatenate(firsts), *second))
             m += batch.searchsorted(targets, "right") - batch.searchsorted(targets, "left")
             keys, firsts, held = [], [], 0
-    m = m[target_of_trial]
-    counts = draws[:, 1] + 1
-    for trial in np.flatnonzero(m > 1):
-        counts[trial] = _first_rank(rng, size, int(m[trial]))
-    return counts.tolist()
+    return ((size + 1) / (m[target_of_trial] + 1)).tolist()
 
 
 def brute_force_mean_experiment(key_bits: int, trials: int, seed: int) -> ExperimentResult:
@@ -367,30 +348,22 @@ def brute_force_search(
 
 def state_search_candidates_tested(
     word_bits: int, trials: int, seed: int, window: int = 16
-) -> list[int]:
-    """candidates_tested per trial of the reduced state search.
+) -> list[float]:
+    """candidates_tested per trial of the reduced state search, in
+    expectation over the scan order: (2**u + 1)/(m + 1), u = ceil(1.5w)
+    and m the candidates that emit the trial's whole window.
 
-    No candidate space is swept: the 2**(ceil(1.5w) - w) candidates whose
-    first output equals the first observed word are listed directly
-    (`_first_word_survivors`).  The true state must be the survivor in
-    column `low >> w`, and in one lockstep pass through the window no
-    other survivor of its trial may emit its outputs.  The count is
-    where the true candidate falls in a uniform scan order, a uniform
-    rank in [1, size]: `state_search`'s count, in distribution.
-
-    A trial draws its four state words, `integers(2**w, size=4)`, then
-    its rank, `integers(size)`.  For a power-of-two range below 2**32
-    numpy's `integers` keeps the top bits of one 32-bit draw, and the bit
-    generator's 32-bit draws run on across calls, so one call of five
-    full-range 32-bit draws per trial, shifted right, makes every trial's
-    draws: the same values, and the same final generator state, as the
-    trial-by-trial loop.
+    No candidate space is swept: the 2**(u - w) candidates whose first
+    output equals the first observed word are listed directly
+    (`_first_word_survivors`), the true state among them in column
+    `low >> w`.  One lockstep pass steps them through the window and
+    keeps those that emit the true state's outputs; it stops once each
+    trial keeps only its true state.  One `integers(2**w, size=(trials,
+    4))` call draws every trial's state words, the same values as a
+    trial-by-trial loop of `integers(2**w, size=4)`.
     """
-    rng = np.random.default_rng(seed)
     unknown = reduction_unknown_bits(word_bits)
-    draws = rng.integers(0, 2**32 - 1, endpoint=True, dtype=np.uint32, size=(trials, 5))
-    counts = ((draws[:, 4] >> np.uint32(32 - unknown)) + 1).tolist()
-    truth = (draws[:, :4] >> np.uint32(32 - word_bits)).T
+    truth = np.random.default_rng(seed).integers(1 << word_bits, size=(trials, 4), dtype=np.uint32).T
     packed = pack_state(truth.astype(np.uint64), word_bits)
     highs = reduction_hint(packed, word_bits)
     lows = _first_word_survivors(word_bits, highs, arx_step(truth, word_bits)[1])
@@ -404,11 +377,7 @@ def state_search_candidates_tested(
         # the true state always survives: once it alone does, `keep` is final
         if np.count_nonzero(keep) == trials:
             break
-    ambiguous = np.flatnonzero(np.count_nonzero(keep, axis=1) > 1)
-    if ambiguous.size:
-        full = lows[ambiguous[0]][keep[ambiguous[0]]].tolist()
-        raise AssertionError(f"window does not pin the state uniquely: {full}")
-    return counts
+    return (((1 << unknown) + 1) / (np.count_nonzero(keep, axis=1) + 1)).tolist()
 
 
 def state_search_slope_experiment(
@@ -504,8 +473,9 @@ def meter_ledger_experiment(seed: int = 5) -> ExperimentResult:
 
 def run_validation(quick: bool = False, seed: int = 11) -> list[ExperimentResult]:
     results = []
-    # quick mode drops the large keyspace, not the trial count: the
-    # means need ~1000 trials to sit inside their 5% band
+    # quick mode drops the large keyspace.  A line is exact given its
+    # trials' m, so a trial count sets only how many secrets and states
+    # it draws, and so how likely it is to draw a tied one
     ks = (12, 16) if quick else (12, 16, 20)
     for k in ks:
         results.append(brute_force_mean_experiment(k, 1000, seed + k))

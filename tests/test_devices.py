@@ -95,6 +95,11 @@ def test_normalize_name():
     assert normalize_name("  Intel\tCore  Duo ") == "intel-core-duo"
 
 
+def test_default_catalog_is_one_immutable_sequence():
+    assert isinstance(default_catalog(), tuple)
+    assert default_catalog() is default_catalog()
+
+
 def test_find_device_normalizes_and_raises():
     catalog = default_catalog()
     assert find_device("ATI Radeon 5870", catalog).name == "ati-radeon-5870"
