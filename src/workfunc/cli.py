@@ -45,12 +45,14 @@ from .game import GameResult, ProtocolFault, TranscriptWriter, transcript_traile
 from .game import export_transcript  # noqa: F401
 from .otp import run_otp_challenge
 from .reports import (
+    Check,
     Report,
     build_break_suite_report,
     build_cost_per_bit_report,
     build_device_rate_report,
     build_state_search_report,
     format_duration,
+    printed_figure_checks,
     render_csv,
     render_text,
     report_failures,
@@ -281,27 +283,23 @@ def cmd_game(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    """One line per `Check`: a table's (no row out of tolerance) lists its failed rows below
+    it, and the rest show their figures, .8g so an exact key line's half shows up to k = 23."""
     from .experiments import run_validation
 
-    failures = 0
-    lines = []
+    checks, lines = [], []
     with _output(args.output) as handle:  # an unwritable path fails before the work
         for number in (1, 2, 3, 4):
             report, bad = _table_report(number)
-            status = "PASS" if not bad else "FAIL"
-            failures += len(bad)
-            lines.append(f"{status} {report.title}")
+            checks.append(Check(report.title, len(bad), 0, 0))
+            lines.append(f"{'PASS' if checks[-1].passed else 'FAIL'} {report.title}")
             lines.extend(f"     {b}" for b in bad)
-        for result in run_validation(quick=args.quick, seed=args.seed):
-            status = "PASS" if result.passed else "FAIL"
-            if not result.passed:
-                failures += 1
-            lines.append(
-                f"{status} {result.name}: {result.statistic:.6g} "
-                f"(expected {result.expected:.6g} within {result.tolerance:.3g})"
-            )
+        for check in (*printed_figure_checks(), *run_validation(quick=args.quick, seed=args.seed)):
+            checks.append(check)
+            lines.append(f"{'PASS' if check.passed else 'FAIL'} {check.name}: {check.statistic:.8g} "
+                         f"(expected {check.expected:.8g} within {check.tolerance:.3g})")
         handle.write("\n".join(lines) + "\n")
-    return EXIT_FAILURE if failures else EXIT_OK
+    return EXIT_OK if all(check.passed for check in checks) else EXIT_FAILURE
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:

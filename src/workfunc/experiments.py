@@ -1,10 +1,10 @@
 """Desk-scale validation experiments.
 
 Each experiment replays a cost-model claim against the toy systems and
-returns a pass/fail record.  The sweeps are vectorized with numpy: they
-run the toy cipher's own key schedule and rounds, and the generator's own
-step, on arrays of keys or candidate states, so there is one
-implementation of each primitive.
+returns its figure as a `reports.Check` against the model's value.  The
+sweeps are vectorized with numpy: they run the toy cipher's own key
+schedule and rounds, and the generator's own step, on arrays of keys or
+candidate states, so there is one implementation of each primitive.
 
 The searches, `brute_force_search` and `state_search`, check the
 candidates in a seeded random order (`scan_order`, a Feistel permutation
@@ -49,6 +49,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .estimators import DEFAULT_BYTES_PER_KEY_BIT
+from .reports import Check
 from .toycrypto import (
     MAX_WORD_BITS,
     KeystreamGen,
@@ -126,17 +127,6 @@ def scan_order(bits: int, seed: int | str = 0) -> Iterator[np.ndarray]:
         yield order if domain == 1 << bits else order[order < np.uint64(1 << bits)]
 
 
-class ExperimentResult(NamedTuple):
-    name: str
-    statistic: float
-    expected: float
-    tolerance: float  # absolute bound on |statistic - expected|
-
-    @property
-    def passed(self) -> bool:
-        return abs(self.statistic - self.expected) <= self.tolerance
-
-
 def _packed_pairs(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
     """Keys' ciphertexts of the two trial plaintexts, packed into one
     uint64 per key as `t1 << 32 | t2`: keys with equal entries are the
@@ -184,15 +174,11 @@ def brute_force_keys_tested(key_bits: int, trials: int, seed: int) -> list[float
     return ((size + 1) / (m[target_of_trial] + 1)).tolist()
 
 
-def brute_force_mean_experiment(key_bits: int, trials: int, seed: int) -> ExperimentResult:
+def brute_force_mean_experiment(key_bits: int, trials: int, seed: int) -> Check:
     counts = brute_force_keys_tested(key_bits, trials, seed)
     expected = 2.0 ** (key_bits - 1)
-    return ExperimentResult(
-        name=f"brute-force mean keys tested, k={key_bits}",
-        statistic=math.fsum(counts) / len(counts),
-        expected=expected,
-        tolerance=0.05 * expected,
-    )
+    mean = math.fsum(counts) / len(counts)
+    return Check(f"brute-force mean keys tested, k={key_bits}", mean, expected, 0.05 * expected)
 
 
 def _candidate_states(word_bits: int, high_bits, lows) -> tuple:
@@ -384,26 +370,17 @@ def state_search_slope_experiment(
     word_bits_list: Sequence[int] = (8, 10, 12),
     trials_list: Sequence[int] = (300, 200, 120),
     seed: int = 0,
-) -> tuple[ExperimentResult, dict[int, float]]:
+) -> Check:
     """Fit the cost-vs-word-size exponent; the reduction predicts 1.5."""
-    means = {}
-    for w, trials in zip(word_bits_list, trials_list):
-        counts = state_search_candidates_tested(w, trials, seed + w)
-        means[w] = CHECKER_OPS * (math.fsum(counts) / len(counts))
     xs = list(word_bits_list)
-    ys = [math.log2(means[w]) for w in xs]
+    ys = []
+    for w, trials in zip(xs, trials_list):
+        counts = state_search_candidates_tested(w, trials, seed + w)
+        ys.append(math.log2(CHECKER_OPS * (math.fsum(counts) / len(counts))))
     xbar = math.fsum(xs) / len(xs)
     ybar = math.fsum(ys) / len(ys)
-    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
-        (x - xbar) ** 2 for x in xs
-    )
-    result = ExperimentResult(
-        name=f"state-search cost exponent over w={tuple(xs)}",
-        statistic=slope,
-        expected=1.5,
-        tolerance=0.1,
-    )
-    return result, means
+    slope = sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum((x - xbar) ** 2 for x in xs)
+    return Check(f"state-search cost exponent over w={tuple(xs)}", slope, 1.5, 0.1)
 
 
 def _twister(stream: KeystreamGen) -> np.random.MT19937:
@@ -416,7 +393,7 @@ def _twister(stream: KeystreamGen) -> np.random.MT19937:
 
 def keystream_bias_experiment(
     bias: float = 0.6, nbits: int = 1_000_000, seed: int = 20
-) -> ExperimentResult:
+) -> Check:
     """The ones fraction of one `KeystreamGen(bias, seed).next_bits(nbits)`
     call, counted in numpy by `next_bits`' rule: the top byte of w0
     decides a draw, but at the stream's `threshold_byte`, where
@@ -435,15 +412,10 @@ def keystream_bias_experiment(
         tie = 2 * np.flatnonzero(top == stream.threshold_byte)
         ones += int(np.count_nonzero(top < stream.threshold_byte))
         ones += int(np.count_nonzero(stream.draw_is_one(words[tie], words[tie + 1])))
-    return ExperimentResult(
-        name=f"keystream ones fraction at bias {bias}",
-        statistic=ones / nbits,
-        expected=bias,
-        tolerance=0.002,
-    )
+    return Check(f"keystream ones fraction at bias {bias}", ones / nbits, bias, 0.002)
 
 
-def meter_ledger_experiment(seed: int = 5) -> ExperimentResult:
+def meter_ledger_experiment(seed: int = 5) -> Check:
     """Charge-sum identities on real searches; zero tolerance.
 
     The statistic adds the gap between each search's summed charges and
@@ -463,15 +435,10 @@ def meter_ledger_experiment(seed: int = 5) -> ExperimentResult:
     search_gap = res.cost - CHECKER_OPS * res.candidates_tested
 
     wrong = (found.key != secret) + (res.state_packed != truth)
-    return ExperimentResult(
-        name="meter ledger identities",
-        statistic=abs(key_gap) + abs(search_gap) + wrong,
-        expected=0.0,
-        tolerance=0.0,
-    )
+    return Check("meter ledger identities", abs(key_gap) + abs(search_gap) + wrong, 0.0, 0.0)
 
 
-def run_validation(quick: bool = False, seed: int = 11) -> list[ExperimentResult]:
+def run_validation(quick: bool = False, seed: int = 11) -> list[Check]:
     results = []
     # quick mode drops the large keyspace.  A line is exact given its
     # trials' m, so a trial count sets only how many secrets and states
@@ -480,8 +447,7 @@ def run_validation(quick: bool = False, seed: int = 11) -> list[ExperimentResult
     for k in ks:
         results.append(brute_force_mean_experiment(k, 1000, seed + k))
     slope_trials = (100, 60, 40) if quick else (300, 200, 120)
-    slope_result, _ = state_search_slope_experiment(trials_list=slope_trials, seed=seed)
-    results.append(slope_result)
+    results.append(state_search_slope_experiment(trials_list=slope_trials, seed=seed))
     results.append(keystream_bias_experiment(nbits=200_000 if quick else 1_000_000))
     results.append(meter_ledger_experiment())
     return results

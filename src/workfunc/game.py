@@ -73,14 +73,9 @@ _LINE_HEADS = {kind: f"{PLAYER[kind].value} {kind.value}" for kind in MoveClass}
 class ProtocolFault(RuntimeError):
     """A rule violation, distinct from losing: the game is void.
 
-    Carries the transcript as it stood when the fault was detected; every
-    move up to the fault is recorded in its entries (with a
+    Every move up to the fault is in the entries `play` was given (with a
     `TranscriptWriter`, written) before the fault leaves `play`.
     """
-
-    def __init__(self, message: str, transcript: "GameTranscript | None" = None):
-        super().__init__(message)
-        self.transcript = transcript
 
 
 def frame_prefix(length: int) -> bytes:
@@ -418,10 +413,10 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
             if not isinstance(action, Move):
                 if isinstance(action, LocalStep):
                     continue
-                raise ProtocolFault(f"strategy returned unknown action {action!r}", transcript)
+                raise ProtocolFault(f"strategy returned unknown action {action!r}")
             kind = action.kind  # a named tuple's field read costs more than a local's
             if PLAYER.get(kind) is not attacker:
-                raise ProtocolFault(f"strategy played {kind}, not an attacker move", transcript)
+                raise ProtocolFault(f"strategy played {kind}, not an attacker move")
             record(action)
             if kind is info_request and action.payload == BUDGET_QUERY:
                 reply = Move(response, repr(remaining).encode())
@@ -430,7 +425,7 @@ def play(strategy, environment, config: GameConfig, entries=None) -> GameOutcome
             else:
                 reply = environment.respond(action)
                 if not isinstance(reply, Move) or PLAYER.get(reply.kind) is not environment_player:
-                    raise ProtocolFault("environment must answer with one Response or Denial", transcript)
+                    raise ProtocolFault("environment must answer with one Response or Denial")
             record(reply)
             ctx.reply = reply
             if len(block) >= RECORD_BLOCK:

@@ -80,13 +80,14 @@ BREAK_SUITE_FLEETS = {"one gpu": 1, "gpu fleet of 65536": 65536, "tianhe-1a": No
 # the 84-bit fleet's 10.1 days is 7 % above the model; the rest agree within 0.05 %
 BREAK_SUITE_TOLERANCE = 0.10
 
-# one Tianhe-1 cluster: printed aggregate rate
+# one Tianhe-1 cluster: printed aggregate rate, which its parts give within TIANHE_TOLERANCE
 TIANHE_PRINTED_RATE = 1.3e22
 TIANHE_COMPOSITION = [
     Fleet(DeviceSpec("intel-xeon-e5540", int(7.3e8), 2.5e9, 4), 4096),
     Fleet(DeviceSpec("intel-xeon-e5450", int(8.2e8), 3.0e9, 4), 1024),
     Fleet(DeviceSpec("ati-radeon-hd-4870", int(9.6e8), 650e6, 800), 5120),
 ]
+TIANHE_TOLERANCE = 0.02
 
 # --- word generator table (Table 3) ------------------------------------------
 
@@ -118,6 +119,9 @@ SCAN_WAIT_TOLERANCE = 0.05
 
 # --- dictionary attack figures (storage-for-work trade) ----------------------
 
+# the printed attack's (key bits, epsilon), and its `estimators.DictionaryStats` fields as printed
+DICTIONARY_ATTACK = (56, 6)
+DICTIONARY_TOLERANCE = 0.02
 DICTIONARY_PRINTED = {
     "dictionary_bytes": 3.1e16,
     "expected_comparisons": 50,

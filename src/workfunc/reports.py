@@ -3,7 +3,8 @@
 Published figures are re-derived from the device catalog and cost model,
 then compared against the printed values they reproduce.  A report
 carries one provenance pair (tag, source location), which the renderers
-repeat on every row so output is auditable.
+repeat on every row so output is auditable.  Every checked figure is a
+`Check`, whose `passed` is the one "within tolerance" rule.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from typing import NamedTuple
 
 from . import refdata
 from .devices import REFERENCE_GPU, Fleet, cost_per_bit, default_catalog, find_device, fleet_rate, resource_rate
@@ -22,10 +24,23 @@ from .estimators import (
     Tf1Estimate,
     break_time,
     brute_force_cost,
+    dictionary_stats,
     tf1_estimate,
 )
 
 Cell = int | float | str
+
+
+class Check(NamedTuple):
+    name: str
+    statistic: float
+    expected: float
+    tolerance: float  # absolute bound on |statistic - expected|
+
+    @property
+    def passed(self) -> bool:
+        """Within tolerance; a NaN anywhere compares false, so it never passes."""
+        return abs(self.statistic - self.expected) <= self.tolerance
 
 
 class Report:
@@ -241,12 +256,24 @@ def build_break_suite_report() -> Report:
 
 
 def report_failures(report: Report) -> list[str]:
-    """Rows whose "deviation" column exceeds the report's tolerance, as readable lines."""
+    """Rows whose "deviation" column fails `Check(row[0], deviation, 0.0, report.tolerance)`,
+    as readable lines."""
     idx = report.columns.index("deviation")
-    bad = []
-    for row in report.rows:
-        dev = row[idx]
-        assert isinstance(dev, float)
-        if not math.isfinite(dev) or dev > report.tolerance:
-            bad.append(f"{row[0]}: deviation {dev:.4g} exceeds {report.tolerance:.4g}")
-    return bad
+    checks = (Check(row[0], row[idx], 0.0, report.tolerance) for row in report.rows)
+    return [f"{c.name}: deviation {c.statistic:.4g} exceeds {c.tolerance:.4g}" for c in checks if not c.passed]
+
+
+def printed_figure_checks() -> list[Check]:
+    """The model against the figures printed beside the tables, each within its
+    relative tolerance: the Tianhe-1A rate from its parts, the zero-word scan
+    waits and the dictionary attack's sizes."""
+    gpu = resource_rate(find_device(REFERENCE_GPU, default_catalog()))
+    key_bits, epsilon = refdata.DICTIONARY_ATTACK
+    stats = dictionary_stats(key_bits, epsilon)
+    figures = [("Tianhe-1A rate from its composition (bytes/s)", fleet_rate(refdata.TIANHE_COMPOSITION),
+                refdata.TIANHE_PRINTED_RATE, refdata.TIANHE_TOLERANCE)]
+    figures += [(f"zero-word scan wait at w={w}, printed {label} (s)", tf1_estimate(w, gpu).scan_seconds,
+                 seconds, refdata.SCAN_WAIT_TOLERANCE) for w, seconds, label in refdata.SCAN_WAITS]
+    figures += [(f"dictionary attack {field} at k={key_bits}, epsilon={epsilon}", getattr(stats, field),
+                 printed, refdata.DICTIONARY_TOLERANCE) for field, printed in refdata.DICTIONARY_PRINTED.items()]
+    return [Check(name, model, printed, relative * abs(printed)) for name, model, printed, relative in figures]

@@ -126,7 +126,6 @@ class KeystreamGen:
     def __init__(self, bias: float = 0.5, seed: int | str = 0):
         if not 0.0 <= bias <= 1.0:
             raise ValueError("bias must be in [0, 1]")
-        self.bias = bias
         self._rng = random.Random(seed)
         self._threshold = math.ceil(bias * 2**53)
         # top byte of k -> "1" (k is below the threshold), "0" (it is not)

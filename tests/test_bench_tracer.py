@@ -4,21 +4,36 @@
 so renaming or removing one of them breaks a traced benchmark run. These
 tests install and remove the tracer's wrappers the same way that run
 does, and play one game and one quick validation under them, so such a
-change fails here first.
+change fails here first. `perfbench/run.py` checks every invocation's
+output, and a quick validation must pass that check too.
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 from workfunc import cli, experiments, game, otp, toycrypto
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = PERFBENCH / "spans.py"
 
 
 def _load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def _load_run():
+    """`perfbench/run.py`, registered while it loads: its dataclasses look their module up there."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        del sys.modules[spec.name]
     return module
 
 
@@ -65,3 +80,11 @@ def test_benchmark_tracer_counts_a_quick_validation(capsys):
     assert tracer.counts["experiments.state_sweep.trials"] == 200
     assert tracer.counts["toycrypto.scalar_search.steps"] == 4_334  # 3699 keys + 635 states
     assert tracer.counts["reports.tables.rows"] == 24
+
+
+def test_the_benchmark_accepts_a_quick_validation(capsys):
+    run = _load_run()
+    code = cli.main(["validate", "--quick"])
+    problems, figures = run.check_output(run.WORKLOADS["validate-quick"], code, capsys.readouterr().out)
+    assert problems == []
+    assert len(figures) == 12  # the seven printed figures and the five experiment lines

@@ -12,7 +12,6 @@ from workfunc import experiments, toycrypto
 from workfunc.cli import main
 from workfunc.experiments import (
     TRIAL_PLAINTEXTS,
-    ExperimentResult,
     _confirm_window,
     _first_word_survivors,
     _lockstep_outputs,
@@ -29,6 +28,7 @@ from workfunc.experiments import (
     state_search_candidates_tested,
     state_search_slope_experiment,
 )
+from workfunc.reports import Check
 from workfunc.toycrypto import (
     MAX_WORD_BITS,
     KeystreamGen,
@@ -589,8 +589,8 @@ def test_state_sweep_counts_what_the_full_window_check_keeps(word_bits):
 
 
 def test_experiment_result_pass_boundary():
-    assert ExperimentResult("x", 10.5, 10.0, 0.5).passed
-    assert not ExperimentResult("x", 10.51, 10.0, 0.5).passed
+    assert Check("x", 10.5, 10.0, 0.5).passed
+    assert not Check("x", 10.51, 10.0, 0.5).passed
 
 
 def test_vector_key_count_matches_scalar_search():
@@ -634,11 +634,11 @@ def test_vector_and_scalar_state_search_agree_on_average():
 
 
 def test_state_search_slope_experiment():
-    result, means = state_search_slope_experiment(trials_list=(100, 60, 40), seed=11)
-    assert result.passed
-    assert set(means) == {8, 10, 12}
-    assert means[8] == pytest.approx(16 * 2.0**11, rel=0.25)
-    assert means[12] == pytest.approx(16 * 2.0**17, rel=0.25)
+    assert state_search_slope_experiment(trials_list=(100, 60, 40), seed=11).passed
+    # the line's mean counts at w = 8 and 12 (trials 100 and 40, seeds 11 + w): half of 2**ceil(1.5w)
+    for w, trials, half_space in ((8, 100, 2.0**11), (12, 40, 2.0**17)):
+        counts = state_search_candidates_tested(w, trials, 11 + w)
+        assert math.fsum(counts) / len(counts) == pytest.approx(half_space, rel=0.25)
 
 
 def test_keystream_bias_experiment():
@@ -787,7 +787,7 @@ def _keystream_at_bias_half(monkeypatch):
 
 
 def _slope(seed):
-    return state_search_slope_experiment(trials_list=(100, 60, 40), seed=seed)[0]
+    return state_search_slope_experiment(trials_list=(100, 60, 40), seed=seed)
 
 
 # each misprice with its line, as a function of the line's seed, and the

@@ -14,10 +14,9 @@ import pytest
 import workfunc
 from workfunc.devices import DeviceSpec, Fleet, ThroughputRecord
 from workfunc.estimators import brute_force_cost, dictionary_stats, tf1_estimate
-from workfunc.experiments import ExperimentResult
 from workfunc.game import GameConfig, GameOutcome, GameResult, GameTranscript, Move, MoveClass
 from workfunc.otp import run_otp_challenge
-from workfunc.reports import Report
+from workfunc.reports import Check, Report
 from workfunc.toycrypto import KeystreamGen
 
 def refuses(build, message, name):
@@ -75,7 +74,7 @@ RECORD_CHECKS = [
             "report-row-width"),
     frozen(Move(MoveClass.CHALLENGE, b"0"), "payload", "move-frozen"),
     frozen(GameOutcome(GameResult.WON, GameTranscript(), 0.0, 0, 0, 0.0), "total_cost", "outcome-frozen"),
-    frozen(ExperimentResult("line", 1.0, 1.0, 0.0), "statistic", "result-frozen"),
+    frozen(Check("line", 1.0, 1.0, 0.0), "statistic", "result-frozen"),
 ]
 
 

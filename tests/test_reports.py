@@ -1,9 +1,11 @@
 import csv
+import math
 
 import pytest
 
 from workfunc import refdata
 from workfunc.reports import (
+    Check,
     Report,
     build_break_suite_report,
     build_cost_per_bit_report,
@@ -134,3 +136,13 @@ def test_report_failures_flags_bad_rows():
     lines = report_failures(report)
     assert len(lines) == 3
     assert lines[0].startswith("bad:")
+
+
+@pytest.mark.parametrize("deviation", [math.nan, math.inf, -math.inf, 0.1, 0.1000001, 0.0999999, 0.0])
+def test_a_table_row_and_a_check_share_one_rule(deviation):
+    # a NaN or infinite deviation fails, and one exactly at the tolerance passes
+    report = Report("t", ("name", "deviation"), (("row", deviation),), ("", ""), tolerance=0.1)
+    check = Check("row", deviation, 0.0, 0.1)
+    assert check.passed is (report_failures(report) == [])
+    assert check.passed is (deviation in (0.1, 0.0999999, 0.0))
+

@@ -3,8 +3,9 @@
 - A rate is a number of bytes/s. `devices` works it out (`fleet_rate`,
   `resource_rate`) and `estimators` takes it, importing nothing from
   `devices`.
-- A table's tolerance is read from `refdata` by `reports` alone, which
-  sets it on the `Report` it builds; `report_failures` reads it there.
+- A tolerance is read from `refdata` by `reports` alone: a table's is set
+  on the `Report` it builds, where `report_failures` reads it, and a printed
+  figure's on its `Check` (`printed_figure_checks`).
 - A machine's step price is its `information`, in bytes: `game` has no
   description object and no flat price to override it.
 - The frame's 4-byte length prefix, the 2**53 budget limit and the default
@@ -101,6 +102,7 @@ def test_only_reports_reads_a_table_tolerance():
     assert {module for module, names in readers.items() if names} == {"reports"}
     assert readers["reports"] == {
         "TABLE1_TOLERANCE", "TABLE2_TOLERANCE", "TABLE3_TIME_TOLERANCE", "BREAK_SUITE_TOLERANCE",
+        "TIANHE_TOLERANCE", "SCAN_WAIT_TOLERANCE", "DICTIONARY_TOLERANCE",
     }
 
 

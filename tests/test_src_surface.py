@@ -10,12 +10,19 @@ Every annotated field of a public class, and every public attribute that
 a public class sets on `self` in `__init__`, must be read as an attribute
 (`x.field`) somewhere in `src/` or `perfbench/`: a field that is only
 ever set, by keyword, by default or by `+=`, holds nothing a command
-uses, and a local variable of the same name is no read of it. A helper
-that only tests call fails here: port the tests to the behaviour it
-served and delete it, or list it below with the reason it stays.
+uses, and a local variable of the same name is no read of it. A read is
+matched to its class: it counts only in a file where no other class has
+a field of that name (perfbench's `workload.bias` reads its own
+`Workload`), and a field whose name another `src/` class shares is read
+only by the function that `SHARED_FIELD_READERS` names for it. Every
+public module-level constant must be read in `src/` or `perfbench/`
+too. A helper that only tests call fails here: port the tests to the
+behaviour it served and delete it, or list it below with the reason it
+stays.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import workfunc
@@ -30,6 +37,29 @@ ALLOWED_TEST_ONLY: dict[str, str] = {}
 ALLOWED_UNREAD_FIELDS = {
     "charges_total": "the second computation of the ledger identity "
     "config.budget - budget_remaining == charges_total",
+}
+
+# a field whose name another `src/` class's field shares -> the function
+# ("module.function" or "module.Class.method", in `src/` or `perfbench/`)
+# that reads it
+SHARED_FIELD_READERS = {
+    "devices.DeviceSpec.name": "devices.find_device",
+    "devices.Fleet.unit_count": "devices.fleet_rate",
+    "estimators.AttackEstimate.expected_seconds": "reports.build_break_suite_report",
+    "estimators.DictionaryStats.entries": "cli._estimate_dictionary",
+    "estimators.Tf1Estimate.expected_seconds": "reports.build_state_search_report",
+    "experiments.KeySearchResult.cost": "experiments.meter_ledger_experiment",
+    "experiments.StateSearchResult.cost": "experiments.meter_ledger_experiment",
+    "game.GameTranscript.entries": "game.export_transcript",
+    "game.Move.kind": "game.play",
+    "refdata.Table2Cell.unit_count": "reports.build_cost_per_bit_report",
+    "refdata.Table3Row.expected_seconds": "reports.build_state_search_report",
+    "refdata.Table3Row.word_bits": "reports.table3_estimate",
+    "reports.Check.name": "cli.cmd_validate",
+    "reports.Check.tolerance": "reports.Check.passed",
+    "reports.Report.tolerance": "reports.report_failures",
+    "scenarios.Scenario.kind": "cli.cmd_estimate",
+    "toycrypto.StandInPrng.word_bits": "toycrypto.StandInPrng.next_word",
 }
 
 
@@ -66,11 +96,12 @@ def _self_attributes(init: ast.FunctionDef):
                     yield part.attr
 
 
-def _fields(tree: ast.Module):
-    """(qualified name, bare name) of each annotated field of a public class
-    and each public attribute its `__init__` sets on `self`."""
+def _fields(tree: ast.Module, private: bool = False):
+    """(qualified name, bare name) of each annotated field of a public class,
+    or of any class if `private`, and each public attribute its `__init__`
+    sets on `self`."""
     for node in tree.body:
-        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+        if isinstance(node, ast.ClassDef) and (private or not node.name.startswith("_")):
             for item in node.body:
                 if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
                     yield f"{node.name}.{item.target.id}", item.target.id
@@ -100,10 +131,25 @@ def _references(node: ast.AST, enclosing: frozenset, found: set, strings: bool) 
 
 
 def _trees():
-    """(tree, whether its strings are references) of each file in `src/` and `perfbench/`."""
+    """(file stem, tree, whether its strings are references) of each file in `src/` and `perfbench/`."""
     for root, strings in (("src", False), ("perfbench", True)):
         for path in sorted((ROOT / root).rglob("*.py")):
-            yield ast.parse(path.read_text(encoding="utf-8")), strings
+            yield path.stem, ast.parse(path.read_text(encoding="utf-8")), strings
+
+
+def _attributes_read(node: ast.AST) -> set[str]:
+    return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, node) of each top-level def and class of `tree` and each of their methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        yield f"{node.name}.{item.name}", item
 
 
 def _unreferenced(definitions, referenced: set[str]) -> set[str]:
@@ -118,7 +164,7 @@ def _unreferenced(definitions, referenced: set[str]) -> set[str]:
 
 def test_every_public_name_in_src_has_a_caller_outside_the_tests():
     referenced: set[str] = set()
-    for tree, strings in _trees():
+    for _, tree, strings in _trees():
         _references(tree, frozenset(), referenced, strings)
     unreferenced = _unreferenced(_public_definitions, referenced)
     allowed = {name for name in unreferenced if name.rsplit(".", 1)[-1] in ALLOWED_TEST_ONLY}
@@ -128,17 +174,56 @@ def test_every_public_name_in_src_has_a_caller_outside_the_tests():
 
 
 def test_every_field_of_a_public_class_is_read_outside_the_tests():
-    read = {
-        node.attr
-        for tree, _ in _trees()
-        for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    fields = {  # qualified name -> bare name
+        f"{path.stem}.{qualified}": name
+        for path in sorted(PACKAGE.glob("*.py"))
+        for qualified, name in _fields(ast.parse(path.read_text(encoding="utf-8")))
     }
-    unread = _unreferenced(_fields, read)
+    counts = Counter(fields.values())
+    shared = {field for field, name in fields.items() if counts[name] > 1}
+    readers, read = {}, set()
+    for stem, tree, _ in _trees():
+        readers.update((f"{stem}.{qualified}", _attributes_read(node)) for qualified, node in _definitions(tree))
+        owners: dict[str, set[str]] = {}  # field name -> the classes of this file that have it
+        for qualified, name in _fields(tree, private=True):
+            owners.setdefault(name, set()).add(f"{stem}.{qualified}")
+        names = _attributes_read(tree)
+        read.update(field for field, name in fields.items()
+                    if field not in shared and name in names and owners.get(name, {field}) == {field})
+    for field in shared:
+        if fields[field] in readers.get(SHARED_FIELD_READERS.get(field, ""), ()):
+            read.add(field)
+    unread = set(fields) - read
     allowed = {name for name in unread if name.rsplit(".", 1)[-1] in ALLOWED_UNREAD_FIELDS}
     assert unread - allowed == set()
     # an entry whose field gained a read leaves the list
     assert {name.rsplit(".", 1)[-1] for name in allowed} == set(ALLOWED_UNREAD_FIELDS)
+    # every shared field, and no other, has its reader named
+    assert set(SHARED_FIELD_READERS) == shared
+
+
+def _constants(tree: ast.Module):
+    """(name, name) of each public module-level constant: a name that a
+    top-level assignment binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for part in ast.walk(target):
+                    if isinstance(part, ast.Name) and not part.id.startswith("_"):
+                        yield part.id, part.id
+
+
+def test_every_public_constant_in_src_is_read_outside_the_tests():
+    read: set[str] = set()
+    for _, tree, strings in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+                read.add(node.value)
+    assert _unreferenced(_constants, read) == set()
 
 
 def test_package_defines_only_its_version():
