@@ -185,8 +185,8 @@ class MachineContext:
         self.work_tape = bytearray()
 
 
-# Up to this many trials the tail is the exact count, correctly rounded;
-# above it, the float filter of `_far_tail` within `tail_error_bound`.
+# Up to this many trials p is the exact count, correctly rounded; above
+# it, the float filter of `_far_tail`.  Both lie within `tail_error_bound`.
 EXACT_TAIL_TRIALS = 4000
 # the Stirling series of log(m!) from its 1/(12m) term on (Loader 2000)
 _STIRLING = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
@@ -288,16 +288,15 @@ def _scaled_tail(successes: int, trials: int, number=int):
 def binomial_tail_probability(successes: int, trials: int) -> float:
     """One-sided tail P(X >= successes) for X ~ Binomial(trials, 1/2).
 
-    Up to `EXACT_TAIL_TRIALS` (4000) trials this is the exact tail
-    (`_scaled_tail`), correctly rounded to a float by Python's int
-    division.  Above it, the tail is filtered in float in time
+    At every trial count p lies within E(n) * P + 2**-1074 of the exact
+    tail P, E(n) = (1 + sqrt(n)) * 2**-40 (`tail_error_bound`; 6.5e-11
+    at n = 5000, 9.1e-10 at n = 1e6), the one bound `_adjudicate` uses.
+    Up to `EXACT_TAIL_TRIALS` (4000) trials p is the exact tail
+    (`_scaled_tail`) correctly rounded by int division, within 2**-53 * P
+    + 2**-1075.  Above it, the tail is filtered in float in time
     proportional to sqrt(trials): the side above the mean by `_far_tail`,
-    the side at or below it as 1 - P(X >= trials - successes + 1).  The
-    filtered p then lies within E(n) * P + 2**-1074 of the exact tail P,
-    with E(n) = (1 + sqrt(n)) * 2**-40 (`tail_error_bound`; 6.5e-11 at
-    n = 5000, 9.1e-10 at n = 1e6), provided libm's `log`, `log1p`, `exp`
-    and `lgamma` are within 1 ulp.  The error derived in `_far_tail` is
-    below E(n) by a factor of 2.5 or more.
+    the side at or below it as 1 - P(X >= trials - successes + 1), within
+    E(n) * P / 2.5 if libm's `log`, `log1p`, `exp` and `lgamma` are within 1 ulp.
     """
     if not 0 <= successes <= trials:
         raise ValueError("successes must be within [0, trials]")
@@ -316,8 +315,8 @@ def _tail_at_most(successes: int, trials: int, alpha: float) -> bool:
     one comparison of integer products, without division.  The products
     are taken in decimal, where libmpdec multiplies large numbers by a
     number-theoretic transform (Python ints use Karatsuba), in a context
-    that traps any rounding, so every result is exact.  At n = 1e6 and
-    s = n / 2 it took about 7.5 s on a 2-vCPU Xeon.
+    that traps any rounding, so every result is exact.  At n = 1e6 it took
+    about 5 s (s = n / 2 and n / 2 + 1200) on a 2-vCPU Xeon.
     """
     import decimal  # only this rare fallback uses decimal
 
@@ -333,20 +332,15 @@ def _adjudicate(successes: int, trials: int, alpha: float) -> tuple[Optional[flo
     whether it rejects chance at level alpha, i.e. whether the exact tail
     is at most alpha.
 
-    Up to `EXACT_TAIL_TRIALS` p is the exact tail correctly rounded, and
-    rounding is monotone, so p < alpha and p > alpha already decide the
-    exact comparison.  Above it p is within E(n) * P + 2**-1074 of the
-    exact tail P (`binomial_tail_probability`), so
-    |p - alpha| > E(n) * alpha + 2**-1070 decides it.  Otherwise, ties
-    included, `_tail_at_most` makes the exact comparison.
+    At every trial count p is within E(n) * P + 2**-1074 of the exact
+    tail P (`binomial_tail_probability`), so |p - alpha| > E(n) * alpha +
+    2**-1070 decides the exact comparison.  Otherwise, ties included,
+    `_tail_at_most` makes it.
     """
     if trials == 0:
         return None, False
     p = binomial_tail_probability(successes, trials)
-    if trials <= EXACT_TAIL_TRIALS:
-        decided = p != alpha
-    else:
-        decided = abs(p - alpha) > tail_error_bound(trials) * alpha + 2.0**-1070
+    decided = abs(p - alpha) > tail_error_bound(trials) * alpha + 2.0**-1070
     return p, p < alpha if decided else _tail_at_most(successes, trials, alpha)
 
 

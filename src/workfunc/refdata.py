@@ -121,7 +121,7 @@ SCAN_WAIT_TOLERANCE = 0.05
 
 # the printed attack's (key bits, epsilon), and its `estimators.DictionaryStats` fields as printed
 DICTIONARY_ATTACK = (56, 6)
-DICTIONARY_TOLERANCE = 0.02
+DICTIONARY_TOLERANCE = 0.02  # of the float figures; the integer comparison count is met exactly
 DICTIONARY_PRINTED = {
     "dictionary_bytes": 3.1e16,
     "expected_comparisons": 50,

@@ -2,6 +2,7 @@ import ast
 import csv
 import errno
 import hashlib
+import inspect
 import os
 import subprocess
 import sys
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import workfunc
-from workfunc import cli, devices, refdata
+from workfunc import cli, devices, experiments, refdata
 from workfunc.cli import main
 from workfunc.devices import CATALOG_HEADER
 from workfunc.game import Move, MoveClass, ProtocolFault, export_transcript
@@ -588,11 +589,11 @@ def test_validate_quick_passes(capsys):
 # The four quick runs print the same bytes: at none of their seeds is a
 # secret tied or a state left unpinned by its window
 VALIDATE_STDOUT = {
-    ("--quick", "--seed", "0"): "9eb0719fdae102fe8d577a016e4b5e7cad746ae6e548932c6bad80a2e0588bce",
-    ("--quick", "--seed", "3"): "9eb0719fdae102fe8d577a016e4b5e7cad746ae6e548932c6bad80a2e0588bce",
-    ("--quick", "--seed", "11"): "9eb0719fdae102fe8d577a016e4b5e7cad746ae6e548932c6bad80a2e0588bce",
-    ("--quick", "--seed", "31"): "9eb0719fdae102fe8d577a016e4b5e7cad746ae6e548932c6bad80a2e0588bce",
-    ("--seed", "11"): "4077969960adb71e6b63c03828cb06b91fb0394b5c55f04c61d88b9a0d6a9934",
+    ("--quick", "--seed", "0"): "832cdc3d71ae263761c6b48d9fb5a9bd66df1dad4aa6b68980f4910795522c78",
+    ("--quick", "--seed", "3"): "832cdc3d71ae263761c6b48d9fb5a9bd66df1dad4aa6b68980f4910795522c78",
+    ("--quick", "--seed", "11"): "832cdc3d71ae263761c6b48d9fb5a9bd66df1dad4aa6b68980f4910795522c78",
+    ("--quick", "--seed", "31"): "832cdc3d71ae263761c6b48d9fb5a9bd66df1dad4aa6b68980f4910795522c78",
+    ("--seed", "11"): "b90383275417addca94bb150a473063b6c0e5a1929db5642f7ec09e93e04178a",
 }
 
 
@@ -678,6 +679,15 @@ def test_validate_fails_on_a_printed_figure_out_of_its_band(capsys, monkeypatch,
     assert main(["validate", "--quick"]) == 1
     failed = [text.split(":")[0] for text in capsys.readouterr().out.splitlines() if not text.startswith("PASS")]
     assert failed == [f"FAIL {line}"]
+
+
+def test_validate_checks_the_printed_comparison_count_exactly(capsys, monkeypatch):
+    # the model's 50 comparisons against a printed 51: one off fails, as no
+    # relative band applies to a printed integer
+    monkeypatch.setitem(refdata.DICTIONARY_PRINTED, "expected_comparisons", 51)
+    assert main(["validate", "--quick"]) == 1
+    failed = [text for text in capsys.readouterr().out.splitlines() if not text.startswith("PASS")]
+    assert failed == ["FAIL dictionary attack expected_comparisons at k=56, epsilon=6: 50 (expected 51 within 0)"]
 
 
 def test_catalog_listing(capsys, tmp_path):
@@ -825,6 +835,9 @@ def test_validate_seed_help_names_the_lines_it_seeds(capsys):
     help_text = " ".join(capsys.readouterr().out.split())
     assert "--seed SEED seeds the key-search and state-search lines (default 11)" in help_text
     assert "keystream and meter-ledger lines use fixed seeds 20 and 5" in help_text
+    # the help text states the seeds itself, as `validate --help` loads no numpy
+    keystream_seed = inspect.signature(experiments.keystream_bias_experiment).parameters["seed"].default
+    assert (keystream_seed, experiments.LEDGER_SEED) == (20, 5)
 
 
 def _quick_validation_in_a_fresh_interpreter(openblas_threads):

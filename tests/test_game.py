@@ -241,6 +241,32 @@ def test_fallback_decides_when_alpha_is_the_filtered_p(monkeypatch):
         assert calls == []
 
 
+@pytest.mark.parametrize("n", [10, 300, 4000])
+def test_one_margin_rule_decides_the_exactly_rounded_p(monkeypatch, n):
+    """Up to the cutoff p is the exact tail correctly rounded, and the
+    verdict takes the same margin rule as above it: an alpha within
+    E(n) * alpha of p, on either side, runs the exact comparison once and
+    gets the exact verdict, and alpha 0.01, far from p, never runs it."""
+    import workfunc.game as game
+
+    calls = []
+    real = game._tail_at_most
+    monkeypatch.setattr(game, "_tail_at_most", lambda *args: calls.append(args) or real(*args))
+    counts = _exact_tail_counts(n)
+    half_margin = game.tail_error_bound(n) / 2
+    for s in (n // 2 - 1, n // 2 + 1, n // 2 + max(2, n // 20)):
+        exact = Fraction(counts[s], 1 << n)
+        p = binomial_tail_probability(s, n)
+        assert p == float(exact) and 0 < p < 1, s
+        for alpha in (math.nextafter(p, 0.0), math.nextafter(p, 1.0), p * (1 - half_margin), p * (1 + half_margin)):
+            calls.clear()
+            assert wins_challenge(s, n, alpha) == (exact <= Fraction(alpha)), (s, alpha)
+            assert calls == [(s, n, alpha)], (s, alpha)
+        calls.clear()
+        assert wins_challenge(s, n, 0.01) == (exact <= Fraction(0.01)), s
+        assert calls == [], s
+
+
 def test_filtered_tail_within_its_bound_of_scipy():
     stats = pytest.importorskip("scipy.stats")
     import workfunc.game as game

@@ -3,9 +3,10 @@
 Every public top-level function and class of `src/workfunc`, and every
 public method of such a class, must be referenced somewhere in `src/` or
 `perfbench/` outside its own definition. A reference is a name, an
-attribute or an imported name; in `perfbench/` a string naming it counts
-too, since the benchmark tracer pins functions by name. A string in
-`src/` is data (an operation label, a column title), not a reference.
+attribute or an imported name. A string is data (an operation label, a
+column title), not a reference, but for the names in `TRACER_ONLY`: the
+benchmark tracer pins those by a string in `perfbench/` and nothing else
+calls them.
 Every annotated field of a public class, and every public attribute that
 a public class sets on `self` in `__init__`, must be read as an attribute
 (`x.field`) somewhere in `src/` or `perfbench/`: a field that is only
@@ -16,9 +17,10 @@ a field of that name (perfbench's `workload.bias` reads its own
 `Workload`), and a field whose name another `src/` class shares is read
 only by the function that `SHARED_FIELD_READERS` names for it. Every
 public module-level constant must be read in `src/` or `perfbench/`
-too. A helper that only tests call fails here: port the tests to the
-behaviour it served and delete it, or list it below with the reason it
-stays.
+too, and every defaulted parameter of a public function, method or class
+set by some call there. A helper, or an option, that only tests use fails
+here: port the tests to the behaviour it served and delete it, or list it
+below with the reason it stays.
 """
 
 import ast
@@ -32,6 +34,27 @@ PACKAGE = ROOT / "src" / "workfunc"
 
 # name -> why it stays although only tests reach it
 ALLOWED_TEST_ONLY: dict[str, str] = {}
+
+# public name that only a string in `perfbench/` reaches -> why the tracer
+# needs it; each goes once the bench reads the program's own metrics
+# (ROADMAP item 4)
+TRACER_ONLY = {
+    "game.wins_challenge": "the tracer times adjudication by this name; `play` calls `_adjudicate`",
+    "toycrypto.KeystreamGen.next_bytes": "the tracer wraps it with `next_bits` as the keystream layer; "
+    "no command draws bytes",
+}
+
+# defaulted parameter ("module.function.parameter") that no call in `src/`
+# or `perfbench/` sets -> the test that sets it
+TEST_SET_DEFAULTS = {
+    "experiments.keystream_bias_experiment.bias": "the keystream twin's lockstep test counts the ones "
+    "of one call at biases 0 to 1",
+    "experiments.keystream_bias_experiment.seed": "the keystream twin's lockstep test reaches the "
+    "undecided top byte at seed 'tie'",
+    "experiments.state_search_candidates_tested.window": "the tie tests leave states unpinned with a "
+    "one-word window",
+    "toycrypto.ToyCipher.block_bits": "acceptance criterion 8 enumerates every block of a 16-bit cipher",
+}
 
 # field name -> why it stays although nothing in `src/` or `perfbench/` reads it
 ALLOWED_UNREAD_FIELDS = {
@@ -110,31 +133,33 @@ def _fields(tree: ast.Module, private: bool = False):
                         yield f"{node.name}.{name}", name
 
 
-def _references(node: ast.AST, enclosing: frozenset, found: set, strings: bool) -> None:
+def _references(node: ast.AST, enclosing: frozenset, found: set) -> None:
     """Add to `found` each name `node` refers to outside a definition of
-    that name; string constants count only if `strings`."""
+    that name."""
     if isinstance(node, ast.Name):
         names = [node.id]
     elif isinstance(node, ast.Attribute):
         names = [node.attr]
     elif isinstance(node, ast.alias):
         names = [node.name.rsplit(".", 1)[-1]]
-    elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
-        names = [node.value]
     else:
         names = []
     found.update(name for name in names if name not in enclosing)
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         enclosing = enclosing | {node.name}
     for child in ast.iter_child_nodes(node):
-        _references(child, enclosing, found, strings)
+        _references(child, enclosing, found)
 
 
 def _trees():
-    """(file stem, tree, whether its strings are references) of each file in `src/` and `perfbench/`."""
-    for root, strings in (("src", False), ("perfbench", True)):
+    """(file stem, tree, whether it is in `perfbench/`) of each file in `src/` and `perfbench/`."""
+    for root in ("src", "perfbench"):
         for path in sorted((ROOT / root).rglob("*.py")):
-            yield path.stem, ast.parse(path.read_text(encoding="utf-8")), strings
+            yield path.stem, ast.parse(path.read_text(encoding="utf-8")), root == "perfbench"
+
+
+def _strings(tree: ast.AST) -> set[str]:
+    return {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
 
 
 def _attributes_read(node: ast.AST) -> set[str]:
@@ -164,13 +189,18 @@ def _unreferenced(definitions, referenced: set[str]) -> set[str]:
 
 def test_every_public_name_in_src_has_a_caller_outside_the_tests():
     referenced: set[str] = set()
-    for _, tree, strings in _trees():
-        _references(tree, frozenset(), referenced, strings)
+    strings: set[str] = set()  # the strings of `perfbench/`
+    for _, tree, bench in _trees():
+        _references(tree, frozenset(), referenced)
+        if bench:
+            strings |= _strings(tree)
     unreferenced = _unreferenced(_public_definitions, referenced)
+    tracer_only = {name for name in unreferenced if name.rsplit(".", 1)[-1] in strings}
     allowed = {name for name in unreferenced if name.rsplit(".", 1)[-1] in ALLOWED_TEST_ONLY}
-    assert unreferenced - allowed == set()
-    # an entry whose name gained a caller leaves the list
+    assert unreferenced - tracer_only - allowed == set()
+    # a name that gained a caller leaves its list, and a new tracer-only name joins `TRACER_ONLY`
     assert {name.rsplit(".", 1)[-1] for name in allowed} == set(ALLOWED_TEST_ONLY)
+    assert tracer_only == set(TRACER_ONLY)
 
 
 def test_every_field_of_a_public_class_is_read_outside_the_tests():
@@ -215,15 +245,68 @@ def _constants(tree: ast.Module):
 
 def test_every_public_constant_in_src_is_read_outside_the_tests():
     read: set[str] = set()
-    for _, tree, strings in _trees():
+    for _, tree, _ in _trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                 read.add(node.attr)
-            elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-                read.add(node.value)
     assert _unreferenced(_constants, read) == set()
+
+
+def _parameters(function: ast.FunctionDef, skip: int):
+    """(position or None, name, defaulted) of each parameter of `function`
+    after its first `skip`; a keyword-only parameter has no position."""
+    args = function.args
+    positional = [*args.posonlyargs, *args.args]
+    first_default = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[skip:], skip):
+        yield i - skip, arg.arg, i >= first_default
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        yield None, arg.arg, default is not None
+
+
+def _callables(tree: ast.Module):
+    """(qualified name, name a call uses, parameters) of each public
+    function, class and method, the parameters as `_parameters` gives
+    them: a class's are its `__init__`'s, or its annotated fields."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield node.name, node.name, list(_parameters(node, 0))
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            fields = [item for item in node.body if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+            yield node.name, node.name, [(i, f.target.id, f.value is not None) for i, f in enumerate(fields)]
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (item.name == "__init__" or not item.name.startswith("_")):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in item.decorator_list)
+                    call = node.name if item.name == "__init__" else item.name
+                    yield f"{node.name}.{item.name}", call, list(_parameters(item, 0 if static else 1))
+
+
+def _set_by(call: ast.Call, position, name: str) -> bool:
+    """Does `call` set the parameter at `position` (None: keyword-only) named `name`?"""
+    if name in {keyword.arg for keyword in call.keywords} or any(k.arg is None for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return position < len(call.args) or any(isinstance(arg, ast.Starred) for arg in call.args)
+
+
+def test_every_defaulted_parameter_is_set_by_a_call_outside_the_tests():
+    calls: dict[str, list[ast.Call]] = {}  # callee name -> the calls of it
+    for _, tree, _ in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                callee = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                calls.setdefault(callee, []).append(node)
+    unset = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for qualified, callee, parameters in _callables(ast.parse(path.read_text(encoding="utf-8"))):
+            for position, name, defaulted in parameters:
+                if defaulted and not any(_set_by(call, position, name) for call in calls.get(callee, ())):
+                    unset.add(f"{path.stem}.{qualified.removesuffix('.__init__')}.{name}")
+    # a parameter that gained a caller leaves the list
+    assert unset == set(TEST_SET_DEFAULTS)
 
 
 def test_package_defines_only_its_version():
