@@ -18,6 +18,7 @@ finished one the summary trailer after the last move.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -341,6 +342,7 @@ def _seed(text: str) -> int:
     return seed
 
 
+@functools.cache  # built once per process: a parse keeps its results in a new namespace
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="workfunc",

@@ -370,7 +370,7 @@ def state_search_candidates_tested(
     return (((1 << unknown) + 1) / (np.count_nonzero(keep, axis=1) + 1)).tolist()
 
 
-def state_search_slope_experiment(trials_list: Sequence[int] = (300, 200, 120), seed: int = 0) -> Check:
+def state_search_slope_experiment(trials_list: Sequence[int], seed: int) -> Check:
     """Fit the cost-vs-word-size exponent; the reduction predicts 1.5."""
     xs = list(SLOPE_WORD_BITS)
     ys = []
@@ -391,27 +391,20 @@ def _twister(stream: KeystreamGen) -> np.random.MT19937:
     return twister
 
 
-def keystream_bias_experiment(
-    bias: float = 0.6, nbits: int = 1_000_000, seed: int = 20
-) -> Check:
+def keystream_bias_experiment(bias: float, nbits: int, seed: int = 20) -> Check:
     """The ones fraction of one `KeystreamGen(bias, seed).next_bits(nbits)`
-    call, counted in numpy by `next_bits`' rule: the top byte of w0
-    decides a draw, but at the stream's `threshold_byte`, where
-    `draw_is_one` reads the whole draw.  `run_validation` keeps seed 20
-    whatever its seed: the 0.002 tolerance is 1.83 standard errors of the
+    call, counted in numpy by the stream's own rule, `draw_is_one`, on the
+    draws that `next_bits` makes: `Generator.random` on the hand-off twister
+    (`_twister`) computes each `random()` draw, SCAN_CHUNK at a time, so the
+    line holds O(SCAN_CHUNK) draws, not nbits.  `run_validation` keeps seed
+    20 whatever its seed: the 0.002 tolerance is 1.83 standard errors of the
     quick line's 200,000-bit mean at bias 0.6, which an arbitrary seed
     fails about 6.8 % of the time (two-sided)."""
-    # the stream's twister words, two per bit, for SCAN_CHUNK bits at a
-    # time: the line holds O(SCAN_CHUNK) words, not 2 * nbits
     stream = KeystreamGen(bias, seed)
-    twister = _twister(stream)
+    draws = np.random.Generator(_twister(stream))
     ones = 0
     for start in range(0, nbits, SCAN_CHUNK):
-        words = twister.random_raw(2 * min(SCAN_CHUNK, nbits - start))
-        top = words[0::2].astype(np.uint32) >> 24
-        tie = 2 * np.flatnonzero(top == stream.threshold_byte)
-        ones += int(np.count_nonzero(top < stream.threshold_byte))
-        ones += int(np.count_nonzero(stream.draw_is_one(words[tie], words[tie + 1])))
+        ones += int(np.count_nonzero(stream.draw_is_one(draws.random(min(SCAN_CHUNK, nbits - start)))))
     return Check(f"keystream ones fraction at bias {bias}", ones / nbits, bias, 0.002)
 
 
@@ -438,7 +431,7 @@ def meter_ledger_experiment() -> Check:
     return Check("meter ledger identities", abs(key_gap) + abs(search_gap) + wrong, 0.0, 0.0)
 
 
-def run_validation(quick: bool = False, seed: int = 11) -> list[Check]:
+def run_validation(quick: bool, seed: int) -> list[Check]:
     results = []
     # quick mode drops the large keyspace.  A line is exact given its
     # trials' m, so a trial count sets only how many secrets and states
@@ -448,6 +441,6 @@ def run_validation(quick: bool = False, seed: int = 11) -> list[Check]:
         results.append(brute_force_mean_experiment(k, seed + k))
     slope_trials = (100, 60, 40) if quick else (300, 200, 120)
     results.append(state_search_slope_experiment(trials_list=slope_trials, seed=seed))
-    results.append(keystream_bias_experiment(nbits=200_000 if quick else 1_000_000))
+    results.append(keystream_bias_experiment(0.6, 200_000 if quick else 1_000_000))
     results.append(meter_ledger_experiment())
     return results

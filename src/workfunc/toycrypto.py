@@ -109,18 +109,19 @@ class KeystreamGen:
     """Seeded Bernoulli bit source: each bit is 1 with probability `bias`.
 
     Bit i of the stream is 1 iff the i-th `random()` draw of
-    `random.Random(seed)` is below `bias`.  The bits are drawn in bulk,
-    which relies on CPython's `random()` construction: each draw is
-    `k / 2**53` with `k = (w0 >> 5) << 26 | (w1 >> 6)` from two
-    consecutive 32-bit Mersenne Twister words, and `getrandbits(64 * n)`
-    consumes the same 2n words in the same order, least significant
-    first.  A draw is below `bias` exactly when `k < ceil(bias * 2**53)`
-    (scaling by a power of two is exact): `draw_is_one`, the rule that
-    `next_bits` and `experiments.keystream_bias_experiment` both use.
-    `next_bits` reads it off the top byte of `w0`, the top byte of `k`,
-    for every byte but `threshold_byte`, the threshold's, where it calls
-    `draw_is_one`.  The generator ends in the state n `random()` calls
-    leave; the test suite pins both against a `random()` oracle.
+    `random.Random(seed)` is below `bias`.  Each draw is `k / 2**53` with
+    `k = (w0 >> 5) << 26 | (w1 >> 6)` from two consecutive 32-bit Mersenne
+    Twister words, so it is below `bias` exactly when it is below
+    `ceil(bias * 2**53) / 2**53` (scaling by a power of two is exact):
+    `draw_is_one`, the one rule for a draw.  `next_bits` draws in bulk:
+    `getrandbits(64 * n)` consumes the same 2n words in the same order,
+    least significant first, and the top byte of w0, the top byte of k,
+    decides each bit but where it is the threshold's, where `next_bits`
+    calls `draw_is_one` on the whole draw.  numpy's `Generator.random` on
+    the same twister (`experiments._twister`) computes the same draws, so
+    `experiments.keystream_bias_experiment` applies `draw_is_one` to them.
+    The generator ends in the state n `random()` calls leave; the test
+    suite pins both against a `random()` oracle.
     """
 
     def __init__(self, bias: float = 0.5, seed: int | str = 0):
@@ -131,15 +132,15 @@ class KeystreamGen:
         # top byte of k -> "1" (k is below the threshold), "0" (it is not)
         # or "?" (the threshold falls inside this byte: k itself decides)
         edge, low = divmod(self._threshold, 1 << 45)
-        self.threshold_byte = edge
         self._top_byte_bits = bytes(
             ord("1") if byte < edge else ord("?") if byte == edge and low else ord("0")
             for byte in range(256)
         )
 
-    def draw_is_one(self, w0, w1):
-        """Whether words w0, w1 draw a 1: on ints, or on uint64 arrays."""
-        return ((w0 >> 5) << 26 | (w1 >> 6)) < self._threshold
+    def draw_is_one(self, draw):
+        """Whether a `random()` draw, a float or a float64 array of them,
+        is a 1: exact, as the threshold is an integer no larger than 2**53."""
+        return draw < self._threshold * 2**-53
 
     def twister_state(self) -> tuple[list[int], int]:
         """The key (624 words) and position of the stream's Mersenne Twister."""
@@ -159,7 +160,8 @@ class KeystreamGen:
         while tie >= 0:
             w0 = int.from_bytes(data[8 * tie : 8 * tie + 4], "little")
             w1 = int.from_bytes(data[8 * tie + 4 : 8 * tie + 8], "little")
-            bits[tie] = ord("1") if self.draw_is_one(w0, w1) else ord("0")
+            k = (w0 >> 5) << 26 | (w1 >> 6)
+            bits[tie] = ord("1") if self.draw_is_one(k / 2**53) else ord("0")
             tie = bits.find(b"?", tie + 1)
         return int(bits, 2)
 

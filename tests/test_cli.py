@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import errno
@@ -607,6 +608,32 @@ def test_full_validate_prints_the_half_of_an_exact_key_line(capsys):
     assert main(["validate", "--seed", "11"]) == 0
     line = "PASS brute-force mean keys tested, k=20: 524288.5 (expected 524288 within 2.62e+04)"
     assert line in capsys.readouterr().out.splitlines()
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_parse_carries_nothing_into_the_next():
+    parser = cli.build_parser()
+    assert parser.parse_args(["validate", "--quick", "--seed", "5"]).seed == 5
+    args = parser.parse_args(["validate"])
+    assert (args.seed, args.quick, args.output, args.func) == (11, False, None, cli.cmd_validate)
+
+
+def test_main_builds_the_parser_once_over_many_commands(monkeypatch, capsys):
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *args, **kwargs: built.append(self) or init(self, *args, **kwargs))
+    cli.build_parser.cache_clear()
+    try:
+        assert main(["table", "1"]) == 0
+        assert main(["catalog", "--csv"]) == 0
+        assert main(["validate", "--quick", "--seed", "5"]) == 0
+        assert main(["validate", "--quick"]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert len(built) == 6  # the parser and its five subcommands'
 
 
 def test_validate_parses_the_built_in_catalog_once(monkeypatch, capsys):

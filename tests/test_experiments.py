@@ -631,7 +631,7 @@ def test_state_search_slope_experiment():
 
 
 def test_keystream_bias_experiment():
-    result = keystream_bias_experiment()
+    result = keystream_bias_experiment(0.6, 1_000_000)
     assert result.passed
     assert result.statistic == pytest.approx(0.6, abs=0.002)
 
@@ -646,25 +646,33 @@ def test_keystream_bias_counts_the_ones_of_one_call(nbits):
         assert keystream_bias_experiment(bias, nbits, seed).statistic == ones / nbits, (seed, bias)
 
 
-def _packed_draws(stream, words):
-    bits = stream.draw_is_one(words[0::2], words[1::2])
-    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.size % 8)
+def test_keystream_line_holds_one_chunk_of_draws():
+    # 1,000,000 draws alone are 8 MB; a chunk of SCAN_CHUNK draws is 64 KiB
+    keystream_bias_experiment(0.6, 10, 20)  # numpy's lazy imports, outside the trace
+    assert _traced_peak(lambda: keystream_bias_experiment(0.6, 1_000_000, 20)) < 128 * 1024
 
 
 @pytest.mark.parametrize("seed", [20, "tie"])
 @pytest.mark.parametrize("bias", [0.0, 0.3, 0.5, 0.6, 1.0])
 def test_twister_hand_off_draws_the_keystream_bits(seed, bias):
-    """numpy's twister, seeded from a keystream's state, draws the words
-    `next_bits` consumes: `draw_is_one` on them gives its bits, and the
-    twister ends where a twin's generator does.  Bias 0.6 with seed "tie"
-    reaches the undecided top byte (test_toycrypto).  A stream that has
-    drawn 5 bits hands off mid-block, at twister position 10, not 624."""
+    """`Generator.random` on numpy's twister, seeded from a keystream's
+    state, makes the `random()` draws `next_bits` makes, value for value:
+    `draw_is_one` on them gives its bits, and the twister ends where a
+    twin's generator does.  Bias 0.6 with seed "tie" reaches the undecided
+    top byte (test_toycrypto).  A stream that has drawn 5 bits hands off
+    mid-block, at twister position 10, not 624."""
     for drawn in (0, 5):
         for n in (1, 2**14 - 1, 2**14, 2**14 + 1, 200_000):
             stream, twin = KeystreamGen(bias, seed), KeystreamGen(bias, seed)
             assert stream.next_bits(drawn) == twin.next_bits(drawn)
+            oracle = random.Random()
+            oracle.setstate(twin._rng.getstate())
             twister = _twister(stream)
-            assert _packed_draws(stream, twister.random_raw(2 * n)) == twin.next_bits(n), n
+            draws = np.random.Generator(twister).random(n)
+            assert draws.tolist() == [oracle.random() for _ in range(n)], (drawn, n)
+            bits = stream.draw_is_one(draws)
+            packed = int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-n % 8)
+            assert packed == twin.next_bits(n), (drawn, n)
             _, (*key, pos), _ = twin._rng.getstate()
             assert twister.state["state"]["key"].tolist() == key, (drawn, n)
             assert twister.state["state"]["pos"] == pos, (drawn, n)
@@ -787,7 +795,7 @@ MISPRICES = [
     (_schedule_ignoring_key_bit_0, lambda seed: brute_force_mean_experiment(12, seed), "1365.67"),
     (_schedule_ignoring_key_bit_0, lambda seed: brute_force_mean_experiment(16, seed), "21845.7"),
     (_state_space_of_2w_bits, _slope, "1.99999"),
-    (_keystream_at_bias_half, lambda seed: keystream_bias_experiment(nbits=200_000), "0.49823"),
+    (_keystream_at_bias_half, lambda seed: keystream_bias_experiment(0.6, 200_000), "0.49823"),
 ]
 MISPRICE_IDS = ["key-space-doubled", "twin-keys-k12", "twin-keys-k16", "state-space-2w", "keystream-unbiased"]
 

@@ -13,7 +13,8 @@
   `DEFAULT_WIN_THRESHOLD`); the trial cap is `scenarios`' (`MAX_GAME_TRIALS`).
 - The reference GPU is named in `devices` (`REFERENCE_GPU`), the time units
   are `estimators`' (`SECONDS_PER_*`, `DAYS_PER_YEAR`), and the keystream's
-  threshold is read in `toycrypto` alone (`KeystreamGen.threshold_byte`).
+  threshold is read in `toycrypto` alone: a draw's one rule is
+  `KeystreamGen.draw_is_one`, which `experiments` applies to numpy's draws.
 - What a class or module keeps private (an `_` name) is read on `self`
   alone: `experiments` asks `KeystreamGen.twister_state` for the twister,
   not the stream's `_rng`.

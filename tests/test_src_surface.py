@@ -47,9 +47,7 @@ TRACER_ONLY = {
 # defaulted parameter ("module.function.parameter") that no call in `src/`
 # or `perfbench/` sets -> the test that sets it
 TEST_SET_DEFAULTS = {
-    "experiments.keystream_bias_experiment.bias": "the keystream twin's lockstep test counts the ones "
-    "of one call at biases 0 to 1",
-    "experiments.keystream_bias_experiment.seed": "the keystream twin's lockstep test reaches the "
+    "experiments.keystream_bias_experiment.seed": "the keystream line's one-call count test reaches the "
     "undecided top byte at seed 'tie'",
     "experiments.state_search_candidates_tested.window": "the tie tests leave states unpinned with a "
     "one-word window",

@@ -3,6 +3,7 @@ import random
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -121,15 +122,23 @@ def test_keystream_bits_match_random_oracle():
 
 
 def test_draw_is_one_on_ints_matches_the_random_oracle():
-    """`draw_is_one` on two twister words is `random() < bias` on the draw
-    `random()` makes of the same two words."""
+    """The draw k / 2**53 of two twister words, k = (w0 >> 5) << 26 | (w1 >> 6),
+    is the draw `random()` makes of them, and `draw_is_one` on it is
+    `random() < bias`, on floats and on a float64 array of them.  Seed
+    "tie" at bias 0.6 reaches draws in the threshold's top byte."""
     biases = (0.0, 2**-60, 1 / 3, 0.5, 0.5 + 2**-53, 0.6, 1 - 2**-53, 1.0)
-    for seed in (0, "oracle"):
+    for seed in (0, "oracle", "tie"):
+        words, oracle = random.Random(seed), random.Random(seed)
+        draws = []
+        for _ in range(2000):
+            w0, w1 = words.getrandbits(32), words.getrandbits(32)
+            draws.append(((w0 >> 5) << 26 | (w1 >> 6)) / 2**53)
+            assert draws[-1] == oracle.random(), seed
         for bias in biases:
-            stream, words, oracle = KeystreamGen(bias), random.Random(seed), random.Random(seed)
-            for _ in range(2000):
-                w0, w1 = words.getrandbits(32), words.getrandbits(32)
-                assert stream.draw_is_one(w0, w1) == (oracle.random() < bias), (seed, bias)
+            stream = KeystreamGen(bias)
+            expected = [draw < bias for draw in draws]
+            assert [stream.draw_is_one(draw) for draw in draws] == expected, (seed, bias)
+            assert stream.draw_is_one(np.array(draws)).tolist() == expected, (seed, bias)
 
 
 def test_keystream_oracle_reaches_the_undecided_top_byte():
